@@ -153,30 +153,15 @@ def _dump_json(doc, path):
 
 
 def _reduce_report(cfg, result, model):
-    A_pipe, B_pipe, B_const = chain_slow_law(result)
-    A_form, B_form = chain_phase_constants(cfg.chain)
     f2_constants = None
     if result.order >= 2:
         c0 = result.phase_terms[1].coeffs.get((0, 0, 0))
         if c0 is not None:
             f2_constants = [float(v) for v in np.real(c0)]
-    residual_scaling = {}
-    for eps in (1e-2, 1e-3):
-        residual_scaling[f"{eps:g}"] = conjugacy_residual(model, result, eps)
-    slope = (
-        math.log(residual_scaling["0.01"] / residual_scaling["0.001"]) / math.log(10.0)
-    )
     return {
-        "A_pipeline": A_pipe,
-        "B_pipeline": B_pipe,
-        "B_pipeline_const": B_const,
-        "A_formula": A_form,
-        "B_formula": B_form,
-        "abs_dA": abs(A_pipe - A_form),
-        "abs_dB": abs(B_pipe - B_form),
+        **check_slow_law(cfg.chain, result)[3],
+        **check_residual_scaling(model, result)[3],
         "residuals": result.residuals,
-        "conjugacy_residual": residual_scaling,
-        "residual_order_slope": slope,
         "second_order_constants": f2_constants,
     }
 
@@ -229,97 +214,142 @@ def _cmd_sweep(cfg, out):
     return EXIT_OK
 
 
-def _verify_battery(cfg):
-    """Yield (name, passed, detail) verification entries."""
-    chain = cfg.chain
-    model = chain_model(chain)
-    bundle = chain_bundle(chain, K=max(cfg.K, 4.0))
-    result = phase_reduce(model, bundle, order=max(cfg.J, 2), K=cfg.K, K_nf=cfg.K_nf,
-                          tol_res=cfg.tol_res)
+# ----------------------------------------------------------------------
+# Verification battery: one check per acceptance criterion, shared by
+# ``torusred verify`` and the acceptance tests.  Each check returns
+# ``(name, passed, detail, metrics)``.
 
+TOL_CONSTANTS = 1e-8  # slow-law constants against their closed forms
+TOL_RESIDUAL_SLOPE = 0.1  # conjugacy defect slope against order + 1
+TOL_NORMAL_FORM = 1e-10  # nonresonant phase coefficients inside K_nf
+TOL_FLOQUET = 1e-6  # Floquet exponents and fibre subspace angle
+TOL_SYNC_TAIL = 0.05  # |phi_hat| once the outer pair has synchronised
+TOL_LOCK = 0.1  # locking band and gap to the predicted angle
+TOL_SWEEP_SLOPE = 0.15  # decay-time slope against -2
+
+
+def check_slow_law(chain, result):
+    """Slow-law constants of a chain reduction against the closed form."""
     A_pipe, B_pipe, B_const = chain_slow_law(result)
     A_form, B_form = chain_phase_constants(chain)
     dA, dB = abs(A_pipe - A_form), abs(B_pipe - B_form)
-    yield ("slow-law constants", dA <= 1e-8 and dB <= 1e-8,
-           f"A={A_pipe:.12f} vs {A_form:.12f} (|dA|={dA:.2e}), "
-           f"B={B_pipe:.12f} vs {B_form:.12f} (|dB|={dB:.2e})")
+    metrics = {"A_pipeline": A_pipe, "B_pipeline": B_pipe, "B_pipeline_const": B_const,
+               "A_formula": A_form, "B_formula": B_form, "abs_dA": dA, "abs_dB": dB}
+    return ("slow-law constants", dA <= TOL_CONSTANTS and dB <= TOL_CONSTANTS,
+            f"A={A_pipe:.12f} vs {A_form:.12f} (|dA|={dA:.2e}), "
+            f"B={B_pipe:.12f} vs {B_form:.12f} (|dB|={dB:.2e})", metrics)
 
+
+def check_residual_scaling(model, result):
+    """Conjugacy defect slope between eps = 1e-2 and 1e-3 against order + 1."""
     r2 = conjugacy_residual(model, result, 1e-2)
     r3 = conjugacy_residual(model, result, 1e-3)
     slope = math.log(r2 / r3) / math.log(10.0)
     expected = result.order + 1
-    yield ("residual order scaling", abs(slope - expected) <= 0.1,
-           f"slope={slope:.3f}, expected {expected} +/- 0.1")
+    metrics = {"conjugacy_residual": {"0.01": r2, "0.001": r3}, "residual_order_slope": slope}
+    return ("residual order scaling", abs(slope - expected) <= TOL_RESIDUAL_SLOPE,
+            f"slope={slope:.3f}, expected {expected} +/- {TOL_RESIDUAL_SLOPE:g}", metrics)
 
+
+def check_normal_form(result, K_nf):
+    """Largest nonresonant phase coefficient with ``|k| <= K_nf``."""
     worst = 0.0
     for f in result.phase_terms:
         for k, c in f.coeffs.items():
-            if abs(float(np.dot(bundle.omega, k))) > 1e-9 and np.linalg.norm(k) <= cfg.K_nf:
+            if abs(float(np.dot(result.omega, k))) > 1e-9 and np.linalg.norm(k) <= K_nf:
                 worst = max(worst, float(np.max(np.abs(c))))
-    yield ("normal form", worst <= 1e-10,
-           f"largest nonresonant phase coefficient {worst:.2e}")
+    return ("normal form", worst <= TOL_NORMAL_FORM,
+            f"largest nonresonant phase coefficient {worst:.2e}", {"worst": worst})
 
-    cycle = stuart_landau_cycle(chain.outer)
+
+def check_floquet(params, K):
+    """Numeric Floquet data of a Stuart-Landau cycle against its analytic bundle."""
+    cycle = stuart_landau_cycle(params)
     mono = floquet_decompose(cycle)
     expos = np.sort(np.linalg.eigvals(mono.floquet_matrix).real)
-    target = np.sort([0.0, chain.outer.floquet_exponent])
+    target = np.sort([0.0, params.floquet_exponent])
     dexp = float(np.max(np.abs(expos - target)))
-    ncyc = cycle_bundle(cycle, mono, K=max(cfg.K, 4.0))
-    analytic = sl_bundle(chain.outer, K=max(cfg.K, 4.0))
+    ncyc = cycle_bundle(cycle, mono, K=K)
+    analytic = sl_bundle(params, K=K)
     grid = TorusGrid(1, (256,))
     Nn = grid.sample(ncyc.N)[..., 0]
     Na = grid.sample(analytic.N)[..., 0]
     dots = np.abs(np.sum(Nn * Na, axis=-1))
     norms = np.linalg.norm(Nn, axis=-1) * np.linalg.norm(Na, axis=-1)
     angle = float(np.max(np.arccos(np.clip(dots / norms, -1.0, 1.0))))
-    yield ("floquet cross-check", dexp <= 1e-6 and angle <= 1e-6,
-           f"exponent error {dexp:.2e}, fibre subspace angle {angle:.2e}")
+    return ("floquet cross-check", dexp <= TOL_FLOQUET and angle <= TOL_FLOQUET,
+            f"exponent error {dexp:.2e}, fibre subspace angle {angle:.2e}",
+            {"exponents": expos, "target_exponents": target, "angle": angle})
 
-    if A_form > 0:
-        spec = IntegratorSpec("euler", 0.05, 4000.0)
-        rec = integrate_full(model, chain.epsilon, cfg.x0, spec)
-        window = (rec.t >= 2500.0) & (rec.t <= 4000.0)
-        tail = float(np.max(np.abs(rec.phi_hat[window])))
-        yield ("synchronisation figure", tail <= 0.05,
-               f"max |phi_hat| on [2500, 4000] = {tail:.2e} (<= 0.05)")
-    else:
-        spec = IntegratorSpec("rk4", 0.01, 4000.0, record_stride=5)
-        rec = integrate_full(model, chain.epsilon, cfg.x0, spec)
-        window = (rec.t >= 3000.0) & (rec.t <= 4000.0)
-        seg = rec.phi_hat[window]
-        c = float(np.mean(seg))
-        band = float(np.max(np.abs(seg - c)))
-        target_phi = 2.0 * math.atan2(A_form, B_form)
-        # compare modulo 2 pi: the unwrapped angle may settle on any branch
-        gap = abs((c - target_phi + math.pi) % (2.0 * math.pi) - math.pi)
-        ok = band <= 0.1 and gap <= 0.1
-        yield ("phase-locking figure", ok,
-               f"lock at {c:.4f} vs predicted {target_phi:.4f} "
-               f"(gap {gap:.3f} mod 2 pi), band +/-{band:.3f}")
 
-    if A_form > 0:
-        # The decay-to-10% time only exists when the outer pair
-        # synchronises; locking parameter sets have no such crossing.
-        spec = IntegratorSpec("euler", cfg.sweep_dt, cfg.sweep_t_end_ref)
-        sw = sweep_epsilon(model, cfg.sweep_x0, cfg.sweep_eps(), spec)
-        if sw.slope is None:
-            yield ("decay-time sweep", False, "fewer than 3 converged runs; no fit")
-        else:
-            yield ("decay-time sweep", abs(sw.slope + 2.0) <= 0.15,
-                   f"slope {sw.slope:.3f}, expected -2 +/- 0.15 "
-                   f"({int(np.sum(sw.converged))}/{sw.eps.size} converged)")
+def check_sync(model, eps, x0):
+    """Tail of the synchronisation angle of a figure-faithful Euler run."""
+    lo, hi = 2500.0, 4000.0
+    rec = integrate_full(model, eps, x0, IntegratorSpec("euler", 0.05, hi))
+    tail = float(np.max(np.abs(rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)])))
+    return ("synchronisation figure", tail <= TOL_SYNC_TAIL,
+            f"max |phi_hat| on [{lo:g}, {hi:g}] = {tail:.2e} (<= {TOL_SYNC_TAIL:g})",
+            {"tail": tail, "record": rec})
+
+
+def check_phase_lock(model, eps, x0, A, B):
+    """Locked synchronisation angle of an RK4 run against ``2 atan2(A, B)``."""
+    lo, hi = 3000.0, 4000.0
+    rec = integrate_full(model, eps, x0, IntegratorSpec("rk4", 0.01, hi, record_stride=5))
+    seg = rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)]
+    c = float(np.mean(seg))
+    band = float(np.max(np.abs(seg - c)))
+    target = 2.0 * math.atan2(A, B)
+    # compare modulo 2 pi: the unwrapped angle may settle on any branch
+    gap = abs((c - target + math.pi) % (2.0 * math.pi) - math.pi)
+    return ("phase-locking figure", band <= TOL_LOCK and gap <= TOL_LOCK,
+            f"lock at {c:.4f} vs predicted {target:.4f} "
+            f"(gap {gap:.3f} mod 2 pi), band +/-{band:.3f}",
+            {"lock": c, "band": band, "target": target, "gap": gap})
+
+
+def check_decay_sweep(model, x0, eps_list, spec):
+    """Log-log slope of the decay time across couplings against -2."""
+    sw = sweep_epsilon(model, x0, eps_list, spec)
+    n_conv = int(np.sum(sw.converged))
+    metrics = {"slope": sw.slope, "converged": n_conv}
+    if sw.slope is None:
+        return ("decay-time sweep", False, "fewer than 3 converged runs; no fit", metrics)
+    return ("decay-time sweep", abs(sw.slope + 2.0) <= TOL_SWEEP_SLOPE,
+            f"slope {sw.slope:.3f}, expected -2 +/- {TOL_SWEEP_SLOPE:g} "
+            f"({n_conv}/{sw.eps.size} converged)", metrics)
+
+
+def verify_battery(cfg):
+    """Yield the criteria that apply to a run configuration, in report order."""
+    chain = cfg.chain
+    model = chain_model(chain)
+    bundle = chain_bundle(chain, K=max(cfg.K, 4.0))
+    result = phase_reduce(model, bundle, order=max(cfg.J, 2), K=cfg.K, K_nf=cfg.K_nf,
+                          tol_res=cfg.tol_res)
+    yield check_slow_law(chain, result)
+    yield check_residual_scaling(model, result)
+    yield check_normal_form(result, cfg.K_nf)
+    yield check_floquet(chain.outer, K=max(cfg.K, 4.0))
+    A, B = chain_phase_constants(chain)
+    if A <= 0:
+        yield check_phase_lock(model, chain.epsilon, cfg.x0, A, B)
+        return
+    yield check_sync(model, chain.epsilon, cfg.x0)
+    # The decay-to-10% time only exists when the outer pair
+    # synchronises; locking parameter sets have no such crossing.
+    spec = IntegratorSpec("euler", cfg.sweep_dt, cfg.sweep_t_end_ref)
+    yield check_decay_sweep(model, cfg.sweep_x0, cfg.sweep_eps(), spec)
 
 
 def _cmd_verify(cfg, out):
     entries = []
-    status = EXIT_OK
-    for name, ok, detail in _verify_battery(cfg):
+    for name, ok, detail, _ in verify_battery(cfg):
         entries.append({"criterion": name, "passed": bool(ok), "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        if not ok:
-            status = EXIT_ACCEPTANCE
-    _dump_json({"criteria": entries, "passed": status == EXIT_OK}, out / "report.json")
-    return status
+    passed = all(e["passed"] for e in entries)
+    _dump_json({"criteria": entries, "passed": passed}, out / "report.json")
+    return EXIT_OK if passed else EXIT_ACCEPTANCE
 
 
 def run(config_path=None, out_override=None, preset=None):

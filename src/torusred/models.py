@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundle import LimitCycle, TorusBundle, product_bundle, validate_bundle
 from .errors import ConfigError
-from .fourier import FourierMap, SmoothMap, TorusGrid
+from .fourier import FourierMap, SmoothMap, dealias_grid
 
 __all__ = [
     "StuartLandauParams",
@@ -138,7 +138,7 @@ def stuart_landau_cycle(p: StuartLandauParams, n_steps=2048) -> LimitCycle:
                                     n_steps=n_steps, field=stuart_landau_field(p))
 
 
-def sl_bundle(p: StuartLandauParams, K=4.0, n_grid=None) -> TorusBundle:
+def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     """Analytic torus bundle of the Stuart-Landau cycle.
 
     The embedding is ``R exp(i phi)``, the fast fibre direction is
@@ -153,9 +153,7 @@ def sl_bundle(p: StuartLandauParams, K=4.0, n_grid=None) -> TorusBundle:
     )
     L = np.array([[p.floquet_exponent]])
 
-    if n_grid is None:
-        n_grid = 3 * int(math.ceil(K)) + 1
-    grid = TorusGrid(1, (n_grid,))
+    grid = dealias_grid(1, K)
     phis = grid.axes()[0]
     pi0 = np.array([[0.0, 0.0], [-d / g, 1.0]])
     cs, sn = np.cos(phis), np.sin(phis)

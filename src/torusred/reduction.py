@@ -77,13 +77,6 @@ class ReductionResult:
     def omega(self):
         return self.bundle.omega
 
-    def embedding_jet(self):
-        return EpsJet([self.bundle.e0] + self.embedding_terms)
-
-    def phase_jet(self):
-        const = FourierMap.constant(self.bundle.m, self.omega.astype(complex))
-        return EpsJet([const] + self.phase_terms)
-
     def to_json_dict(self):
         return {
             "order": self.order,

@@ -11,13 +11,12 @@ crossings.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from .bundle import _rk4_step
 from .errors import ConfigError
 from .models import phases_from_state
 
@@ -126,14 +125,7 @@ def integrate_full(model, eps, x0, spec, pair=(0, 2), record_state=True):
         angles.append(unwrapped)
     failed = False
     for i in range(1, n + 1):
-        if euler:
-            x = x + dt * rhs(x)
-        else:
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + dt * rhs(x) if euler else _rk4_step(rhs, x, dt)
         if not np.all(np.isfinite(x)):
             failed = True
             break
@@ -165,7 +157,8 @@ def integrate_reduced(result, eps, phi0, spec, pair=(0, 2)):
 
     Angles are stored unwrapped (the phase fields are 2 pi periodic, so
     real-line phases are fine).  The recorded observable is the phase
-    difference of the ``pair`` components.
+    difference of the ``pair`` components, shifted by a multiple of
+    2 pi so that it starts in (-pi, pi].
     """
     omega = result.omega
     phi = np.asarray(phi0, dtype=float).copy()
@@ -199,14 +192,7 @@ def integrate_reduced(result, eps, phi0, spec, pair=(0, 2)):
     phis = [phi.copy()]
     failed = False
     for i in range(1, n + 1):
-        if euler:
-            phi = phi + dt * rhs(phi)
-        else:
-            k1 = rhs(phi)
-            k2 = rhs(phi + 0.5 * dt * k1)
-            k3 = rhs(phi + 0.5 * dt * k2)
-            k4 = rhs(phi + dt * k3)
-            phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = phi + dt * rhs(phi) if euler else _rk4_step(rhs, phi, dt)
         if not np.all(np.isfinite(phi)):
             failed = True
             break
@@ -214,10 +200,14 @@ def integrate_reduced(result, eps, phi0, spec, pair=(0, 2)):
             ts.append(i * dt)
             phis.append(phi.copy())
     phis = np.asarray(phis)
+    # Start the observable in (-pi, pi] like the full record's pair angle;
+    # the phase fields are 2 pi periodic, so the winding count is free.
+    phi_hat = phis[:, i_idx] - phis[:, j_idx]
+    phi_hat -= 2.0 * math.pi * math.ceil((phi_hat[0] - math.pi) / (2.0 * math.pi))
     return TrajectoryRecord(
         t=np.asarray(ts),
         states=phis,
-        phi_hat=phis[:, i_idx] - phis[:, j_idx],
+        phi_hat=phi_hat,
         kind="reduced",
         failed=failed,
         meta={"eps": eps, "scheme": spec.scheme, "dt": dt, "pair": pair,
@@ -326,26 +316,15 @@ class SweepResult:
         }
 
 
-def _sweep_workers(n_runs):
-    raw = os.environ.get("TORUSRED_THREADS", "")
-    try:
-        cap = int(raw) if raw else 4
-    except ValueError:
-        cap = 4
-    return max(1, min(cap, n_runs))
-
-
 def sweep_epsilon(model, x0, eps_list, spec, reduction=None, scale_horizon=True,
                   window=None):
     """Measure the decay time across coupling strengths.
 
     Every run starts from the same initial state.  With
     ``scale_horizon`` the horizon grows like ``eps^-2`` away from the
-    largest coupling, matching the slow timescale.  Runs execute
-    concurrently (capped by the TORUSRED_THREADS environment variable)
-    and results are collected in list order.  Passing a
-    :class:`ReductionResult` sweeps the reduced flow instead of the
-    full system.
+    largest coupling, matching the slow timescale.  Runs execute in
+    list order.  Passing a :class:`ReductionResult` sweeps the reduced
+    flow instead of the full system.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
@@ -368,11 +347,7 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None, scale_horizon=True,
         return (measure_T01(rec, window=window),
                 measure_T01(rec, window=window, use_envelope=False))
 
-    with ThreadPoolExecutor(max_workers=_sweep_workers(eps_arr.size)) as pool:
-        futures = [pool.submit(run, float(e)) for e in eps_arr]
-        pairs = [f.result() for f in futures]
-    t01 = np.array([p[0] for p in pairs])
-    t01_raw = np.array([p[1] for p in pairs])
+    t01, t01_raw = np.array([run(float(e)) for e in eps_arr]).T
     converged = np.isfinite(t01)
     if int(np.sum(converged)) >= 3:
         slope, intercept = fit_powerlaw(eps_arr[converged], t01[converged])

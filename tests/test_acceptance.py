@@ -1,8 +1,9 @@
 """Acceptance battery.
 
 One test per criterion, each at its stated tolerance, printing a
-pass line on success (run with ``pytest -s`` to see them).  The same
-checks are available operationally through ``torusred --preset set1``.
+pass line on success (run with ``pytest -s`` to see them).  Criteria 1
+and 3-8 call the checks of ``torusred.cli`` that ``torusred verify``
+runs, and add the assertions the command does not make.
 """
 
 import time
@@ -10,25 +11,28 @@ import time
 import numpy as np
 import pytest
 
-from torusred.bundle import TorusGrid, cycle_bundle, floquet_decompose, oblique_projection
-from torusred.fourier import EpsJet, FourierMap, dealias_grid, jet_compose
-from torusred.models import (
-    ChainConfig,
-    chain_bundle,
-    chain_model,
-    chain_phase_constants,
-    sl_bundle,
-    stuart_landau_cycle,
+from torusred.bundle import oblique_projection
+from torusred.cli import (
+    TOL_CONSTANTS,
+    TOL_LOCK,
+    check_decay_sweep,
+    check_floquet,
+    check_normal_form,
+    check_phase_lock,
+    check_residual_scaling,
+    check_slow_law,
+    check_sync,
 )
+from torusred.fourier import EpsJet, FourierMap, dealias_grid, jet_compose
+from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
 from torusred.reduction import (
     chain_slow_law,
-    conjugacy_residual,
     phase_difference_field,
     phase_reduce,
     solve_normal,
     solve_tangential,
 )
-from torusred.sim import IntegratorSpec, integrate_full, measure_T01, sweep_epsilon
+from torusred.sim import IntegratorSpec, measure_T01
 
 SET1 = dict(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0, a=1.0, b=2.0, c=-1.0, d=-1.0)
 SET2 = dict(alpha=1.0, beta=0.1, gamma=-1.0, delta=1.0, a=1.0, b=6.0, c=-1.0, d=-1.0)
@@ -47,16 +51,13 @@ def set1_reduction():
 
 def test_criterion_01_constant_A_set1(set1_reduction):
     cfg, model, bundle, result, elapsed = set1_reduction
-    A_pipe, B_pipe, B_const = chain_slow_law(result)
-    A_form, B_form = chain_phase_constants(cfg)
-    assert A_form == pytest.approx(0.2, abs=1e-14)
-    assert B_form == pytest.approx(-0.6, abs=1e-14)  # hand-evaluated closed form
-    assert abs(A_pipe - A_form) <= 1e-8
-    assert abs(B_pipe - B_form) <= 1e-8
-    assert abs(B_const - B_form) <= 1e-8
+    _, passed, detail, m = check_slow_law(cfg, result)
+    assert m["A_formula"] == pytest.approx(0.2, abs=1e-14)
+    assert m["B_formula"] == pytest.approx(-0.6, abs=1e-14)  # hand-evaluated closed form
+    assert passed, detail
+    assert abs(m["B_pipeline_const"] - m["B_formula"]) <= TOL_CONSTANTS
     assert elapsed < 10.0
-    print(f"\n[acceptance 1] PASS  A={A_pipe:.12f} (|dA|={abs(A_pipe - A_form):.2e}), "
-          f"B={B_pipe:.12f} (|dB|={abs(B_pipe - B_form):.2e}), reduce in {elapsed:.2f}s")
+    print(f"\n[acceptance 1] PASS  {detail}, reduce in {elapsed:.2f}s")
 
 
 def test_criterion_02_constant_A_set2():
@@ -72,81 +73,55 @@ def test_criterion_02_constant_A_set2():
 
 def test_criterion_03_residual_scaling(set1_reduction):
     cfg, model, bundle, result, _ = set1_reduction
-    r2 = conjugacy_residual(model, result, 1e-2)
-    r3 = conjugacy_residual(model, result, 1e-3)
-    slope = np.log(r2 / r3) / np.log(10.0)
-    assert abs(slope - 3.0) <= 0.1
-    print(f"\n[acceptance 3] PASS  residuals {r2:.3e} @ 1e-2, {r3:.3e} @ 1e-3, "
-          f"slope {slope:.3f} = 3 +/- 0.1")
+    _, passed, detail, m = check_residual_scaling(model, result)
+    assert result.order == 2  # expected slope 3
+    assert passed, detail
+    r = m["conjugacy_residual"]
+    print(f"\n[acceptance 3] PASS  residuals {r['0.01']:.3e} @ 1e-2, "
+          f"{r['0.001']:.3e} @ 1e-3, {detail}")
 
 
 def test_criterion_04_normal_form(set1_reduction):
     cfg, model, bundle, result, _ = set1_reduction
-    K_nf = 6.0
-    worst = 0.0
-    checked = 0
-    for f in result.phase_terms:
-        for k, c in f.coeffs.items():
-            if abs(float(np.dot(bundle.omega, k))) > 1e-9 and np.linalg.norm(k) <= K_nf:
-                worst = max(worst, float(np.max(np.abs(c))))
-                checked += 1
-    assert worst <= 1e-10
-    print(f"\n[acceptance 4] PASS  {checked} nonresonant coefficients inside "
-          f"K_nf={K_nf}, largest {worst:.2e} <= 1e-10")
+    _, passed, detail, m = check_normal_form(result, 6.0)
+    assert passed, detail
+    print(f"\n[acceptance 4] PASS  {detail} inside K_nf=6")
 
 
 def test_criterion_05_floquet_cross_check():
     t0 = time.perf_counter()
     cfg = ChainConfig(**SET1)
-    cycle = stuart_landau_cycle(cfg.outer)
-    mono = floquet_decompose(cycle)
-    expos = np.sort(np.linalg.eigvals(mono.floquet_matrix).real)
-    assert np.max(np.abs(expos - np.array([-2.0, 0.0]))) <= 1e-6
-    numeric = cycle_bundle(cycle, mono, K=4.0)
-    analytic = sl_bundle(cfg.outer, K=4.0)
-    grid = TorusGrid(1, (256,))
-    Nn = grid.sample(numeric.N)[..., 0]
-    Na = grid.sample(analytic.N)[..., 0]
-    dots = np.abs(np.sum(Nn * Na, axis=-1))
-    norms = np.linalg.norm(Nn, axis=-1) * np.linalg.norm(Na, axis=-1)
-    angle = float(np.max(np.arccos(np.clip(dots / norms, -1.0, 1.0))))
+    _, passed, detail, m = check_floquet(cfg.outer, K=4.0)
     elapsed = time.perf_counter() - t0
-    assert angle <= 1e-6
+    assert m["target_exponents"].tolist() == [-2.0, 0.0]
+    assert passed, detail
     assert elapsed < 5.0
-    print(f"\n[acceptance 5] PASS  exponents {np.round(expos, 8)}, fibre angle "
-          f"{angle:.2e}, in {elapsed:.2f}s")
+    print(f"\n[acceptance 5] PASS  exponents {np.round(m['exponents'], 8)}, {detail}, "
+          f"in {elapsed:.2f}s")
 
 
 def test_criterion_06_figure_sync_to_zero():
     cfg = ChainConfig(**SET1)
     model = chain_model(cfg)
     x0 = np.array([-1.0, 0.0, 1.0, 0.4, -1.0, 0.3])
-    rec = integrate_full(model, 0.1, x0, IntegratorSpec("euler", 0.05, 4000.0))
-    window = (rec.t >= 2500.0) & (rec.t <= 4000.0)
-    tail = float(np.max(np.abs(rec.phi_hat[window])))
-    assert tail <= 0.05
-    t01 = measure_T01(rec)
+    _, passed, detail, m = check_sync(model, 0.1, x0)
+    assert passed, detail
+    t01 = measure_T01(m["record"])
     assert np.isfinite(t01) and t01 < 4000.0
-    print(f"\n[acceptance 6] PASS  max |phi_hat| on [2500, 4000] = {tail:.2e} <= 0.05, "
-          f"T01 = {t01:.1f}")
+    print(f"\n[acceptance 6] PASS  {detail}, T01 = {t01:.1f}")
 
 
 def test_criterion_07_figure_phase_lock():
     cfg = ChainConfig(**SET2)
     model = chain_model(cfg)
     x0 = np.array([1.0, 0.3, 1.0, 0.4, -0.2, 0.9])
-    rec = integrate_full(model, 0.1, x0,
-                         IntegratorSpec("rk4", 0.01, 4000.0, record_stride=5))
-    window = (rec.t >= 3000.0) & (rec.t <= 4000.0)
-    seg = rec.phi_hat[window]
-    c = float(np.mean(seg))
-    band = float(np.max(np.abs(seg - c)))
     A, B = chain_phase_constants(cfg)
-    target = 2.0 * np.arctan(A / B)
-    assert band <= 0.1
-    assert abs(c - target) <= 0.1
-    print(f"\n[acceptance 7] PASS  lock {c:.4f} vs 2*atan(A/B)={target:.4f} "
-          f"(|diff|={abs(c - target):.3f}), band +/-{band:.3f} <= 0.1")
+    _, passed, detail, m = check_phase_lock(model, 0.1, x0, A, B)
+    assert passed, detail
+    # the unwrapped angle itself, not only its class mod 2 pi, sits at the prediction
+    raw_gap = abs(m["lock"] - 2.0 * np.arctan(A / B))
+    assert raw_gap <= TOL_LOCK
+    print(f"\n[acceptance 7] PASS  {detail}, |lock - 2*atan(A/B)| = {raw_gap:.3f}")
 
 
 def test_criterion_08_figure_decay_time_sweep():
@@ -154,11 +129,12 @@ def test_criterion_08_figure_decay_time_sweep():
     model = chain_model(cfg)
     x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.5])
     eps = np.geomspace(0.02, 0.1, 20)
-    sw = sweep_epsilon(model, x0, eps, IntegratorSpec("euler", 0.05, 2500.0))
-    assert int(np.sum(sw.converged)) == 20
-    assert sw.slope is not None
-    assert abs(sw.slope + 2.0) <= 0.15
-    print(f"\n[acceptance 8] PASS  20/20 converged, slope {sw.slope:.3f} = -2 +/- 0.15")
+    _, passed, detail, m = check_decay_sweep(model, x0, eps,
+                                             IntegratorSpec("euler", 0.05, 2500.0))
+    assert m["converged"] == 20
+    assert m["slope"] is not None
+    assert passed, detail
+    print(f"\n[acceptance 8] PASS  {detail}")
 
 
 def test_criterion_09a_normal_solver_oracle():

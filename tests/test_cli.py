@@ -12,6 +12,9 @@ SET1_MODEL = {
     }
 }
 
+SMALL_SWEEP = {"eps_min": 0.07, "eps_max": 0.1, "n": 4, "t_end_ref": 1500.0,
+               "x0": [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]]}
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -39,11 +42,15 @@ def test_reduce_command_writes_report(tmp_path):
     assert len(reduction["phase_terms"]) == 2
 
 
-def test_reduce_artifacts_are_deterministic(tmp_path):
+@pytest.mark.parametrize("command,numerics", [
+    ("reduce", {"K": 8, "K_nf": 6, "J": 2}),
+    ("sweep", {"sweep": SMALL_SWEEP}),
+], ids=["reduce", "sweep"])
+def test_artifacts_are_deterministic(tmp_path, command, numerics):
     cfg = {
-        "command": "reduce",
+        "command": command,
         "model": SET1_MODEL,
-        "numerics": {"K": 8, "K_nf": 6, "J": 2},
+        "numerics": numerics,
         "output_dir": str(tmp_path / "out"),
     }
     path = write_config(tmp_path, cfg)
@@ -128,10 +135,7 @@ def test_sweep_command_small(tmp_path):
     doc = {
         "command": "sweep",
         "model": SET1_MODEL,
-        "numerics": {
-            "sweep": {"eps_min": 0.07, "eps_max": 0.1, "n": 4, "t_end_ref": 1500.0,
-                      "x0": [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]]},
-        },
+        "numerics": {"sweep": SMALL_SWEEP},
         "output_dir": str(tmp_path / "out"),
     }
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_OK

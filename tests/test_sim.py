@@ -199,6 +199,25 @@ def test_sweep_reduced_flow_slope(chain1, reduced1):
     assert abs(sw.slope + 2.0) <= 0.1
 
 
+def test_sweep_reduced_start_across_branch_cut(chain1, reduced1):
+    # A common turn of all oscillators is a symmetry of the chain.  This one
+    # carries z1 across arg's branch cut, so the raw phases differ by
+    # 0.17 - 2 pi; the reduced record must still start at 0.17 and decay as
+    # the unturned start does.
+    cfg, model = chain1
+    x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.5])
+    z = (x0[0::2] + 1j * x0[1::2]) * np.exp(0.38j)
+    turned = np.column_stack([z.real, z.imag]).reshape(-1)
+    phases = phases_from_state(turned)
+    assert phases[0] - phases[2] < -6.0
+    eps = np.array([0.08, 0.1])
+    spec = IntegratorSpec("euler", 0.05, 1500.0)
+    base = sweep_epsilon(model, x0, eps, spec, reduction=reduced1)
+    sw = sweep_epsilon(model, turned, eps, spec, reduction=reduced1)
+    assert np.all(base.converged) and np.all(sw.converged)
+    assert np.max(np.abs(sw.t01 - base.t01)) <= spec.dt
+
+
 def test_torus_attraction(chain1):
     cfg, model = chain1
     x0 = np.array([-1.0, 0.0, 1.0, 0.4, -1.0, 0.3])
