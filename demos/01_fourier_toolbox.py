@@ -2,17 +2,18 @@
 
 Builds series on the 2-torus, differentiates them along a frequency
 vector, multiplies them by coefficient convolution, and composes them
-with nonlinear maps pseudo-spectrally.
+with nonlinear maps pseudo-spectrally through ``jet_compose``.
 """
 
 import numpy as np
 
 from torusred import (
+    EpsJet,
     FourierMap,
-    compose_map,
+    SmoothMap,
     d_omega,
+    jet_compose,
     multiply,
-    weighted_norm,
 )
 
 # A real-valued series: f(phi) = cos(phi1) + 0.5 sin(phi1 - 2 phi2)
@@ -34,10 +35,9 @@ print("\nd_omega f at phi:", df.eval(phi), " finite difference:", fd)
 # Products convolve coefficient sets and truncate back.
 prod = multiply(f, f, K=4.0)
 print("\n(f*f) coefficients at k=(2,0):", prod.coeffs.get((2, 0)))
-print("discarded mass from truncation:", prod.discarded_mass)
 
-# Pseudo-spectral composition: the square of a circle embedding doubles
-# the harmonic exactly.
+# Pseudo-spectral composition (the order-0 term of a jet composition):
+# the square of a circle embedding doubles the harmonic exactly.
 circle = FourierMap.harmonic(1, (1,), np.array([0.5, -0.5j]), K=2.0)
 
 
@@ -47,9 +47,5 @@ def complex_square(x):
     return np.stack([w.real, w.imag], axis=-1)
 
 
-squared = compose_map(complex_square, circle)
+squared = jet_compose([SmoothMap(complex_square)], EpsJet([circle]), order=0).terms[0]
 print("\ncompose(z^2, e^{i phi}) store frequencies:", sorted(squared.coeffs))
-
-# Weighted norms quantify coefficient growth, i.e. smoothness.
-for s in (0.0, 1.0, 2.0):
-    print(f"Sobolev-type norm, s={s}:", weighted_norm(f, lambda r: (1 + r * r) ** (s / 2)))

@@ -44,13 +44,11 @@ from .fourier import (
     FourierMap,
     SmoothMap,
     TorusGrid,
-    compose_map,
     d_omega,
     dealias_grid,
     jet_compose,
     matmul,
     multiply,
-    weighted_norm,
 )
 from .models import (
     ChainConfig,
@@ -65,7 +63,6 @@ from .models import (
     stuart_landau_field,
 )
 from .reduction import (
-    HomologicalRHS,
     ReductionResult,
     chain_slow_law,
     conjugacy_residual,
@@ -96,7 +93,6 @@ __all__ = [
     "ConfigError",
     "EpsJet",
     "FourierMap",
-    "HomologicalRHS",
     "HyperbolicityError",
     "IntegratorSpec",
     "LimitCycle",
@@ -117,7 +113,6 @@ __all__ = [
     "chain_model",
     "chain_phase_constants",
     "chain_slow_law",
-    "compose_map",
     "conjugacy_residual",
     "cycle_bundle",
     "d_omega",
@@ -149,7 +144,6 @@ __all__ = [
     "sweep_epsilon",
     "trajectory_csv",
     "validate_bundle",
-    "weighted_norm",
 ]
 
 __version__ = "0.1.0"

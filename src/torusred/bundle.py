@@ -32,6 +32,20 @@ __all__ = [
     "find_limit_cycle",
 ]
 
+CYCLE_SAMPLES = 2048  # RK4 steps (and stored samples) over one period of a cycle
+PHASE_SAMPLES = 256  # phase-grid samples of the periodic Floquet factor
+COND_THRESHOLD = 1e10  # largest admissible condition number of a frame
+CLOSURE_TOL = 1e-8  # relative |X(T) - X(0)| a stored orbit may show
+EXPONENT_GAP = 1e-6  # Floquet exponents closer than this to the axis are neutral
+SV_TOL = 1e-8  # relative singular value below which B is rank-deficient
+PROJ_TOL = 1e-10  # relative error of the projection identities (scaled by 10 on grids)
+
+# find_limit_cycle: RK4 step, radius around the landing point in which a
+# section crossing counts as a return, and the longest period searched.
+RETURN_DT = 2e-3
+RETURN_RADIUS = 0.5
+RETURN_MAX_TIME = 200.0
+
 
 def _rk4_step(f, x, dt):
     k1 = f(x)
@@ -46,59 +60,52 @@ class LimitCycle:
 
     ``samples[i]`` is the state at ``t_i = i * period / n`` for
     ``i = 0 .. n`` (both endpoints stored); closure of the orbit is
-    checked on construction.  ``omega * period == 2 pi`` holds by
-    construction.
+    checked on construction.
     """
 
-    def __init__(self, period, samples, field=None, analytic=False, closure_tol=1e-8):
+    def __init__(self, period, samples, field=None):
         self.period = float(period)
         self.samples = np.asarray(samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[0] < 3:
             raise ValueError("expected samples of shape (n+1, M)")
         self.dimension = self.samples.shape[1]
         self.field = field
-        self.analytic = bool(analytic)
         scale = max(1.0, float(np.max(np.abs(self.samples))))
         gap = float(np.max(np.abs(self.samples[-1] - self.samples[0])))
-        if gap > closure_tol * scale:
+        if gap > CLOSURE_TOL * scale:
             raise NumericalError(
                 f"orbit does not close up: |X(T) - X(0)| = {gap:.3e} exceeds "
-                f"{closure_tol:.1e} (relative)"
+                f"{CLOSURE_TOL:.1e} (relative)"
             )
         if self.period <= 0:
             raise ValueError("period must be positive")
 
-    @property
-    def omega(self):
-        return 2.0 * math.pi / self.period
-
     @classmethod
-    def from_flow(cls, field, x0, period, n_steps=2048, analytic=False, closure_tol=1e-8):
+    def from_flow(cls, field, x0, period):
         """Integrate ``field`` over one period with fixed-step RK4."""
-        dt = period / n_steps
+        dt = period / CYCLE_SAMPLES
         x = np.asarray(x0, dtype=float)
         samples = [x]
-        for _ in range(n_steps):
+        for _ in range(CYCLE_SAMPLES):
             x = _rk4_step(field.fun, x, dt)
             samples.append(x)
-        return cls(period, np.array(samples), field=field, analytic=analytic,
-                   closure_tol=closure_tol)
+        return cls(period, np.array(samples), field=field)
 
     @classmethod
-    def from_function(cls, orbit, period, n_steps=2048, field=None, analytic=True):
+    def from_function(cls, orbit, period, field):
         """Build from a closed-form orbit ``t -> X(t)``."""
-        t = np.linspace(0.0, period, n_steps + 1)
-        return cls(period, np.array([orbit(ti) for ti in t]), field=field, analytic=analytic)
+        t = np.linspace(0.0, period, CYCLE_SAMPLES + 1)
+        return cls(period, np.array([orbit(ti) for ti in t]), field=field)
 
 
-def find_limit_cycle(field, x0, t_transient, dt=2e-3, n_steps=2048,
-                     guard_radius=0.5, max_time=200.0):
+def find_limit_cycle(field, x0, t_transient):
     """Locate a stable limit cycle by settling onto it and timing a return.
 
     Integrates a transient, drops a Poincare section through the landing
     point orthogonal to the flow, and refines the first same-direction
     return with Newton steps on the crossing time.
     """
+    dt = RETURN_DT
     x = np.asarray(x0, dtype=float)
     for _ in range(int(round(t_transient / dt))):
         x = _rk4_step(field.fun, x, dt)
@@ -112,11 +119,11 @@ def find_limit_cycle(field, x0, t_transient, dt=2e-3, n_steps=2048,
     t, x = 0.0, p
     prev = 0.0
     period = None
-    while t < max_time:
+    while t < RETURN_MAX_TIME:
         x_new = _rk4_step(field.fun, x, dt)
         t_new = t + dt
         cur = section(x_new)
-        crossed = prev < 0.0 <= cur and np.linalg.norm(x_new - p) < guard_radius
+        crossed = prev < 0.0 <= cur and np.linalg.norm(x_new - p) < RETURN_RADIUS
         if crossed and t > dt:
             tau, y = 0.0, x
             for _ in range(8):
@@ -132,7 +139,7 @@ def find_limit_cycle(field, x0, t_transient, dt=2e-3, n_steps=2048,
         prev, x, t = cur, x_new, t_new
     if period is None:
         raise NumericalError("no return to the section found; not a (stable) cycle?")
-    return LimitCycle.from_flow(field, p, period, n_steps=n_steps)
+    return LimitCycle.from_flow(field, p, period)
 
 
 class MonodromyData:
@@ -164,7 +171,7 @@ class MonodromyData:
             raise NumericalError(f"exp(B T) deviates from the monodromy matrix by {err:.3e}")
 
 
-def floquet_matrix_from_monodromy(PhiT, period, gap_tol=1e-6):
+def floquet_matrix_from_monodromy(PhiT, period):
     """Principal real logarithm of the monodromy matrix, divided by the period.
 
     Rejects monodromy matrices with eigenvalues on the negative real
@@ -187,10 +194,10 @@ def floquet_matrix_from_monodromy(PhiT, period, gap_tol=1e-6):
         raise NumericalError("matrix logarithm came out non-real")
     B = B.real / period
     exponents = np.linalg.eigvals(B)
-    near_axis = [lam for lam in exponents if abs(lam.real) < gap_tol]
+    near_axis = [lam for lam in exponents if abs(lam.real) < EXPONENT_GAP]
     if len(near_axis) != 1:
         raise HyperbolicityError(
-            f"{len(near_axis)} Floquet exponents within {gap_tol:.1e} of the "
+            f"{len(near_axis)} Floquet exponents within {EXPONENT_GAP:.1e} of the "
             "imaginary axis; the cycle is not normally hyperbolic"
         )
     if abs(near_axis[0]) > 1e-6:
@@ -200,34 +207,24 @@ def floquet_matrix_from_monodromy(PhiT, period, gap_tol=1e-6):
     return B
 
 
-def floquet_decompose(cycle, F0_prime=None, n_steps=2048, n_phi=256, gap_tol=1e-6):
+def floquet_decompose(cycle):
     """Integrate the variational equation and factor the fundamental matrix.
 
-    Parameters
-    ----------
-    cycle : LimitCycle
-    F0_prime : callable, optional
-        Jacobian evaluator ``x -> (M, M)``; defaults to the cycle's field.
-    n_steps : int
-        RK4 steps over one period (rounded up to a multiple of ``n_phi``).
-    n_phi : int
-        Number of phase-grid samples kept for the periodic factor.
+    The cycle's field supplies the vector field and its Jacobian.  RK4
+    takes ``CYCLE_SAMPLES`` steps over one period and keeps
+    ``PHASE_SAMPLES`` of them for the periodic factor.
     """
     field = cycle.field
-    if F0_prime is None:
-        if field is None or field.jac is None:
-            raise ValueError("need a Jacobian evaluator")
-        F0_prime = field.jac
-    if field is None:
-        raise ValueError("cycle must carry its vector field")
+    if field is None or field.jac is None:
+        raise ValueError("cycle must carry its vector field with a Jacobian evaluator")
     M = cycle.dimension
-    n_steps = int(math.ceil(n_steps / n_phi)) * n_phi
+    n_steps, n_phi = CYCLE_SAMPLES, PHASE_SAMPLES
     stride = n_steps // n_phi
     dt = cycle.period / n_steps
 
     def aug_rhs(state):
         x, Phi = state[:, 0], state[:, 1:]
-        return np.column_stack([field.fun(x), F0_prime(x) @ Phi])
+        return np.column_stack([field.fun(x), field.jac(x) @ Phi])
 
     state = np.column_stack([cycle.samples[0], np.eye(M)])
     fundamentals = [np.eye(M)]
@@ -238,7 +235,7 @@ def floquet_decompose(cycle, F0_prime=None, n_steps=2048, n_phi=256, gap_tol=1e-
             fundamentals.append(state[:, 1:].copy())
             orbit.append(state[:, 0].copy())
     PhiT = fundamentals[-1]
-    B = floquet_matrix_from_monodromy(PhiT, cycle.period, gap_tol=gap_tol)
+    B = floquet_matrix_from_monodromy(PhiT, cycle.period)
     times = np.arange(n_phi + 1) * (cycle.period / n_phi)
     P = np.array([fundamentals[i] @ expm(-B * times[i]) for i in range(n_phi + 1)])
     return MonodromyData(
@@ -269,7 +266,7 @@ def _oblique_projection_batch(A, B):
     return A @ np.linalg.solve(core, AtQ)
 
 
-def oblique_projection(A, B, cond_threshold=1e10):
+def oblique_projection(A, B):
     """Projection onto the image of ``A`` along the image of ``B``.
 
     ``A`` (M x m) and ``B`` (M x (M-m)) must be injective with
@@ -282,7 +279,7 @@ def oblique_projection(A, B, cond_threshold=1e10):
     B = np.asarray(B, dtype=float)
     stacked = np.concatenate([A, B], axis=-1)
     cond = float(np.linalg.cond(stacked))
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise TransversalityError("images of A and B are nearly degenerate", cond)
     pi = _oblique_projection_batch(A, B)
     err = max(
@@ -316,13 +313,13 @@ class TorusBundle:
         Projection onto the tangent bundle along the fibres, M x M.
     """
 
-    def __init__(self, e0, omega, N, L, pi, diagnostics=None):
+    def __init__(self, e0, omega, N, L, pi):
         self.e0 = e0
         self.omega = np.asarray(omega, dtype=float).reshape(-1)
         self.N = N
         self.L = np.asarray(L, dtype=float)
         self.pi = pi
-        self.diagnostics = dict(diagnostics or {})
+        self.diagnostics = {}
         if e0.m != self.omega.size:
             raise ValueError("frequency vector does not match torus dimension")
 
@@ -352,14 +349,13 @@ class TorusBundle:
         }
 
 
-def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8, proj_tol=1e-10,
-                    cond_threshold=1e10, raise_on_fail=True):
+def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     """Check the defining properties of a torus bundle on a dense grid.
 
     Verifies transversality of ``[e0' | N]``, the invariance equation
     ``d_omega N + N L = (F0' o e0) N`` when the field is supplied,
     hyperbolicity of ``L``, and the algebraic identities of ``pi``.
-    Returns a diagnostics dict; raises on violation unless told not to.
+    Returns a diagnostics dict; raises on violation.
     """
     m, M = bundle.m, bundle.M
     if grid is None:
@@ -396,35 +392,34 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8, proj_tol=1e-10,
         "pi_tangent": keep_tangent,
         "pi_fibre": kill_fibre,
     }
-    if raise_on_fail:
-        if not np.isfinite(max_cond) or max_cond > cond_threshold:
-            raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
-        if gap <= 1e-9:
-            raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
-        if pde_rel is not None and pde_rel > pde_tol:
-            raise NumericalError(
-                f"fibre invariance equation violated: relative residual {pde_rel:.3e}"
-            )
-        scale = max(p_scale, n_scale)
-        if max(idem, keep_tangent, kill_fibre) > proj_tol * scale * 10:
-            raise NumericalError("projection identities violated on the grid")
+    if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
+        raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
+    if gap <= 1e-9:
+        raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
+    if pde_rel is not None and pde_rel > pde_tol:
+        raise NumericalError(
+            f"fibre invariance equation violated: relative residual {pde_rel:.3e}"
+        )
+    scale = max(p_scale, n_scale)
+    if max(idem, keep_tangent, kill_fibre) > PROJ_TOL * scale * 10:
+        raise NumericalError("projection identities violated on the grid")
     return diag
 
 
-def cycle_bundle(cycle, monodromy, K=8.0, sv_tol=1e-8, cond_threshold=1e10,
-                 validate=True):
+def cycle_bundle(cycle, monodromy, K=8.0):
     """Torus bundle (m = 1) of a hyperbolic limit cycle.
 
     The fibre frame is ``N(phi) = P(phi / omega) A`` where the columns
     of ``A`` are the left singular vectors of the Floquet matrix ``B``
     belonging to its nonzero part, with a deterministic sign convention
     (first entry of significant size is positive).  ``L`` is ``B``
-    restricted to the range of ``A``.
+    restricted to the range of ``A``.  The bundle is validated against
+    the cycle's field on the phase grid.
     """
     B = monodromy.floquet_matrix
     M = B.shape[0]
     U, S, _ = np.linalg.svd(B)
-    rank = int(np.sum(S > sv_tol * S[0]))
+    rank = int(np.sum(S > SV_TOL * S[0]))
     if rank != M - 1:
         raise HyperbolicityError(
             f"Floquet matrix has rank {rank}, expected {M - 1}; cannot span the fibres"
@@ -451,14 +446,11 @@ def cycle_bundle(cycle, monodromy, K=8.0, sv_tol=1e-8, cond_threshold=1e10,
     pi = grid.project(pi_vals, K)
     omega = np.array([2.0 * math.pi / monodromy.period])
     bundle = TorusBundle(e0, omega, N, L, pi)
-    if validate:
-        field = cycle.field if cycle is not None else None
-        bundle.diagnostics = validate_bundle(bundle, F0=field, grid=grid,
-                                             cond_threshold=cond_threshold)
+    bundle.diagnostics = validate_bundle(bundle, F0=cycle.field, grid=grid)
     return bundle
 
 
-def product_bundle(bundles, validate_field=None):
+def product_bundle(bundles):
     """Direct product of torus bundles: block-diagonal fibre data.
 
     Frequencies concatenate; ``e0``, ``N`` and ``pi`` embed blockwise;
@@ -511,20 +503,16 @@ def product_bundle(bundles, validate_field=None):
     e0 = FourierMap(m, K, e0_coeffs, (M,))
     N = FourierMap(m, K, N_coeffs, (M, r))
     pi = FourierMap(m, K, pi_coeffs, (M, M))
-    bundle = TorusBundle(e0, omega, N, L, pi)
-    if validate_field is not None:
-        bundle.diagnostics = validate_bundle(bundle, F0=validate_field)
-    return bundle
+    return TorusBundle(e0, omega, N, L, pi)
 
 
-def tangent_identity_residual(bundle, F0, grid=None):
+def tangent_identity_residual(bundle, F0):
     """Residual of the differentiated conjugacy identity.
 
     For a valid embedding, the derivative of ``e0`` along the flow
     satisfies ``d_omega(e0') = (F0' o e0) e0'`` pointwise.
     """
-    if grid is None:
-        grid = dealias_grid(bundle.m, bundle.K)
+    grid = dealias_grid(bundle.m, bundle.K)
     E = bundle.e0.jacobian()
     lhs = grid.sample(d_omega(E, bundle.omega))
     J = F0.jac(grid.sample(bundle.e0))

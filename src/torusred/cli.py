@@ -86,6 +86,23 @@ PRESETS = {
 }
 
 
+def _section(doc, key):
+    """The JSON object ``doc[key]`` (empty when absent)."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' must be a JSON object, got {section!r}")
+    return section
+
+
+def _number(section, key, default, cast):
+    """``cast(section[key])``, with a non-numeric value as a config error."""
+    raw = section.get(key, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -95,36 +112,39 @@ class RunConfig:
         self.command = doc.get("command")
         if self.command not in COMMANDS:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
-        model = doc.get("model", {})
+        model = _section(doc, "model")
         if "chain" not in model:
             raise ConfigError("only the 'chain' model section is supported")
-        chain_params = dict(model["chain"])
         try:
-            self.chain = ChainConfig(**chain_params)
+            self.chain = ChainConfig(**_section(model, "chain"))
         except TypeError as exc:
             raise ConfigError(f"bad chain parameters: {exc}") from None
 
-        num = doc.get("numerics", {})
-        self.K = float(num.get("K", 8))
-        self.K_nf = float(num.get("K_nf", 6))
+        num = _section(doc, "numerics")
+        self.K = _number(num, "K", 8, float)
+        self.K_nf = _number(num, "K_nf", 6, float)
         self.tol_res = num.get("tol_res")
-        self.J = int(num.get("J", 2))
+        if self.tol_res is not None:
+            self.tol_res = _number(num, "tol_res", None, float)
+            if not (np.isfinite(self.tol_res) and self.tol_res > 0):
+                raise ConfigError("tol_res must be finite and positive")
+        self.J = _number(num, "J", 2, int)
         if not (1 <= self.J <= 4):
             raise ConfigError("expansion order J must lie in 1..4")
-        integ = num.get("integrator", {})
+        integ = _section(num, "integrator")
         self.integrator = IntegratorSpec(
             scheme=integ.get("scheme", "rk4"),
-            dt=float(integ.get("dt", 0.01)),
-            t_end=float(integ.get("t_end", 100.0)),
-            record_stride=int(integ.get("record_stride", 1)),
+            dt=_number(integ, "dt", 0.01, float),
+            t_end=_number(integ, "t_end", 100.0, float),
+            record_stride=_number(integ, "record_stride", 1, int),
         )
         self.x0 = self._parse_state(num.get("x0", [[-1.0, 0.0], [1.0, 0.4], [-1.0, 0.3]]))
-        sweep = num.get("sweep", {})
-        self.sweep_eps_min = float(sweep.get("eps_min", 0.02))
-        self.sweep_eps_max = float(sweep.get("eps_max", 0.1))
-        self.sweep_n = int(sweep.get("n", 20))
-        self.sweep_t_end_ref = float(sweep.get("t_end_ref", 2500.0))
-        self.sweep_dt = float(sweep.get("dt", 0.05))
+        sweep = _section(num, "sweep")
+        self.sweep_eps_min = _number(sweep, "eps_min", 0.02, float)
+        self.sweep_eps_max = _number(sweep, "eps_max", 0.1, float)
+        self.sweep_n = _number(sweep, "n", 20, int)
+        self.sweep_t_end_ref = _number(sweep, "t_end_ref", 2500.0, float)
+        self.sweep_dt = _number(sweep, "dt", 0.05, float)
         self.sweep_x0 = self._parse_state(sweep.get("x0", [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]]))
         if not (0 < self.sweep_eps_min < self.sweep_eps_max):
             raise ConfigError("sweep needs 0 < eps_min < eps_max")
@@ -137,7 +157,10 @@ class RunConfig:
 
     @staticmethod
     def _parse_state(raw):
-        arr = np.asarray(raw, dtype=float).reshape(-1)
+        try:
+            arr = np.asarray(raw, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ConfigError("x0 must hold three finite complex pairs") from None
         if arr.size != 6 or not np.all(np.isfinite(arr)):
             raise ConfigError("x0 must hold three finite complex pairs")
         return arr

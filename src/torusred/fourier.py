@@ -28,18 +28,16 @@ __all__ = [
     "d_omega",
     "multiply",
     "matmul",
-    "compose_map",
     "jet_compose",
-    "weighted_norm",
     "dealias_grid",
 ]
 
 
-def _as_omega(omega, m=None):
+def _as_omega(omega, m):
     w = np.asarray(omega, dtype=float).reshape(-1)
     if w.size < 1 or not np.all(np.isfinite(w)):
         raise ValueError("frequency vector must be non-empty and finite")
-    if m is not None and w.size != m:
+    if w.size != m:
         raise ValueError(f"dimension mismatch: torus dimension {m}, frequency vector has {w.size}")
     return w
 
@@ -63,19 +61,15 @@ class FourierMap:
     real : bool
         If True the map is real-valued and the Hermitian symmetry
         ``c_{-k} = conj(c_k)`` is enforced exactly on construction.
-    discarded_mass : float
-        Coefficient mass dropped by the operation that produced this
-        map (truncation diagnostic; zero for exact constructions).
 
     Instances are immutable by convention: no method mutates ``coeffs``.
     """
 
-    def __init__(self, m, K, coeffs, value_shape, real=True, discarded_mass=0.0):
+    def __init__(self, m, K, coeffs, value_shape, real=True):
         self.m = int(m)
         self.K = float(K)
         self.value_shape = tuple(value_shape)
         self.real = bool(real)
-        self.discarded_mass = float(discarded_mass)
         if self.m < 1:
             raise ValueError("torus dimension must be >= 1")
         clean = {}
@@ -97,26 +91,25 @@ class FourierMap:
     # ------------------------------------------------------------------
     # constructors
     @classmethod
-    def zero(cls, m, value_shape, K, real=True):
-        return cls(m, K, {}, value_shape, real=real)
+    def zero(cls, m, value_shape, K):
+        return cls(m, K, {}, value_shape)
 
     @classmethod
-    def constant(cls, m, value, K=0.0, real=True):
+    def constant(cls, m, value, real=True):
         value = np.asarray(value, dtype=complex)
-        return cls(m, K, {(0,) * m: value}, value.shape, real=real)
+        return cls(m, 0.0, {(0,) * m: value}, value.shape, real=real)
 
     @classmethod
-    def harmonic(cls, m, k, value, K=None, real=True):
-        """Single harmonic ``value * exp(i<k, phi>)`` (plus the conjugate
-        pair when ``real``)."""
+    def harmonic(cls, m, k, value, K=None):
+        """Real single harmonic ``value * exp(i<k, phi>)`` plus its conjugate pair."""
         value = np.asarray(value, dtype=complex)
         k = tuple(int(x) for x in k)
         if K is None:
             K = _knorm(k)
         coeffs = {k: value}
-        if real and any(k):
+        if any(k):
             coeffs[tuple(-x for x in k)] = np.conj(value)
-        return cls(m, K, coeffs, value.shape, real=real)
+        return cls(m, K, coeffs, value.shape)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -156,11 +149,8 @@ class FourierMap:
         keys = set(self.coeffs) | set(other.coeffs)
         zero = np.zeros(self.value_shape, dtype=complex)
         out = {k: op(self.coeffs.get(k, zero), other.coeffs.get(k, zero)) for k in keys}
-        return FourierMap(
-            self.m, max(self.K, other.K), out, self.value_shape,
-            real=self.real and other.real,
-            discarded_mass=self.discarded_mass + other.discarded_mass,
-        )
+        return FourierMap(self.m, max(self.K, other.K), out, self.value_shape,
+                          real=self.real and other.real)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -168,16 +158,11 @@ class FourierMap:
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
 
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def scale(self, s):
         """Multiply every coefficient by the real scalar ``s``."""
         s = float(s)
-        return FourierMap(
-            self.m, self.K, {k: s * c for k, c in self.coeffs.items()},
-            self.value_shape, real=self.real, discarded_mass=self.discarded_mass,
-        )
+        return FourierMap(self.m, self.K, {k: s * c for k, c in self.coeffs.items()},
+                          self.value_shape, real=self.real)
 
     def component(self, idx):
         """Extract one scalar component of a vector-valued map."""
@@ -295,7 +280,7 @@ def d_omega(f, omega):
     return FourierMap(f.m, f.K, out, f.value_shape, real=f.real)
 
 
-def _convolve(f, g, combine, out_shape, K=None):
+def _convolve(f, g, combine, out_shape, K):
     if f.m != g.m:
         raise ValueError("torus dimensions differ")
     if K is None:
@@ -310,24 +295,15 @@ def _convolve(f, g, combine, out_shape, K=None):
                 acc[k] = acc[k] + v
             else:
                 acc[k] = v
-    kept, dropped = {}, 0.0
-    for k, v in acc.items():
-        if _knorm(k) <= K + 1e-12:
-            kept[k] = v
-        else:
-            dropped += float(np.sum(np.abs(v) ** 2))
-    return FourierMap(
-        f.m, K, kept, out_shape, real=f.real and g.real,
-        discarded_mass=math.sqrt(dropped),
-    )
+    kept = {k: v for k, v in acc.items() if _knorm(k) <= K + 1e-12}
+    return FourierMap(f.m, K, kept, out_shape, real=f.real and g.real)
 
 
 def multiply(f, g, K=None):
     """Product of a scalar-valued map with another map.
 
     Implemented as the convolution of the coefficient sets, truncated
-    back to radius ``K`` (default: the larger operand radius).  The
-    dropped mass is recorded on the result.
+    back to radius ``K`` (default: the larger operand radius).
     """
     if f.value_shape != ():
         raise ValueError("multiply() expects a scalar-valued first factor")
@@ -344,22 +320,6 @@ def matmul(f, g, K=None):
         np.zeros(f.value_shape), np.zeros(g.value_shape)
     ).shape
     return _convolve(f, g, np.matmul, out_shape, K=K)
-
-
-def weighted_norm(f, weights):
-    """Weighted l2 norm ``sqrt(sum_k |c_k|^2 W(|k|)^2)``.
-
-    ``weights`` maps the frequency magnitude ``|k|`` to a positive
-    weight; Sobolev-type weights ``(1 + |k|^2)^(s/2)`` measure the
-    growth of the coefficients, i.e. the smoothness of the map.
-    """
-    total = 0.0
-    for k, c in f.coeffs.items():
-        w = float(weights(_knorm(k)))
-        if w <= 0:
-            raise ValueError("weights must be positive")
-        total += w * w * float(np.sum(np.abs(c) ** 2))
-    return math.sqrt(total)
 
 
 # ----------------------------------------------------------------------
@@ -391,11 +351,6 @@ class TorusGrid:
 
     def axes(self):
         return [2.0 * np.pi * np.arange(n) / n for n in self.shape]
-
-    def nodes(self):
-        """All grid nodes as an array of shape ``(*shape, m)``."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(mesh, axis=-1)
 
     def max_freq(self):
         return tuple((n - 1) // 2 for n in self.shape)
@@ -443,29 +398,6 @@ class TorusGrid:
         return FourierMap(self.m, K, coeffs, value_shape, real=real)
 
 
-def compose_map(F, e, K=None, grid=None):
-    """Pseudo-spectral composition ``phi -> F(e(phi))``.
-
-    ``F`` is either a plain callable or a :class:`SmoothMap`; it must
-    accept arrays of shape ``(..., p_in)`` and is applied at every node
-    of a de-aliased grid, after which the result is projected onto
-    ``|k| <= K``.  Deterministic for a fixed grid.
-    """
-    if not e.real:
-        raise ValueError("compose_map() expects a real-valued inner map")
-    if K is None:
-        K = e.K
-    if grid is None:
-        grid = dealias_grid(e.m, K)
-    fun = F.fun if isinstance(F, SmoothMap) else F
-    vals = fun(grid.sample(e))
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise NumericalError(f"evaluator returned a non-finite value at grid node index {tuple(bad)}")
-    return grid.project(vals, K, real=True)
-
-
 # ----------------------------------------------------------------------
 # jets in the small parameter
 
@@ -495,12 +427,6 @@ class EpsJet:
     def value_shape(self):
         return self.terms[0].value_shape
 
-    def eval(self, phi, eps):
-        acc = self.terms[0].eval(phi)
-        for j, t in enumerate(self.terms[1:], start=1):
-            acc = acc + eps ** j * t.eval(phi)
-        return acc
-
     def __repr__(self):
         return f"EpsJet(order={self.order}, m={self.m}, value_shape={self.value_shape})"
 
@@ -524,10 +450,6 @@ class SmoothMap:
         self.fun = fun
         self.derivs = tuple(derivs)
         self.jac = jac
-
-    @property
-    def order(self):
-        return len(self.derivs)
 
     def deriv(self, q, x, *vs):
         if q > len(self.derivs):
@@ -590,5 +512,5 @@ def jet_compose(F_list, jet, order, K=None, grid=None):
             acc = np.zeros_like(probe)
         if not np.all(np.isfinite(acc)):
             raise NumericalError(f"non-finite value in jet composition at order {l}")
-        out.append(grid.project(acc, K, real=True))
+        out.append(grid.project(acc, K))
     return EpsJet(out)

@@ -11,7 +11,7 @@ throughout, so all bundle matrices stay real.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "chain_bundle",
     "chain_phase_constants",
     "phases_from_state",
+    "OUTER_PAIR",
 ]
 
 
@@ -127,15 +128,14 @@ def stuart_landau_field(p: StuartLandauParams) -> SmoothMap:
     return _cubic_oscillator_maps([p.alpha + 1j * p.beta], [p.gamma + 1j * p.delta])
 
 
-def stuart_landau_cycle(p: StuartLandauParams, n_steps=2048) -> LimitCycle:
+def stuart_landau_cycle(p: StuartLandauParams) -> LimitCycle:
     """The circular orbit ``R exp(i omega t)``, sampled analytically."""
     R, w = p.radius, p.frequency
 
     def orbit(t):
         return np.array([R * math.cos(w * t), R * math.sin(w * t)])
 
-    return LimitCycle.from_function(orbit, 2.0 * math.pi / w,
-                                    n_steps=n_steps, field=stuart_landau_field(p))
+    return LimitCycle.from_function(orbit, 2.0 * math.pi / w, field=stuart_landau_field(p))
 
 
 def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
@@ -185,8 +185,6 @@ class OscillatorModel:
     perturbations: list
     omega: np.ndarray
     complex_pairs: bool = False
-    label: str = "model"
-    meta: dict = field(default_factory=dict)
     fast_rhs: object = None
 
     def __post_init__(self):
@@ -237,6 +235,9 @@ def phases_from_state(x):
 
 # ----------------------------------------------------------------------
 # the three-oscillator chain
+
+# The chain's outer oscillators, whose phase difference synchronises.
+OUTER_PAIR = (0, 2)
 
 
 @dataclass
@@ -325,8 +326,6 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
         perturbations=[F1],
         omega=cfg.frequencies,
         complex_pairs=True,
-        label="stuart-landau-chain",
-        meta={"config": cfg},
         fast_rhs=fast_rhs,
     )
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bundle import validate_bundle
+from .bundle import COND_THRESHOLD, validate_bundle
 from .errors import (
     ConfigError,
     HyperbolicityError,
@@ -26,9 +26,9 @@ from .errors import (
     TruncationSaturationError,
 )
 from .fourier import EpsJet, FourierMap, d_omega, dealias_grid, jet_compose, matmul
+from .models import OUTER_PAIR
 
 __all__ = [
-    "HomologicalRHS",
     "ReductionResult",
     "order_forcing",
     "split_forcing",
@@ -40,13 +40,11 @@ __all__ = [
     "conjugacy_residual",
 ]
 
-
-class HomologicalRHS:
-    """Tangential and normal right-hand sides of one reduction order."""
-
-    def __init__(self, U, V):
-        self.U = U
-        self.V = V
+SMALL_DIVISOR_FLOOR = 1e-6  # nonresonant |<omega, k>| below this aborts the run
+SATURATION_TOL = 1e-9  # relative mass a series may carry on its outermost shell
+RECON_TOL = 1e-9  # relative error of the tangent/fibre reconstruction
+LINEAR_RESIDUAL_TOL = 1e-8  # relative residual of an order's linearised equation
+NORMAL_RESIDUAL_TOL = 1e-10  # relative residual of the normal homological solve
 
 
 class ReductionResult:
@@ -58,15 +56,13 @@ class ReductionResult:
     """
 
     def __init__(self, order, bundle, phase_terms, embedding_terms, tangent_terms,
-                 fibre_terms, forcing_terms, K, K_nf, tol_res, residuals,
-                 normal_form=True):
+                 fibre_terms, K, K_nf, tol_res, residuals, normal_form):
         self.order = int(order)
         self.bundle = bundle
         self.phase_terms = list(phase_terms)
         self.embedding_terms = list(embedding_terms)
         self.tangent_terms = list(tangent_terms)
         self.fibre_terms = list(fibre_terms)
-        self.forcing_terms = list(forcing_terms)
         self.K = float(K)
         self.K_nf = float(K_nf)
         self.tol_res = float(tol_res)
@@ -120,12 +116,13 @@ def order_forcing(j, model, e_terms, f_terms, K, grid=None):
     return G
 
 
-def split_forcing(G, bundle, grid=None, cond_threshold=1e10, recon_tol=1e-9):
+def split_forcing(G, bundle, grid=None):
     """Split a forcing term along the tangent and fibre directions.
 
     Pointwise on a grid, ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G``
     with Moore-Penrose pseudo-inverses of the injective frames; the
-    reconstruction ``e0' U + N V = G`` is verified before returning.
+    reconstruction ``e0' U + N V = G`` is verified before ``(U, V)`` is
+    returned.
     """
     if grid is None:
         grid = dealias_grid(G.m, G.K)
@@ -137,7 +134,7 @@ def split_forcing(G, bundle, grid=None, cond_threshold=1e10, recon_tol=1e-9):
     for name, mat in (("e0'", E), ("N", Nv)):
         conds = np.linalg.cond(mat.reshape((-1,) + mat.shape[-2:]))
         worst = float(np.max(conds))
-        if not np.isfinite(worst) or worst > cond_threshold:
+        if not np.isfinite(worst) or worst > COND_THRESHOLD:
             raise TransversalityError(f"pseudo-inverse of {name} is ill-conditioned", worst)
 
     def pinv_apply(A, y):
@@ -151,15 +148,13 @@ def split_forcing(G, bundle, grid=None, cond_threshold=1e10, recon_tol=1e-9):
     recon = (E @ U_vals[..., None])[..., 0] + (Nv @ V_vals[..., None])[..., 0]
     scale = max(float(np.max(np.abs(Gv))), 1e-300)
     err = float(np.max(np.abs(recon - Gv))) / scale
-    if err > recon_tol:
+    if err > RECON_TOL:
         raise NumericalError(f"tangent/fibre split does not reconstruct the forcing ({err:.3e})")
 
-    U = grid.project(U_vals, G.K)
-    V = grid.project(V_vals, G.K)
-    return HomologicalRHS(U, V)
+    return grid.project(U_vals, G.K), grid.project(V_vals, G.K)
 
 
-def solve_tangential(U, omega, K_nf, tol_res, small_divisor_floor=1e-6, g_choice=None):
+def solve_tangential(U, omega, K_nf, tol_res, g_choice=None):
     """Solve ``d_omega g + f = U`` coefficient-wise, in normal form.
 
     Resonant coefficients (``|<omega, k>| <= tol_res``) pass to the
@@ -179,8 +174,8 @@ def solve_tangential(U, omega, K_nf, tol_res, small_divisor_floor=1e-6, g_choice
         s = float(np.dot(w, k))
         if abs(s) <= tol_res:
             f_coeffs[k] = c
-        elif abs(s) < small_divisor_floor:
-            raise SmallDivisorError(k, s, small_divisor_floor)
+        elif abs(s) < SMALL_DIVISOR_FLOOR:
+            raise SmallDivisorError(k, s, SMALL_DIVISOR_FLOOR)
         elif math.sqrt(sum(x * x for x in k)) <= K_nf + 1e-12:
             g_coeffs[k] = c / (1j * s)
         else:
@@ -190,7 +185,7 @@ def solve_tangential(U, omega, K_nf, tol_res, small_divisor_floor=1e-6, g_choice
     return f, g
 
 
-def solve_normal(V, omega, L, residual_tol=1e-10):
+def solve_normal(V, omega, L):
     """Solve ``(d_omega - L) h = V`` coefficient-wise.
 
     Hyperbolicity of ``L`` makes every matrix ``i <omega, k> - L``
@@ -214,20 +209,18 @@ def solve_normal(V, omega, L, residual_tol=1e-10):
         h = np.linalg.solve(A, c)
         worst = max(worst, float(np.max(np.abs(A @ h - c))))
         out[k] = h
-    if worst > residual_tol * scale:
+    if worst > NORMAL_RESIDUAL_TOL * scale:
         raise NumericalError(f"normal homological solve residual {worst:.3e}")
     return FourierMap(V.m, V.K, out, V.value_shape, real=V.real)
 
 
-def _check_saturation(label, fmap, K, saturation_tol):
+def _check_saturation(label, fmap, K):
     shell = fmap.shell_mass(K - 1.0)
-    if shell > saturation_tol * max(fmap.norm(), 1e-16):
+    if shell > SATURATION_TOL * max(fmap.norm(), 1e-16):
         raise TruncationSaturationError(label, K, shell)
 
 
-def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None,
-                 small_divisor_floor=1e-6, g_rule=None, grid=None,
-                 saturation_tol=1e-9, residual_tol=1e-8, validate=True):
+def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=None):
     """Compute the reduction to the requested order in the coupling.
 
     Parameters
@@ -270,30 +263,26 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None,
     w = bundle.omega
     if tol_res is None:
         tol_res = 1e-9 * float(np.linalg.norm(w))
-    if grid is None:
-        grid = dealias_grid(bundle.m, max(K, bundle.K))
-    if validate:
-        validate_bundle(bundle, F0=model.F0, grid=grid)
+    grid = dealias_grid(bundle.m, max(K, bundle.K))
+    validate_bundle(bundle, F0=model.F0, grid=grid)
 
     E_map = bundle.e0.jacobian()
     e_terms = [bundle.e0]
-    f_terms, g_terms, h_terms, G_terms = [], [], [], []
+    f_terms, g_terms, h_terms = [], [], []
     residuals = []
     custom_gauge = False
 
     for j in range(1, order + 1):
         G = order_forcing(j, model, e_terms, f_terms, K, grid=grid)
-        _check_saturation(f"G_{j}", G, K, saturation_tol)
-        rhs = split_forcing(G, bundle, grid=grid)
-        _check_saturation(f"U_{j}", rhs.U, K, saturation_tol)
-        _check_saturation(f"V_{j}", rhs.V, K, saturation_tol)
-        g_choice = g_rule(j, rhs.U) if g_rule is not None else None
+        _check_saturation(f"G_{j}", G, K)
+        U, V = split_forcing(G, bundle, grid=grid)
+        _check_saturation(f"U_{j}", U, K)
+        _check_saturation(f"V_{j}", V, K)
+        g_choice = g_rule(j, U) if g_rule is not None else None
         if g_choice is not None:
             custom_gauge = True
-        f_j, g_j = solve_tangential(rhs.U, w, K_nf, tol_res,
-                                    small_divisor_floor=small_divisor_floor,
-                                    g_choice=g_choice)
-        h_j = solve_normal(rhs.V, w, bundle.L)
+        f_j, g_j = solve_tangential(U, w, K_nf, tol_res, g_choice=g_choice)
+        h_j = solve_normal(V, w, bundle.L)
         e_j = matmul(E_map, g_j, K=K) + matmul(bundle.N, h_j, K=K)
 
         # Linearised-operator identity: applying the expansion operator to
@@ -304,7 +293,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None,
         Gv = grid.sample(G)
         scale = max(float(np.max(np.abs(Gv))), 1e-300)
         lin_res = float(np.max(np.abs(grid.sample(lhs) - Gv))) / scale
-        if lin_res > residual_tol:
+        if lin_res > LINEAR_RESIDUAL_TOL:
             raise NumericalError(
                 f"order-{j} homological solution fails the linearised equation "
                 f"(relative residual {lin_res:.3e})"
@@ -312,7 +301,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None,
 
         for label, fm in ((f"f_{j}", f_j), (f"g_{j}", g_j),
                           (f"h_{j}", h_j), (f"e_{j}", e_j)):
-            _check_saturation(label, fm, K, saturation_tol)
+            _check_saturation(label, fm, K)
 
         residuals.append({
             "order": j,
@@ -320,7 +309,6 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None,
             "linear_residual_rel": lin_res,
             "shell_mass_e": e_j.shell_mass(K - 1.0),
         })
-        G_terms.append(G)
         f_terms.append(f_j)
         g_terms.append(g_j)
         h_terms.append(h_j)
@@ -329,7 +317,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None,
     return ReductionResult(
         order, bundle,
         phase_terms=f_terms, embedding_terms=e_terms[1:],
-        tangent_terms=g_terms, fibre_terms=h_terms, forcing_terms=G_terms,
+        tangent_terms=g_terms, fibre_terms=h_terms,
         K=K, K_nf=K_nf, tol_res=tol_res, residuals=residuals,
         normal_form=not custom_gauge,
     )
@@ -353,17 +341,18 @@ def phase_difference_field(result, i, j):
     return EpsJet(terms)
 
 
-def chain_slow_law(result, i=0, j=2):
-    """Constants (A, B) of the second-order law for a resonant pair.
+def chain_slow_law(result):
+    """Constants (A, B) of the second-order law for the chain's outer pair.
 
     Reads the order-2 coefficients of the phase difference field
     assuming the form ``-A sin(Phi) - B cos(Phi) + B`` in the
-    combination angle ``Phi = phi_i - phi_j``.  Returns ``A``, the
+    combination angle ``Phi = phi_i - phi_j`` of ``(i, j) = OUTER_PAIR``.  Returns ``A``, the
     value of ``B`` read off the harmonic, and the constant coefficient
     (which equals ``B`` when the law has the expected shape).
     """
     if result.order < 2:
         raise ValueError("the slow law lives at order 2")
+    i, j = OUTER_PAIR
     diff = phase_difference_field(result, i, j)
     term2 = diff.terms[2]
     m = result.bundle.m
@@ -375,7 +364,7 @@ def chain_slow_law(result, i=0, j=2):
     return A, B_harmonic, c0.real
 
 
-def conjugacy_residual(model, result, eps, grid=None):
+def conjugacy_residual(model, result, eps):
     """Sup-norm defect of the assembled expansion at coupling ``eps``.
 
     Evaluates ``e' f - F(e)`` pointwise on a grid, with the expansion
@@ -383,8 +372,7 @@ def conjugacy_residual(model, result, eps, grid=None):
     defect shrinks like ``eps^(J+1)``.
     """
     bundle = result.bundle
-    if grid is None:
-        grid = dealias_grid(bundle.m, max(result.K, bundle.K))
+    grid = dealias_grid(bundle.m, max(result.K, bundle.K))
     e = bundle.e0
     for l, term in enumerate(result.embedding_terms, start=1):
         e = e + term.scale(eps ** l)

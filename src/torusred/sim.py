@@ -18,7 +18,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .bundle import _rk4_step
 from .errors import ConfigError
-from .models import phases_from_state
+from .models import OUTER_PAIR, phases_from_state
 
 __all__ = [
     "IntegratorSpec",
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _SCHEMES = ("euler", "rk4")
+DISTANCE_GRID = 16  # angle-grid nodes per axis seeding embedding_distance
+DISTANCE_REFINE = 6  # Gauss-Newton steps of embedding_distance
 
 
 @dataclass
@@ -99,11 +101,56 @@ def _beat_period(omega):
     return 2.0 * math.pi / min(diffs) if diffs else 2.0 * math.pi
 
 
-def integrate_full(model, eps, x0, spec, pair=(0, 2), record_state=True):
+def _march(rhs, x, spec, record_state=True, observe=None):
+    """Fixed-step loop shared by both integrators.
+
+    Steps ``x`` with the spec's scheme and stops at the first non-finite
+    state.  ``observe(x)``, when given, runs after every step.  Every
+    ``record_stride`` steps and at the last one, the time, the state
+    (with ``record_state``) and the latest observed value are recorded.
+    Returns ``(t, states, observed, failed)``.
+    """
+    n, stride, dt = spec.steps(), spec.record_stride, spec.dt
+    euler = spec.scheme == "euler"
+    ts = [0.0]
+    states = [x.copy()] if record_state else None
+    seen = [observe(x)] if observe else None
+    failed = False
+    for i in range(1, n + 1):
+        x = x + dt * rhs(x) if euler else _rk4_step(rhs, x, dt)
+        if not np.all(np.isfinite(x)):
+            failed = True
+            break
+        if observe:
+            value = observe(x)
+        if i % stride == 0 or i == n:
+            ts.append(i * dt)
+            if record_state:
+                states.append(x.copy())
+            if observe:
+                seen.append(value)
+    return ts, states, seen, failed
+
+
+def _unwrapped_pair_angle(pair):
+    """Observer returning the pair angle, unwrapped against its previous call."""
+    last = None  # (unwrapped, raw) angle of the previous call
+
+    def observe(x):
+        nonlocal last
+        raw = _pair_angle(x, pair)
+        unwrapped = raw if last is None else _angle_step(*last, raw)
+        last = (unwrapped, raw)
+        return unwrapped
+
+    return observe
+
+
+def integrate_full(model, eps, x0, spec, record_state=True):
     """Integrate the coupled system at coupling strength ``eps``.
 
     For models made of complex pairs the unwrapped angle between the
-    ``pair`` oscillators is recorded alongside the trajectory.  A
+    ``OUTER_PAIR`` oscillators is recorded alongside the trajectory.  A
     non-finite state stops the run early and flags the record.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -111,54 +158,28 @@ def integrate_full(model, eps, x0, spec, pair=(0, 2), record_state=True):
         raise ConfigError(f"initial state must be finite with {model.M} components")
     if spec.dt * float(np.max(np.abs(model.omega))) >= math.pi:
         raise ConfigError("dt too large: per-step phase increments would exceed pi")
-    n = spec.steps()
-    stride = spec.record_stride
-    track_angle = bool(model.complex_pairs) and 2 * max(pair) + 1 < model.M
-    rhs = model.stepper_rhs(eps)
-
-    dt = spec.dt
-    euler = spec.scheme == "euler"
-    ts, states, angles = [0.0], [x.copy()] if record_state else None, []
-    if track_angle:
-        raw = _pair_angle(x, pair)
-        unwrapped = raw
-        angles.append(unwrapped)
-    failed = False
-    for i in range(1, n + 1):
-        x = x + dt * rhs(x) if euler else _rk4_step(rhs, x, dt)
-        if not np.all(np.isfinite(x)):
-            failed = True
-            break
-        if track_angle:
-            new_raw = _pair_angle(x, pair)
-            unwrapped = _angle_step(unwrapped, raw, new_raw)
-            raw = new_raw
-        if i % stride == 0 or i == n:
-            ts.append(i * dt)
-            if record_state:
-                states.append(x.copy())
-            if track_angle:
-                angles.append(unwrapped)
+    track_angle = bool(model.complex_pairs) and 2 * max(OUTER_PAIR) + 1 < model.M
+    observe = _unwrapped_pair_angle(OUTER_PAIR) if track_angle else None
+    ts, states, angles, failed = _march(model.stepper_rhs(eps), x, spec,
+                                        record_state=record_state, observe=observe)
     return TrajectoryRecord(
         t=np.asarray(ts),
         states=np.asarray(states) if record_state else None,
         phi_hat=np.asarray(angles) if track_angle else None,
         kind="full",
         failed=failed,
-        meta={"eps": eps, "scheme": spec.scheme, "dt": dt, "pair": pair,
-              "omega": np.asarray(model.omega, dtype=float),
-              "beat_period": _beat_period(np.asarray(model.omega, dtype=float)),
+        meta={"beat_period": _beat_period(np.asarray(model.omega, dtype=float)),
               "complex_pairs": bool(model.complex_pairs)},
     )
 
 
-def integrate_reduced(result, eps, phi0, spec, pair=(0, 2)):
+def integrate_reduced(result, eps, phi0, spec):
     """Integrate the reduced phase flow ``dphi/dt = omega + sum eps^j f_j``.
 
     Angles are stored unwrapped (the phase fields are 2 pi periodic, so
     real-line phases are fine).  The recorded observable is the phase
-    difference of the ``pair`` components, shifted by a multiple of
-    2 pi so that it starts in (-pi, pi].
+    difference of the ``OUTER_PAIR`` components, shifted by a multiple
+    of 2 pi so that it starts in (-pi, pi].
     """
     omega = result.omega
     phi = np.asarray(phi0, dtype=float).copy()
@@ -183,25 +204,11 @@ def integrate_reduced(result, eps, phi0, spec, pair=(0, 2)):
         def rhs(p):
             return omega
 
-    n = spec.steps()
-    stride = spec.record_stride
-    dt = spec.dt
-    euler = spec.scheme == "euler"
-    i_idx, j_idx = pair
-    ts = [0.0]
-    phis = [phi.copy()]
-    failed = False
-    for i in range(1, n + 1):
-        phi = phi + dt * rhs(phi) if euler else _rk4_step(rhs, phi, dt)
-        if not np.all(np.isfinite(phi)):
-            failed = True
-            break
-        if i % stride == 0 or i == n:
-            ts.append(i * dt)
-            phis.append(phi.copy())
+    ts, phis, _, failed = _march(rhs, phi, spec)
     phis = np.asarray(phis)
     # Start the observable in (-pi, pi] like the full record's pair angle;
     # the phase fields are 2 pi periodic, so the winding count is free.
+    i_idx, j_idx = OUTER_PAIR
     phi_hat = phis[:, i_idx] - phis[:, j_idx]
     phi_hat -= 2.0 * math.pi * math.ceil((phi_hat[0] - math.pi) / (2.0 * math.pi))
     return TrajectoryRecord(
@@ -210,18 +217,15 @@ def integrate_reduced(result, eps, phi0, spec, pair=(0, 2)):
         phi_hat=phi_hat,
         kind="reduced",
         failed=failed,
-        meta={"eps": eps, "scheme": spec.scheme, "dt": dt, "pair": pair,
-              "omega": np.asarray(omega, dtype=float),
-              "beat_period": _beat_period(np.asarray(omega, dtype=float))},
+        meta={"beat_period": _beat_period(np.asarray(omega, dtype=float))},
     )
 
 
-def envelope(record, window=None):
+def envelope(record):
     """Forward-looking running maximum of ``|phi_hat|`` over one beat window."""
     if record.phi_hat is None:
         raise ValueError("record carries no synchronisation angle")
-    if window is None:
-        window = record.meta.get("beat_period", 2.0 * math.pi)
+    window = record.meta.get("beat_period", 2.0 * math.pi)
     absphi = np.abs(record.phi_hat)
     if len(record.t) < 2:
         return absphi
@@ -231,28 +235,28 @@ def envelope(record, window=None):
     return maximum_filter1d(absphi, size=wn, origin=-(wn // 2), mode="nearest")
 
 
-def measure_T01(record, window=None, use_envelope=True):
+def measure_T01(record, use_envelope=True):
     """First time the synchronisation angle falls to 10 percent.
 
     The crossing is detected on the running-maximum envelope of
     ``|phi_hat|`` over one slow-beat window (the raw signal oscillates
     quickly and would cross too early); pass ``use_envelope=False`` for
     the raw-signal variant.  Returns NaN when the threshold is never
-    reached.
+    reached; a start with no initial angle is a configuration error.
     """
     if record.phi_hat is None:
         raise ValueError("record carries no synchronisation angle")
     baseline = abs(float(record.phi_hat[0]))
     if baseline < 1e-6:
-        raise ValueError("initial angle too small: the decay baseline is undefined")
-    signal = envelope(record, window) if use_envelope else np.abs(record.phi_hat)
+        raise ConfigError("initial angle too small: the decay baseline is undefined")
+    signal = envelope(record) if use_envelope else np.abs(record.phi_hat)
     hits = np.nonzero(signal <= 0.1 * baseline)[0]
     if hits.size == 0:
         return float("nan")
     return float(record.t[hits[0]])
 
 
-def embedding_distance(record, result, eps, t_min=None, n_grid=16, refine_steps=6):
+def embedding_distance(record, result, eps, t_min=None):
     """Distance of a trajectory tail from the expanded invariant torus.
 
     Seeds with the nearest node of an angle grid, then Gauss-Newton
@@ -270,7 +274,7 @@ def embedding_distance(record, result, eps, t_min=None, n_grid=16, refine_steps=
         e = e + term.scale(eps ** l)
     ejac = e.jacobian()
     m = result.bundle.m
-    axes = [np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False) for _ in range(m)]
+    axes = [np.linspace(0.0, 2.0 * np.pi, DISTANCE_GRID, endpoint=False) for _ in range(m)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
     torus_points = e.eval(mesh)
     tail = record.states[record.t >= t_min]
@@ -278,7 +282,7 @@ def embedding_distance(record, result, eps, t_min=None, n_grid=16, refine_steps=
     for x in tail:
         idx = int(np.argmin(np.sum((torus_points - x) ** 2, axis=-1)))
         phi = mesh[idx].copy()
-        for _ in range(refine_steps):
+        for _ in range(DISTANCE_REFINE):
             r = x - e.eval(phi)
             E = ejac.eval(phi)
             phi = phi + np.linalg.solve(E.T @ E, E.T @ r)
@@ -316,15 +320,14 @@ class SweepResult:
         }
 
 
-def sweep_epsilon(model, x0, eps_list, spec, reduction=None, scale_horizon=True,
-                  window=None):
+def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     """Measure the decay time across coupling strengths.
 
-    Every run starts from the same initial state.  With
-    ``scale_horizon`` the horizon grows like ``eps^-2`` away from the
-    largest coupling, matching the slow timescale.  Runs execute in
-    list order.  Passing a :class:`ReductionResult` sweeps the reduced
-    flow instead of the full system.
+    Every run starts from the same initial state.  The horizon grows
+    like ``eps^-2`` away from the largest coupling, matching the slow
+    timescale.  Runs execute in list order.  Passing a
+    :class:`ReductionResult` sweeps the reduced flow instead of the full
+    system.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
@@ -336,16 +339,14 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None, scale_horizon=True,
     phi0 = phases_from_state(x0) if reduction is not None else None
 
     def run(eps):
-        t_end = spec.t_end * (eps_ref / eps) ** 2 if scale_horizon else spec.t_end
-        run_spec = spec.with_horizon(t_end)
+        run_spec = spec.with_horizon(spec.t_end * (eps_ref / eps) ** 2)
         if reduction is not None:
             rec = integrate_reduced(reduction, eps, phi0, run_spec)
         else:
             rec = integrate_full(model, eps, x0, run_spec, record_state=False)
         if rec.failed:
             return float("nan"), float("nan")
-        return (measure_T01(rec, window=window),
-                measure_T01(rec, window=window, use_envelope=False))
+        return measure_T01(rec), measure_T01(rec, use_envelope=False)
 
     t01, t01_raw = np.array([run(float(e)) for e in eps_arr]).T
     converged = np.isfinite(t01)

@@ -91,6 +91,44 @@ def test_invalid_json_is_config_error(tmp_path):
     assert run(config_path=str(path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("numerics", [
+    {"K": "abc"},
+    {"K_nf": [6]},
+    {"J": "two"},
+    {"tol_res": "abc"},
+    {"tol_res": -1e-9},
+    {"tol_res": 0},
+    {"integrator": {"dt": "fast"}},
+    {"integrator": {"record_stride": None}},
+    {"sweep": {"n": "many"}},
+    {"x0": [[1, 0], [1]]},
+    {"sweep": {"x0": [[1, 0], [1, "i"], [0, 1]]}},
+    {"integrator": []},
+    {"sweep": "fast"},
+], ids=["K", "K_nf", "J", "tol_res", "tol_res_negative", "tol_res_zero", "dt",
+        "record_stride", "sweep_n", "x0_ragged", "sweep_x0", "integrator_section",
+        "sweep_section"])
+def test_malformed_numerics_are_config_errors(tmp_path, capsys, numerics):
+    doc = {"command": "reduce", "model": SET1_MODEL, "numerics": numerics,
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_sweep_from_in_phase_outer_pair_is_config_error(tmp_path, capsys):
+    # z1 = z3: the outer pair starts synchronised, so the decay baseline of
+    # T01 is undefined.
+    doc = {
+        "command": "sweep",
+        "model": SET1_MODEL,
+        "numerics": {"sweep": {"n": 2, "t_end_ref": 50.0,
+                               "x0": [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.3]]}},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_CONFIG
+    assert "config error: initial angle too small" in capsys.readouterr().err
+
+
 def test_missing_config_and_preset_is_config_error():
     assert run() == EXIT_CONFIG
 

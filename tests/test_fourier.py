@@ -8,14 +8,13 @@ from torusred.fourier import (
     FourierMap,
     SmoothMap,
     TorusGrid,
-    compose_map,
     d_omega,
     dealias_grid,
     jet_compose,
     matmul,
     multiply,
-    weighted_norm,
 )
+from torusred.errors import NumericalError
 
 
 def random_real_map(rng, m, p, K, n_harmonics=6):
@@ -110,7 +109,6 @@ def test_multiply_matches_grid_product():
     expected = grid.project(vals, K, prune=0.0)
     diff = (prod - expected).norm()
     assert diff <= 1e-10
-    assert prod.discarded_mass == 0.0
 
 
 def test_multiply_reality_closure_is_exact():
@@ -132,7 +130,11 @@ def test_matmul_matrix_vector():
 
 
 # ----------------------------------------------------------------------
-# composition
+# composition: ``jet_compose`` at order 0 is the pseudo-spectral F(e(phi))
+
+
+def compose(F, e):
+    return jet_compose([SmoothMap(F)], EpsJet([e]), order=0).terms[0]
 
 
 def test_compose_complex_square():
@@ -144,7 +146,7 @@ def test_compose_complex_square():
         w = z * z
         return np.stack([w.real, w.imag], axis=-1)
 
-    out = compose_map(square, e)
+    out = compose(square, e)
     expected = FourierMap.harmonic(1, (2,), np.array([0.5, -0.5j]), K=2.0)
     assert (out - expected).norm() <= 1e-13
 
@@ -152,7 +154,7 @@ def test_compose_complex_square():
 def test_compose_identity():
     rng = np.random.default_rng(13)
     e = random_real_map(rng, 2, 3, K=3)
-    out = compose_map(lambda x: x, e)
+    out = compose(lambda x: x, e)
     assert (out - e).norm() <= 1e-12 * max(1.0, e.norm())
 
 
@@ -169,7 +171,7 @@ def test_compose_stuart_landau_circle():
         return np.stack([w.real, w.imag], axis=-1)
 
     e = FourierMap.harmonic(1, (1,), np.array([R / 2, -1j * R / 2]), K=4.0)
-    out = compose_map(field, e)
+    out = compose(field, e)
     expected = FourierMap.harmonic(1, (1,), 1j * omega * np.array([R / 2, -1j * R / 2]), K=4.0)
     assert (out - expected).norm() <= 1e-12
 
@@ -182,8 +184,8 @@ def test_compose_rejects_nonfinite():
         out[..., 0] = np.where(np.abs(x[..., 0]) > 0.99, np.inf, x[..., 0])
         return out
 
-    with pytest.raises(Exception):
-        compose_map(bad, e)
+    with pytest.raises(NumericalError):
+        compose(bad, e)
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +314,8 @@ def test_jet_compose_order_zero_is_compose():
     F0 = cubic_polynomial_map(rng, 2)
     e0 = random_real_map(rng, 2, 2, K=2)
     jet = jet_compose([F0], EpsJet([e0]), order=0, K=6.0)
-    direct = compose_map(F0, e0, K=6.0)
+    grid = dealias_grid(2, 6.0)
+    direct = grid.project(F0.fun(grid.sample(e0)), 6.0)
     assert (jet.terms[0] - direct).norm() <= 1e-12
 
 
@@ -322,28 +325,6 @@ def test_jet_compose_insufficient_derivatives():
     e1 = FourierMap.harmonic(1, (1,), np.array([0.25 + 0j]))
     with pytest.raises(Exception):
         jet_compose([F0], EpsJet([e0, e1]), order=1, K=3.0)
-
-
-# ----------------------------------------------------------------------
-# norms
-
-
-def test_weighted_norm_zero_map():
-    f = FourierMap.zero(2, (3,), 4.0)
-    assert weighted_norm(f, lambda r: 1.0 + r) == 0.0
-
-
-def test_weighted_norm_single_harmonic():
-    f = FourierMap(2, 1.0, {(1, 0): np.asarray(1.0 + 0j)}, (), real=False)
-    assert weighted_norm(f, lambda r: 2.0) == pytest.approx(2.0)
-
-
-def test_weighted_norm_sobolev_weight_at_zero_order():
-    rng = np.random.default_rng(23)
-    f = random_real_map(rng, 2, 2, K=3)
-    plain = f.norm()
-    sob = weighted_norm(f, lambda r: (1.0 + r ** 2) ** 0.0)
-    assert sob == pytest.approx(plain, rel=1e-14)
 
 
 # ----------------------------------------------------------------------
