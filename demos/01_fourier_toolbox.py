@@ -47,5 +47,5 @@ def complex_square(x):
     return np.stack([w.real, w.imag], axis=-1)
 
 
-squared = jet_compose([SmoothMap(complex_square)], EpsJet([circle]), order=0).terms[0]
+squared = jet_compose([SmoothMap(complex_square)], EpsJet([circle]), order=0)
 print("\ncompose(z^2, e^{i phi}) store frequencies:", sorted(squared.coeffs))

@@ -28,6 +28,7 @@ __all__ = [
     "floquet_decompose",
     "cycle_bundle",
     "product_bundle",
+    "sample_frames",
     "validate_bundle",
     "find_limit_cycle",
 ]
@@ -349,6 +350,22 @@ class TorusBundle:
         }
 
 
+def sample_frames(bundle, grid):
+    """Frames ``(e0', N, pi)`` sampled on a grid, and the worst condition number of ``[e0' | N]``.
+
+    Raises ``TransversalityError`` past ``COND_THRESHOLD``.  The bound also
+    holds for ``e0'`` and ``N`` alone: a column block is no worse conditioned.
+    """
+    E = grid.sample(bundle.e0.jacobian())
+    Nv = grid.sample(bundle.N)
+    Pv = grid.sample(bundle.pi)
+    stacked = np.concatenate([E, Nv], axis=-1)
+    max_cond = float(np.max(np.linalg.cond(stacked.reshape((-1,) + stacked.shape[-2:]))))
+    if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
+        raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
+    return (E, Nv, Pv), max_cond
+
+
 def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     """Check the defining properties of a torus bundle on a dense grid.
 
@@ -357,18 +374,12 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     hyperbolicity of ``L``, and the algebraic identities of ``pi``.
     Returns a diagnostics dict; raises on violation.
     """
-    m, M = bundle.m, bundle.M
     if grid is None:
-        grid = dealias_grid(m, bundle.K)
-        if m == 1 and grid.shape[0] < 64:
+        grid = dealias_grid(bundle.m, bundle.K)
+        if bundle.m == 1 and grid.shape[0] < 64:
             # Circles keep a 64-node floor: a coarser check grid would loosen the check.
             grid = TorusGrid(1, (64,))
-    E = grid.sample(bundle.e0.jacobian())
-    Nv = grid.sample(bundle.N)
-    Pv = grid.sample(bundle.pi)
-    stacked = np.concatenate([E, Nv], axis=-1)
-    conds = np.linalg.cond(stacked.reshape(-1, M, M))
-    max_cond = float(np.max(conds))
+    (E, Nv, Pv), max_cond = sample_frames(bundle, grid)
 
     gap = bundle.spectral_gap()
 
@@ -392,8 +403,6 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
         "pi_tangent": keep_tangent,
         "pi_fibre": kill_fibre,
     }
-    if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
-        raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
     if pde_rel is not None and pde_rel > pde_tol:

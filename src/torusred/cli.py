@@ -95,12 +95,16 @@ def _section(doc, key):
 
 
 def _number(section, key, default, cast):
-    """``cast(section[key])``, with a non-numeric value as a config error."""
+    """``cast(section[key])``, as a config error for a non-number, a boolean
+    or, when ``cast`` is ``int``, a non-integral number."""
     raw = section.get(key, default)
     try:
+        if isinstance(raw, bool) or (cast is int and int(raw) != float(raw)):
+            raise ValueError
         return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
 
 
 class RunConfig:
@@ -305,10 +309,18 @@ def check_floquet(params, K):
             {"exponents": expos, "target_exponents": target, "angle": angle})
 
 
+def _diverged(name, rec):
+    """A failed criterion for a run that blew up before its horizon."""
+    t_stop = float(rec.t[-1])
+    return (name, False, f"run diverged; stopped at t = {t_stop:g}", {"t_stop": t_stop})
+
+
 def check_sync(model, eps, x0):
     """Tail of the synchronisation angle of a figure-faithful Euler run."""
     lo, hi = 2500.0, 4000.0
     rec = integrate_full(model, eps, x0, IntegratorSpec("euler", 0.05, hi))
+    if rec.failed:
+        return _diverged("synchronisation figure", rec)
     tail = float(np.max(np.abs(rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)])))
     return ("synchronisation figure", tail <= TOL_SYNC_TAIL,
             f"max |phi_hat| on [{lo:g}, {hi:g}] = {tail:.2e} (<= {TOL_SYNC_TAIL:g})",
@@ -319,6 +331,8 @@ def check_phase_lock(model, eps, x0, A, B):
     """Locked synchronisation angle of an RK4 run against ``2 atan2(A, B)``."""
     lo, hi = 3000.0, 4000.0
     rec = integrate_full(model, eps, x0, IntegratorSpec("rk4", 0.01, hi, record_stride=5))
+    if rec.failed:
+        return _diverged("phase-locking figure", rec)
     seg = rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)]
     c = float(np.mean(seg))
     band = float(np.max(np.abs(seg - c)))

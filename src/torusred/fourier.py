@@ -14,7 +14,6 @@ acting as Taylor coefficients.
 from __future__ import annotations
 
 import math
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -380,21 +379,14 @@ class TorusGrid:
             raise ValueError("values do not match grid shape")
         value_shape = values.shape[self.m:]
         spec = np.fft.fftn(values, axes=tuple(range(self.m))) / self.size
-        cap = self.max_freq()
-        ranges = [range(-c, c + 1) for c in cap]
-        coeffs = {}
-        top = 0.0
-        for k in iproduct(*ranges):
-            if _knorm(k) > K + 1e-12:
-                continue
-            idx = tuple(ki % n for ki, n in zip(k, self.shape))
-            c = np.asarray(spec[idx])
-            mag = float(np.max(np.abs(c))) if c.size else 0.0
-            if mag > 0.0:
-                coeffs[k] = c
-                top = max(top, mag)
-        if prune > 0 and top > 0:
-            coeffs = {k: c for k, c in coeffs.items() if np.max(np.abs(c)) > prune * top}
+        # The frequencies of the Nyquist box that lie in the ball |k| <= K.
+        box = np.meshgrid(*[np.arange(-c, c + 1) for c in self.max_freq()], indexing="ij")
+        ks = np.stack(box, axis=-1).reshape(-1, self.m)
+        ks = ks[np.sqrt(np.sum(ks * ks, axis=1)) <= K + 1e-12]
+        vals = spec[tuple((ks % self.shape).T)]
+        mags = np.abs(vals).max(axis=tuple(range(1, vals.ndim)), initial=0.0)
+        keep = mags > prune * mags.max(initial=0.0)
+        coeffs = {tuple(k): c for k, c in zip(ks[keep].tolist(), vals[keep])}
         return FourierMap(self.m, K, coeffs, value_shape, real=real)
 
 
@@ -470,11 +462,11 @@ def _compositions(total, parts):
 
 
 def jet_compose(F_list, jet, order, K=None, grid=None):
-    """Taylor coefficients of ``F(e(phi; eps); eps)`` in the small parameter.
+    """Taylor coefficient of order ``order`` of ``F(e(phi; eps); eps)``.
 
     ``F_list[i]`` is the coefficient of ``eps^i`` in the map (entries
-    may be None); ``jet`` expands the inner map.  Term ``l`` of the
-    result collects, for every ``i <= l``, the order ``l - i`` part of
+    may be None); ``jet`` expands the inner map.  The coefficient
+    collects, for every ``i <= order``, the order ``order - i`` part of
     ``F_i`` composed with the expansion, assembled from the supplied
     directional derivatives on a de-aliased grid.
     """
@@ -484,33 +476,30 @@ def jet_compose(F_list, jet, order, K=None, grid=None):
         grid = dealias_grid(jet.m, K)
     samples = [grid.sample(t) for t in jet.terms]
     base = samples[0]
-    out = []
-    for l in range(order + 1):
-        acc = None
-        for i, Fi in enumerate(F_list):
-            if Fi is None or i > l:
+    acc = None
+    for i, Fi in enumerate(F_list):
+        if Fi is None or i > order:
+            continue
+        s = order - i
+        if s == 0:
+            term = np.asarray(Fi.fun(base), dtype=float)
+        else:
+            term = None
+            for q in range(1, s + 1):
+                for comp in _compositions(s, q):
+                    if any(r > jet.order for r in comp):
+                        continue
+                    contrib = np.asarray(
+                        Fi.deriv(q, base, *[samples[r] for r in comp]), dtype=float
+                    ) / math.factorial(q)
+                    term = contrib if term is None else term + contrib
+            if term is None:
                 continue
-            s = l - i
-            if s == 0:
-                term = np.asarray(Fi.fun(base), dtype=float)
-            else:
-                term = None
-                for q in range(1, s + 1):
-                    for comp in _compositions(s, q):
-                        if any(r > jet.order for r in comp):
-                            continue
-                        contrib = np.asarray(
-                            Fi.deriv(q, base, *[samples[r] for r in comp]), dtype=float
-                        ) / math.factorial(q)
-                        term = contrib if term is None else term + contrib
-                if term is None:
-                    continue
-            acc = term if acc is None else acc + term
-        if acc is None:
-            # An all-zero order: infer the output shape from F_list[0].
-            probe = np.asarray(F_list[0].fun(base), dtype=float)
-            acc = np.zeros_like(probe)
-        if not np.all(np.isfinite(acc)):
-            raise NumericalError(f"non-finite value in jet composition at order {l}")
-        out.append(grid.project(acc, K))
-    return EpsJet(out)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        # An all-zero order: infer the output shape from F_list[0].
+        probe = np.asarray(F_list[0].fun(base), dtype=float)
+        acc = np.zeros_like(probe)
+    if not np.all(np.isfinite(acc)):
+        raise NumericalError(f"non-finite value in jet composition at order {order}")
+    return grid.project(acc, K)

@@ -16,13 +16,12 @@ import math
 
 import numpy as np
 
-from .bundle import COND_THRESHOLD, validate_bundle
+from .bundle import sample_frames, validate_bundle
 from .errors import (
     ConfigError,
     HyperbolicityError,
     NumericalError,
     SmallDivisorError,
-    TransversalityError,
     TruncationSaturationError,
 )
 from .fourier import EpsJet, FourierMap, d_omega, dealias_grid, jet_compose, matmul
@@ -106,36 +105,22 @@ def order_forcing(j, model, e_terms, f_terms, K, grid=None):
     """
     if len(e_terms) != j or len(f_terms) != j - 1:
         raise ValueError(f"need exactly the terms below order {j}")
-    if grid is None:
-        grid = dealias_grid(e_terms[0].m, K)
-    jet = EpsJet(list(e_terms))
-    Fe = jet_compose(model.F_list, jet, order=j, K=K, grid=grid)
-    G = Fe.terms[j]
+    G = jet_compose(model.F_list, EpsJet(list(e_terms)), order=j, K=K, grid=grid)
     for r in range(1, j):
         G = G - matmul(e_terms[r].jacobian(), f_terms[j - r - 1], K=K)
     return G
 
 
-def split_forcing(G, bundle, grid=None):
+def split_forcing(G, frames, grid):
     """Split a forcing term along the tangent and fibre directions.
 
-    Pointwise on a grid, ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G``
-    with Moore-Penrose pseudo-inverses of the injective frames; the
-    reconstruction ``e0' U + N V = G`` is verified before ``(U, V)`` is
-    returned.
+    ``frames`` holds ``(e0', N, pi)`` sampled on ``grid`` by ``sample_frames``.
+    Pointwise, ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G`` with
+    Moore-Penrose pseudo-inverses of the frames; the reconstruction
+    ``e0' U + N V = G`` is verified before ``(U, V)`` is returned.
     """
-    if grid is None:
-        grid = dealias_grid(G.m, G.K)
-    E = grid.sample(bundle.e0.jacobian())
-    Nv = grid.sample(bundle.N)
-    Pv = grid.sample(bundle.pi)
+    E, Nv, Pv = frames
     Gv = grid.sample(G)
-
-    for name, mat in (("e0'", E), ("N", Nv)):
-        conds = np.linalg.cond(mat.reshape((-1,) + mat.shape[-2:]))
-        worst = float(np.max(conds))
-        if not np.isfinite(worst) or worst > COND_THRESHOLD:
-            raise TransversalityError(f"pseudo-inverse of {name} is ill-conditioned", worst)
 
     def pinv_apply(A, y):
         gram = np.swapaxes(A, -1, -2) @ A
@@ -265,6 +250,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         tol_res = 1e-9 * float(np.linalg.norm(w))
     grid = dealias_grid(bundle.m, max(K, bundle.K))
     validate_bundle(bundle, F0=model.F0, grid=grid)
+    frames, _ = sample_frames(bundle, grid)
 
     E_map = bundle.e0.jacobian()
     e_terms = [bundle.e0]
@@ -275,7 +261,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     for j in range(1, order + 1):
         G = order_forcing(j, model, e_terms, f_terms, K, grid=grid)
         _check_saturation(f"G_{j}", G, K)
-        U, V = split_forcing(G, bundle, grid=grid)
+        U, V = split_forcing(G, frames, grid)
         _check_saturation(f"U_{j}", U, K)
         _check_saturation(f"V_{j}", V, K)
         g_choice = g_rule(j, U) if g_rule is not None else None

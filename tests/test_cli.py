@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from torusred.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, run
+from torusred.bundle import TorusBundle
+from torusred.cli import (
+    EXIT_ACCEPTANCE,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    PRESETS,
+    check_phase_lock,
+    main,
+    run,
+)
+from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
 
 SET1_MODEL = {
     "chain": {
@@ -105,9 +116,17 @@ def test_invalid_json_is_config_error(tmp_path):
     {"sweep": {"x0": [[1, 0], [1, "i"], [0, 1]]}},
     {"integrator": []},
     {"sweep": "fast"},
+    {"J": 2.7},
+    {"J": True},
+    {"J": float("inf")},
+    {"K_nf": True},
+    {"sweep": {"dt": True}},
+    {"integrator": {"record_stride": 2.5}},
+    {"sweep": {"n": 4.5}},
 ], ids=["K", "K_nf", "J", "tol_res", "tol_res_negative", "tol_res_zero", "dt",
         "record_stride", "sweep_n", "x0_ragged", "sweep_x0", "integrator_section",
-        "sweep_section"])
+        "sweep_section", "J_fraction", "J_bool", "J_inf", "K_nf_bool", "sweep_dt_bool",
+        "record_stride_fraction", "sweep_n_fraction"])
 def test_malformed_numerics_are_config_errors(tmp_path, capsys, numerics):
     doc = {"command": "reduce", "model": SET1_MODEL, "numerics": numerics,
            "output_dir": str(tmp_path / "out")}
@@ -217,6 +236,43 @@ def test_verify_failure_exits_with_acceptance_code(tmp_path, capsys):
     assert "FAIL" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert not report["passed"]
+
+
+def test_reduce_with_degenerate_frames_exits_with_numerical_error(tmp_path, capsys,
+                                                                monkeypatch):
+    def degenerate(cfg, K):
+        b = chain_bundle(cfg, K=K)
+        return TorusBundle(b.e0, b.omega, b.e0.jacobian(), b.L, b.pi)
+
+    monkeypatch.setattr("torusred.cli.chain_bundle", degenerate)
+    doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 2},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
+    assert "frames degenerate" in capsys.readouterr().err
+
+
+def test_verify_with_diverging_sync_run_fails_its_criterion(tmp_path, capsys):
+    model = {"chain": {**SET1_MODEL["chain"], "epsilon": 60.0}}
+    doc = {"command": "verify", "model": model,
+           "numerics": {"K": 8, "K_nf": 6, "J": 2, "x0": [[-1.0, 0.0], [1.0, 0.4], [-1.0, 0.3]],
+                        "sweep": SMALL_SWEEP},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_ACCEPTANCE
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    sync = {c["criterion"]: c for c in report["criteria"]}["synchronisation figure"]
+    assert not sync["passed"]
+    assert "diverged" in sync["detail"] and "stopped at t = " in sync["detail"]
+    assert "FAIL  synchronisation figure" in capsys.readouterr().out
+
+
+def test_diverging_phase_lock_run_fails_its_criterion():
+    chain = ChainConfig(**{**PRESETS["set2"]["model"]["chain"], "epsilon": 200.0})
+    A, B = chain_phase_constants(chain)
+    x0 = np.asarray(PRESETS["set2"]["numerics"]["x0"], dtype=float).reshape(-1)
+    name, passed, detail, metrics = check_phase_lock(chain_model(chain), chain.epsilon, x0, A, B)
+    assert name == "phase-locking figure" and not passed
+    assert metrics["t_stop"] < 3000.0
+    assert f"stopped at t = {metrics['t_stop']:g}" in detail
 
 
 def test_verify_quick_battery(tmp_path, capsys):

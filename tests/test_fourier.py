@@ -1,4 +1,6 @@
 import json
+import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -134,7 +136,7 @@ def test_matmul_matrix_vector():
 
 
 def compose(F, e):
-    return jet_compose([SmoothMap(F)], EpsJet([e]), order=0).terms[0]
+    return jet_compose([SmoothMap(F)], EpsJet([e]), order=0)
 
 
 def test_compose_complex_square():
@@ -209,10 +211,10 @@ def test_jet_compose_linear():
     F1 = linear_smooth_map(B)
     e0 = random_real_map(rng, 2, 3, K=2)
     e1 = random_real_map(rng, 2, 3, K=2)
-    jet = jet_compose([F0, F1], EpsJet([e0, e1]), order=1, K=5.0)
+    term1 = jet_compose([F0, F1], EpsJet([e0, e1]), order=1, K=5.0)
     grid = dealias_grid(2, 5.0)
     expected = grid.project(grid.sample(e1) @ A.T + grid.sample(e0) @ B.T, 5.0, prune=0.0)
-    assert (jet.terms[1] - expected).norm() <= 1e-11
+    assert (term1 - expected).norm() <= 1e-11
 
 
 def test_jet_compose_quadratic_second_order_term():
@@ -237,10 +239,10 @@ def test_jet_compose_quadratic_second_order_term():
     rng = np.random.default_rng(21)
     e0 = random_real_map(rng, 1, 2, K=1)
     e1 = random_real_map(rng, 1, 2, K=1)
-    jet = jet_compose([F0], EpsJet([e0, e1]), order=2, K=4.0)
+    term2 = jet_compose([F0], EpsJet([e0, e1]), order=2, K=4.0)
     grid = dealias_grid(1, 4.0)
     expected = grid.project(0.5 * d2(None, grid.sample(e1), grid.sample(e1)), 4.0, prune=0.0)
-    assert (jet.terms[2] - expected).norm() <= 1e-12
+    assert (term2 - expected).norm() <= 1e-12
 
 
 def cubic_polynomial_map(rng, p):
@@ -289,7 +291,6 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     e2 = random_real_map(rng, 1, 2, K=2, n_harmonics=3).scale(0.4)
     jet = EpsJet([e0, e1, e2])
     K = 8.0
-    out = jet_compose(F_list, jet, order=2, K=K)
     grid = dealias_grid(1, K)
     samples = [grid.sample(t) for t in jet.terms]
 
@@ -303,8 +304,8 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     h = 1e-4
     fd1 = (full_eval(h) - full_eval(-h)) / (2 * h)
     fd2 = (full_eval(h) - 2 * full_eval(0.0) + full_eval(-h)) / h ** 2 / 2.0
-    got1 = grid.sample(out.terms[1])
-    got2 = grid.sample(out.terms[2])
+    got1 = grid.sample(jet_compose(F_list, jet, order=1, K=K))
+    got2 = grid.sample(jet_compose(F_list, jet, order=2, K=K))
     assert np.max(np.abs(got1 - fd1)) <= 1e-5
     assert np.max(np.abs(got2 - fd2)) <= 1e-5
 
@@ -313,10 +314,10 @@ def test_jet_compose_order_zero_is_compose():
     rng = np.random.default_rng(17)
     F0 = cubic_polynomial_map(rng, 2)
     e0 = random_real_map(rng, 2, 2, K=2)
-    jet = jet_compose([F0], EpsJet([e0]), order=0, K=6.0)
+    term0 = jet_compose([F0], EpsJet([e0]), order=0, K=6.0)
     grid = dealias_grid(2, 6.0)
     direct = grid.project(F0.fun(grid.sample(e0)), 6.0)
-    assert (jet.terms[0] - direct).norm() <= 1e-12
+    assert (term0 - direct).norm() <= 1e-12
 
 
 def test_jet_compose_insufficient_derivatives():
@@ -339,6 +340,46 @@ def test_grid_round_trip():
     back = grid.project(vals, 3.0)
     vals2 = grid.sample(back)
     assert np.max(np.abs(vals - vals2)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
+
+
+def project_by_node_loop(grid, values, K, real=True, prune=1e-14):
+    """Reference projection: visit every node of the Nyquist box in turn."""
+    spec = np.fft.fftn(values, axes=tuple(range(grid.m))) / grid.size
+    coeffs = {}
+    top = 0.0
+    for k in product(*[range(-c, c + 1) for c in grid.max_freq()]):
+        if math.sqrt(sum(x * x for x in k)) > K + 1e-12:
+            continue
+        c = np.asarray(spec[tuple(ki % n for ki, n in zip(k, grid.shape))])
+        mag = float(np.max(np.abs(c))) if c.size else 0.0
+        if mag > 0.0:
+            coeffs[k] = c
+            top = max(top, mag)
+    if prune > 0 and top > 0:
+        coeffs = {k: c for k, c in coeffs.items() if np.max(np.abs(c)) > prune * top}
+    return FourierMap(grid.m, K, coeffs, values.shape[grid.m:], real=real)
+
+
+@pytest.mark.parametrize("prune", [0.0, 1e-14], ids=["prune0", "default"])
+@pytest.mark.parametrize("value_shape", [(), (3,), (2, 3)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("m,shape,K", [
+    (1, (17,), 5.0), (2, (9, 8), 3.0), (2, (11, 11), 3.7), (3, (7, 7, 7), 2.0),
+    (3, (9, 8, 7), 2.5),
+], ids=["m1", "m2", "m2_nonint", "m3", "m3_nonint"])
+def test_project_matches_node_loop(m, shape, K, value_shape, prune):
+    rng = np.random.default_rng(41)
+    grid = TorusGrid(m, shape)
+    f = random_real_map(rng, m, int(np.prod(value_shape)), K=K, n_harmonics=5)
+    smooth = grid.sample(f).reshape(shape + value_shape)
+    # Noise puts coefficients on both sides of the default prune level.
+    noisy = smooth + 3e-13 * rng.normal(size=smooth.shape)
+    for values in (smooth, noisy, np.zeros_like(smooth)):
+        for real in (True, False):
+            got = grid.project(values, K, real=real, prune=prune)
+            ref = project_by_node_loop(grid, values, K, real=real, prune=prune)
+            assert list(got.coeffs) == list(ref.coeffs)
+            for k in ref.coeffs:
+                assert np.array_equal(got.coeffs[k], ref.coeffs[k])
 
 
 def test_reality_enforced_bitwise_on_construction():

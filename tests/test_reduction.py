@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from torusred.errors import SmallDivisorError, TruncationSaturationError
+from torusred.bundle import TorusBundle, sample_frames
+from torusred.errors import SmallDivisorError, TransversalityError, TruncationSaturationError
 from torusred.fourier import FourierMap, d_omega, dealias_grid, matmul
 from torusred.models import (
     ChainConfig,
@@ -99,11 +100,17 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
 # splitting
 
 
+def split(G, bundle):
+    grid = dealias_grid(G.m, G.K)
+    frames, _ = sample_frames(bundle, grid)
+    return split_forcing(G, frames, grid)
+
+
 def test_split_recovers_tangential_input(chain):
     cfg, model, bundle = chain
     u = FourierMap.harmonic(3, (0, 1, -1), np.array([0.3 + 0.1j, 0.0, -0.2j]), K=8.0)
     G = matmul(bundle.e0.jacobian(), u, K=8.0)
-    U, V = split_forcing(G, bundle)
+    U, V = split(G, bundle)
     assert V.norm() <= 1e-12
     assert (U - u).norm() <= 1e-12
 
@@ -111,7 +118,7 @@ def test_split_recovers_tangential_input(chain):
 def test_split_first_order_closed_forms(chain):
     cfg, model, bundle = chain
     G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
-    U, V = split_forcing(G1, bundle)
+    U, V = split(G1, bundle)
     R1, R2 = cfg.outer.radius, cfg.middle.radius
     dg = cfg.delta / cfg.gamma
     # Third tangential component: (R2/R3)(sin(phi2-phi3) - (d/g) cos(phi2-phi3))
@@ -126,6 +133,18 @@ def test_split_first_order_closed_forms(chain):
     got = V.component(1)
     exp = expected_v2.component(1)
     assert (got - exp).norm() <= 1e-12
+
+
+def test_fibres_along_the_tangent_trip_the_transversality_guard(chain):
+    # N = e0' makes [e0' | N] singular at every node; each block alone is
+    # well conditioned, so only the stacked check can see it.
+    cfg, model, bundle = chain
+    bad = TorusBundle(bundle.e0, bundle.omega, bundle.e0.jacobian(), bundle.L, bundle.pi)
+    with pytest.raises(TransversalityError):
+        phase_reduce(model, bad, order=2, K_nf=6.0)
+    G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
+    with pytest.raises(TransversalityError):
+        split(G1, bad)
 
 
 # ----------------------------------------------------------------------
