@@ -28,7 +28,6 @@ __all__ = [
     "floquet_decompose",
     "cycle_bundle",
     "product_bundle",
-    "sample_frames",
     "validate_bundle",
     "find_limit_cycle",
 ]
@@ -350,12 +349,22 @@ class TorusBundle:
         }
 
 
-def sample_frames(bundle, grid):
-    """Frames ``(e0', N, pi)`` sampled on a grid, and the worst condition number of ``[e0' | N]``.
+def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
+    """Check the defining properties of a torus bundle on a dense grid.
 
-    Raises ``TransversalityError`` past ``COND_THRESHOLD``.  The bound also
-    holds for ``e0'`` and ``N`` alone: a column block is no worse conditioned.
+    Samples ``e0'``, ``N`` and ``pi`` once and verifies transversality of
+    ``[e0' | N]`` (condition number below ``COND_THRESHOLD`` at every node,
+    which bounds each column block alone too), the invariance equation
+    ``d_omega N + N L = (F0' o e0) N`` when the field is supplied,
+    hyperbolicity of ``L``, and the algebraic identities of ``pi``.
+    Returns the sampled frames ``(e0', N, pi)`` and a diagnostics dict;
+    raises on violation.
     """
+    if grid is None:
+        grid = dealias_grid(bundle.m, bundle.K)
+        if bundle.m == 1 and grid.shape[0] < 64:
+            # Circles keep a 64-node floor: a coarser check grid would loosen the check.
+            grid = TorusGrid(1, (64,))
     E = grid.sample(bundle.e0.jacobian())
     Nv = grid.sample(bundle.N)
     Pv = grid.sample(bundle.pi)
@@ -363,23 +372,6 @@ def sample_frames(bundle, grid):
     max_cond = float(np.max(np.linalg.cond(stacked.reshape((-1,) + stacked.shape[-2:]))))
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
         raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
-    return (E, Nv, Pv), max_cond
-
-
-def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
-    """Check the defining properties of a torus bundle on a dense grid.
-
-    Verifies transversality of ``[e0' | N]``, the invariance equation
-    ``d_omega N + N L = (F0' o e0) N`` when the field is supplied,
-    hyperbolicity of ``L``, and the algebraic identities of ``pi``.
-    Returns a diagnostics dict; raises on violation.
-    """
-    if grid is None:
-        grid = dealias_grid(bundle.m, bundle.K)
-        if bundle.m == 1 and grid.shape[0] < 64:
-            # Circles keep a 64-node floor: a coarser check grid would loosen the check.
-            grid = TorusGrid(1, (64,))
-    (E, Nv, Pv), max_cond = sample_frames(bundle, grid)
 
     gap = bundle.spectral_gap()
 
@@ -412,7 +404,7 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     scale = max(p_scale, n_scale)
     if max(idem, keep_tangent, kill_fibre) > PROJ_TOL * scale * 10:
         raise NumericalError("projection identities violated on the grid")
-    return diag
+    return (E, Nv, Pv), diag
 
 
 def cycle_bundle(cycle, monodromy, K=8.0):
@@ -455,7 +447,7 @@ def cycle_bundle(cycle, monodromy, K=8.0):
     pi = grid.project(pi_vals, K)
     omega = np.array([2.0 * math.pi / monodromy.period])
     bundle = TorusBundle(e0, omega, N, L, pi)
-    bundle.diagnostics = validate_bundle(bundle, F0=cycle.field, grid=grid)
+    _, bundle.diagnostics = validate_bundle(bundle, F0=cycle.field, grid=grid)
     return bundle
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import TorusGrid, cycle_bundle, floquet_decompose
+from .bundle import TorusGrid, cycle_bundle, floquet_decompose, validate_bundle
 from .errors import ConfigError, NumericalError
 from .models import (
     ChainConfig,
@@ -95,15 +95,17 @@ def _section(doc, key):
 
 
 def _number(section, key, default, cast):
-    """``cast(section[key])``, as a config error for a non-number, a boolean
-    or, when ``cast`` is ``int``, a non-integral number."""
+    """``cast(section[key])``, as a config error for anything but a finite
+    JSON number (a numeric string or a boolean included) or, when ``cast``
+    is ``int``, a non-integral number."""
     raw = section.get(key, default)
     try:
-        if isinstance(raw, bool) or (cast is int and int(raw) != float(raw)):
+        if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+                or not math.isfinite(raw) or (cast is int and int(raw) != float(raw))):
             raise ValueError
         return cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
+    except (ValueError, OverflowError):
+        kind = "a finite integer" if cast is int else "a finite number"
         raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
 
 
@@ -119,8 +121,9 @@ class RunConfig:
         model = _section(doc, "model")
         if "chain" not in model:
             raise ConfigError("only the 'chain' model section is supported")
+        chain = _section(model, "chain")
         try:
-            self.chain = ChainConfig(**_section(model, "chain"))
+            self.chain = ChainConfig(**{key: _number(chain, key, None, float) for key in chain})
         except TypeError as exc:
             raise ConfigError(f"bad chain parameters: {exc}") from None
 
@@ -130,8 +133,8 @@ class RunConfig:
         self.tol_res = num.get("tol_res")
         if self.tol_res is not None:
             self.tol_res = _number(num, "tol_res", None, float)
-            if not (np.isfinite(self.tol_res) and self.tol_res > 0):
-                raise ConfigError("tol_res must be finite and positive")
+            if self.tol_res <= 0:
+                raise ConfigError("tol_res must be positive")
         self.J = _number(num, "J", 2, int)
         if not (1 <= self.J <= 4):
             raise ConfigError("expansion order J must lie in 1..4")
@@ -155,9 +158,11 @@ class RunConfig:
         if self.sweep_n < 1:
             raise ConfigError("sweep needs at least one coupling value")
         self.output_dir = doc.get("output_dir", "out")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         for name, value in (("K", self.K), ("K_nf", self.K_nf)):
-            if not np.isfinite(value) or value <= 0:
-                raise ConfigError(f"{name} must be finite and positive")
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive")
 
     @staticmethod
     def _parse_state(raw):
@@ -180,22 +185,20 @@ def _dump_json(doc, path):
 
 
 def _reduce_report(cfg, result, model):
-    f2_constants = None
-    if result.order >= 2:
+    report = {**check_residual_scaling(model, result)[3], "residuals": result.residuals,
+              "second_order_constants": None}
+    if result.order >= 2:  # the slow law and its constants live at order 2
+        report.update(check_slow_law(cfg.chain, result)[3])
         c0 = result.phase_terms[1].coeffs.get((0, 0, 0))
         if c0 is not None:
-            f2_constants = [float(v) for v in np.real(c0)]
-    return {
-        **check_slow_law(cfg.chain, result)[3],
-        **check_residual_scaling(model, result)[3],
-        "residuals": result.residuals,
-        "second_order_constants": f2_constants,
-    }
+            report["second_order_constants"] = [float(v) for v in np.real(c0)]
+    return report
 
 
 def _cmd_bundle(cfg, out):
     # The chain's bundle data has intrinsic radius 2; never truncate below it.
     bundle = chain_bundle(cfg.chain, K=max(cfg.K, 4.0))
+    _, bundle.diagnostics = validate_bundle(bundle, F0=chain_model(cfg.chain).F0, pde_tol=1e-10)
     _dump_json(bundle.to_json_dict(), out / "bundle.json")
     _dump_json(bundle.diagnostics, out / "report.json")
     return EXIT_OK
@@ -410,7 +413,10 @@ def run(config_path=None, out_override=None, preset=None):
             raise ConfigError("one of --config or --preset is required")
         cfg = RunConfig(doc)
         out = Path(out_override) if out_override else Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
         handler = {
             "bundle": _cmd_bundle,
             "reduce": _cmd_reduce,

@@ -162,8 +162,8 @@ def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     pi = grid.project(pi_vals, K)
 
     bundle = TorusBundle(e0, np.array([p.frequency]), N, L, pi)
-    bundle.diagnostics = validate_bundle(bundle, F0=stuart_landau_field(p),
-                                         grid=grid, pde_tol=1e-10)
+    _, bundle.diagnostics = validate_bundle(bundle, F0=stuart_landau_field(p),
+                                            grid=grid, pde_tol=1e-10)
     return bundle
 
 
@@ -331,13 +331,13 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
 
 
 def chain_bundle(cfg: ChainConfig, K=8.0) -> TorusBundle:
-    """Analytic product bundle of the chain's three circular orbits."""
-    b1 = sl_bundle(cfg.outer, K=K)
-    b2 = sl_bundle(cfg.middle, K=K)
-    b3 = sl_bundle(cfg.outer, K=K)
-    bundle = product_bundle([b1, b2, b3])
-    bundle.diagnostics = validate_bundle(bundle, F0=chain_model(cfg).F0, pde_tol=1e-10)
-    return bundle
+    """Analytic product bundle of the chain's three circular orbits.
+
+    ``sl_bundle`` checks each circle; a reduction checks the conditioning of
+    the product's ``[e0' | N]``, the one property the product does not inherit.
+    """
+    outer = sl_bundle(cfg.outer, K=K)
+    return product_bundle([outer, sl_bundle(cfg.middle, K=K), outer])
 
 
 def chain_phase_constants(cfg: ChainConfig):

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bundle import sample_frames, validate_bundle
+from .bundle import validate_bundle
 from .errors import (
     ConfigError,
     HyperbolicityError,
@@ -111,16 +111,16 @@ def order_forcing(j, model, e_terms, f_terms, K, grid=None):
     return G
 
 
-def split_forcing(G, frames, grid):
-    """Split a forcing term along the tangent and fibre directions.
+def split_forcing(Gv, frames):
+    """Split a sampled forcing term along the tangent and fibre directions.
 
-    ``frames`` holds ``(e0', N, pi)`` sampled on ``grid`` by ``sample_frames``.
-    Pointwise, ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G`` with
-    Moore-Penrose pseudo-inverses of the frames; the reconstruction
-    ``e0' U + N V = G`` is verified before ``(U, V)`` is returned.
+    ``Gv`` holds the forcing and ``frames`` the ``(e0', N, pi)`` that
+    ``validate_bundle`` returns, all sampled on one grid.  Pointwise,
+    ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G`` with Moore-Penrose
+    pseudo-inverses of the frames; the reconstruction ``e0' U + N V = G``
+    is verified before the samples of ``(U, V)`` are returned.
     """
     E, Nv, Pv = frames
-    Gv = grid.sample(G)
 
     def pinv_apply(A, y):
         gram = np.swapaxes(A, -1, -2) @ A
@@ -136,7 +136,7 @@ def split_forcing(G, frames, grid):
     if err > RECON_TOL:
         raise NumericalError(f"tangent/fibre split does not reconstruct the forcing ({err:.3e})")
 
-    return grid.project(U_vals, G.K), grid.project(V_vals, G.K)
+    return U_vals, V_vals
 
 
 def solve_tangential(U, omega, K_nf, tol_res, g_choice=None):
@@ -249,8 +249,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     if tol_res is None:
         tol_res = 1e-9 * float(np.linalg.norm(w))
     grid = dealias_grid(bundle.m, max(K, bundle.K))
-    validate_bundle(bundle, F0=model.F0, grid=grid)
-    frames, _ = sample_frames(bundle, grid)
+    frames, _ = validate_bundle(bundle, F0=model.F0, grid=grid)
 
     E_map = bundle.e0.jacobian()
     e_terms = [bundle.e0]
@@ -261,7 +260,9 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     for j in range(1, order + 1):
         G = order_forcing(j, model, e_terms, f_terms, K, grid=grid)
         _check_saturation(f"G_{j}", G, K)
-        U, V = split_forcing(G, frames, grid)
+        Gv = grid.sample(G)
+        U_vals, V_vals = split_forcing(Gv, frames)
+        U, V = grid.project(U_vals, K), grid.project(V_vals, K)
         _check_saturation(f"U_{j}", U, K)
         _check_saturation(f"V_{j}", V, K)
         g_choice = g_rule(j, U) if g_rule is not None else None
@@ -276,7 +277,6 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         lhs = matmul(E_map, d_omega(g_j, w) + f_j, K=K) + matmul(
             bundle.N, d_omega(h_j, w) - _apply_matrix(bundle.L, h_j), K=K
         )
-        Gv = grid.sample(G)
         scale = max(float(np.max(np.abs(Gv))), 1e-300)
         lin_res = float(np.max(np.abs(grid.sample(lhs) - Gv))) / scale
         if lin_res > LINEAR_RESIDUAL_TOL:

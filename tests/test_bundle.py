@@ -12,6 +12,7 @@ from torusred.bundle import (
     tangent_identity_residual,
     validate_bundle,
 )
+from torusred.cli import PRESETS
 from torusred.errors import HyperbolicityError, NumericalError, TransversalityError
 from torusred.fourier import FourierMap, SmoothMap, TorusGrid, matmul
 from torusred.models import (
@@ -149,7 +150,7 @@ def test_cycle_bundle_pde_residual_on_dense_grid():
     cycle = stuart_landau_cycle(SET1)
     mono = floquet_decompose(cycle)
     bundle = cycle_bundle(cycle, mono, K=4.0)
-    diag = validate_bundle(bundle, F0=stuart_landau_field(SET1), grid=TorusGrid(1, (256,)))
+    _, diag = validate_bundle(bundle, F0=stuart_landau_field(SET1), grid=TorusGrid(1, (256,)))
     assert diag["pde_residual_rel"] <= 1e-8
     assert diag["spectral_gap"] > 1.9
 
@@ -181,6 +182,16 @@ def test_product_bundle_three_oscillators():
     assert bundle.M == 6 and bundle.m == 3
 
 
+@pytest.mark.parametrize("K", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("preset", ["set1", "set2"])
+def test_chain_product_passes_the_strict_bundle_check(preset, K):
+    # chain_bundle checks only its circles; the product they form has to
+    # pass the full check at the circles' tolerance.
+    cfg = ChainConfig(**PRESETS[preset]["model"]["chain"])
+    _, diag = validate_bundle(chain_bundle(cfg, K=K), F0=chain_model(cfg).F0, pde_tol=1e-10)
+    assert diag["pde_residual_rel"] <= 1e-10
+
+
 def test_product_bundle_eigenvalues_union():
     p = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
     q = StuartLandauParams(0.5, 2.0, -2.0, 1.0)
@@ -203,7 +214,7 @@ def test_gauge_covariance_of_fibre_frame():
     from torusred.bundle import TorusBundle
 
     gauged = TorusBundle(bundle.e0, bundle.omega, N2, L2, bundle.pi)
-    diag = validate_bundle(gauged, F0=chain_model(cfg).F0, pde_tol=1e-9)
+    _, diag = validate_bundle(gauged, F0=chain_model(cfg).F0, pde_tol=1e-9)
     assert diag["pde_residual_rel"] <= 1e-9
     assert np.allclose(
         np.sort(np.linalg.eigvals(L2).real), np.sort(np.linalg.eigvals(bundle.L).real),

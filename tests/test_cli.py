@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from torusred.cli import (
     main,
     run,
 )
+from torusred.errors import HyperbolicityError, NumericalError
+from torusred.fourier import FourierMap
 from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
+from torusred.reduction import phase_reduce
 
 SET1_MODEL = {
     "chain": {
@@ -51,6 +55,15 @@ def test_reduce_command_writes_report(tmp_path):
     reduction = json.loads((tmp_path / "out" / "reduction.json").read_text())
     assert reduction["order"] == 2
     assert len(reduction["phase_terms"]) == 2
+
+
+def test_reduce_at_first_order_reports_without_slow_law(tmp_path):
+    doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 1},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert abs(report["residual_order_slope"] - 2.0) <= 0.1
+    assert "A_pipeline" not in report and report["second_order_constants"] is None
 
 
 @pytest.mark.parametrize("command,numerics", [
@@ -123,15 +136,40 @@ def test_invalid_json_is_config_error(tmp_path):
     {"sweep": {"dt": True}},
     {"integrator": {"record_stride": 2.5}},
     {"sweep": {"n": 4.5}},
+    {"integrator": {"t_end": float("inf")}},
 ], ids=["K", "K_nf", "J", "tol_res", "tol_res_negative", "tol_res_zero", "dt",
         "record_stride", "sweep_n", "x0_ragged", "sweep_x0", "integrator_section",
         "sweep_section", "J_fraction", "J_bool", "J_inf", "K_nf_bool", "sweep_dt_bool",
-        "record_stride_fraction", "sweep_n_fraction"])
+        "record_stride_fraction", "sweep_n_fraction", "t_end_inf"])
 def test_malformed_numerics_are_config_errors(tmp_path, capsys, numerics):
     doc = {"command": "reduce", "model": SET1_MODEL, "numerics": numerics,
            "output_dir": str(tmp_path / "out")}
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"epsilon": "0.1"},
+    {"epsilon": float("nan")},
+    {"alpha": True},
+    {"output_dir": 5},
+], ids=["epsilon_string", "epsilon_nan", "alpha_bool", "output_dir_number"])
+def test_malformed_chain_and_output_dir_are_config_errors(tmp_path, capsys, change):
+    chain = {**SET1_MODEL["chain"], **{k: v for k, v in change.items() if k != "output_dir"}}
+    doc = {"command": "simulate", "model": {"chain": chain},
+           "numerics": {"integrator": {"t_end": 1.0}},
+           "output_dir": change.get("output_dir", str(tmp_path / "out"))}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_output_dir_naming_a_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    doc = {"command": "simulate", "model": SET1_MODEL,
+           "numerics": {"integrator": {"t_end": 1.0}}, "output_dir": str(taken)}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_CONFIG
+    assert "config error: cannot create output directory" in capsys.readouterr().err
 
 
 def test_sweep_from_in_phase_outer_pair_is_config_error(tmp_path, capsys):
@@ -170,6 +208,8 @@ def test_bundle_command(tmp_path):
     L = np.array(bundle["L"])
     assert np.allclose(L, np.diag([-2.0, -2.0, -2.0]))
     assert bundle["e0"]["m"] == 3 and bundle["e0"]["p"] == 6
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pde_residual_rel"] <= 1e-10
 
 
 def test_simulate_command(tmp_path):
@@ -249,6 +289,28 @@ def test_reduce_with_degenerate_frames_exits_with_numerical_error(tmp_path, caps
            "output_dir": str(tmp_path / "out")}
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
     assert "frames degenerate" in capsys.readouterr().err
+
+
+# The reduction's entry check is the only check of the chain's product
+# bundle on the reduce path; each broken bundle must trip its guard there.
+@pytest.mark.parametrize("tamper,error,message", [
+    (lambda b: TorusBundle(b.e0, b.omega, b.N, 2.0 * b.L, b.pi), NumericalError,
+     "fibre invariance equation violated: relative residual 2.000e+00"),
+    (lambda b: TorusBundle(b.e0, b.omega, b.N, b.L, FourierMap.constant(3, np.eye(6))),
+     NumericalError, "projection identities violated"),
+    (lambda b: TorusBundle(b.e0, b.omega, b.N, 0.0 * b.L, b.pi), HyperbolicityError,
+     "not hyperbolic"),
+], ids=["L_doubled", "pi_identity", "L_zero"])
+def test_reduce_with_broken_bundle_exits_with_numerical_error(tmp_path, capsys, monkeypatch,
+                                                            tamper, error, message):
+    chain = ChainConfig(**SET1_MODEL["chain"])
+    with pytest.raises(error, match=re.escape(message)):
+        phase_reduce(chain_model(chain), tamper(chain_bundle(chain, K=8.0)), order=2, K_nf=6.0)
+    monkeypatch.setattr("torusred.cli.chain_bundle", lambda cfg, K: tamper(chain_bundle(cfg, K=K)))
+    doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 2},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
 
 
 def test_verify_with_diverging_sync_run_fails_its_criterion(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torusred.bundle import TorusBundle, sample_frames
+from torusred.bundle import TorusBundle, validate_bundle
 from torusred.errors import SmallDivisorError, TransversalityError, TruncationSaturationError
 from torusred.fourier import FourierMap, d_omega, dealias_grid, matmul
 from torusred.models import (
@@ -102,8 +102,9 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
 
 def split(G, bundle):
     grid = dealias_grid(G.m, G.K)
-    frames, _ = sample_frames(bundle, grid)
-    return split_forcing(G, frames, grid)
+    frames, _ = validate_bundle(bundle, grid=grid)
+    U_vals, V_vals = split_forcing(grid.sample(G), frames)
+    return grid.project(U_vals, G.K), grid.project(V_vals, G.K)
 
 
 def test_split_recovers_tangential_input(chain):
