@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _SCHEMES = ("euler", "rk4")
+T01_FRACTION = 0.1  # T01: the envelope falls to this fraction of |phi_hat[0]|
 DISTANCE_GRID = 16  # angle-grid nodes per axis seeding embedding_distance
 DISTANCE_REFINE = 6  # Gauss-Newton steps of embedding_distance
 
@@ -101,14 +102,15 @@ def _beat_period(omega):
     return 2.0 * math.pi / min(diffs) if diffs else 2.0 * math.pi
 
 
-def _march(rhs, x, spec, record_state=True, observe=None):
+def _march(rhs, x, spec, record_state=True, observe=None, stop=None):
     """Fixed-step loop shared by both integrators.
 
     Steps ``x`` with the spec's scheme and stops at the first non-finite
     state.  ``observe(x)``, when given, runs after every step.  Every
     ``record_stride`` steps and at the last one, the time, the state
-    (with ``record_state``) and the latest observed value are recorded.
-    Returns ``(t, states, observed, failed)``.
+    (with ``record_state``) and the latest observed value are recorded;
+    ``stop(value)``, when given, then sees that value and ends the run
+    there by returning true.  Returns ``(t, states, observed, failed)``.
     """
     n, stride, dt = spec.steps(), spec.record_stride, spec.dt
     euler = spec.scheme == "euler"
@@ -129,6 +131,8 @@ def _march(rhs, x, spec, record_state=True, observe=None):
                 states.append(x.copy())
             if observe:
                 seen.append(value)
+                if stop and stop(value):
+                    break
     return ts, states, seen, failed
 
 
@@ -146,12 +150,47 @@ def _unwrapped_pair_angle(pair):
     return observe
 
 
-def integrate_full(model, eps, x0, spec, record_state=True):
+def _t01_threshold(start):
+    """Level T01 waits for, from the observable's starting value."""
+    baseline = abs(float(start))
+    if baseline < 1e-6:
+        raise ConfigError("initial angle too small: the decay baseline is undefined")
+    return T01_FRACTION * baseline
+
+
+def _window_samples(window, dt_rec):
+    """Recorded samples in one envelope window of length ``window``."""
+    return max(1, int(math.ceil(window / dt_rec)))
+
+
+def _until_decided(start, window, spec):
+    """Stop hook for ``_march`` that fires once T01 can no longer change.
+
+    It fires at the recorded sample that closes the first stretch of
+    ``wn`` samples with ``|phi_hat|`` at or below the T01 threshold (see
+    ``measure_T01``), and raises ``ConfigError`` up front when the decay
+    baseline is undefined.
+    """
+    threshold = _t01_threshold(start)
+    wn = _window_samples(window, spec.record_stride * spec.dt)
+    streak = 0
+
+    def stop(value):
+        nonlocal streak
+        streak = streak + 1 if abs(value) <= threshold else 0
+        return streak >= wn
+
+    return stop
+
+
+def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     """Integrate the coupled system at coupling strength ``eps``.
 
     For models made of complex pairs the unwrapped angle between the
     ``OUTER_PAIR`` oscillators is recorded alongside the trajectory.  A
-    non-finite state stops the run early and flags the record.
+    non-finite state stops the run early and flags the record.  With
+    ``until_t01`` the run also ends once ``measure_T01`` of the record can
+    no longer change (see ``_until_decided``).
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.size != model.M or not np.all(np.isfinite(x)):
@@ -160,31 +199,35 @@ def integrate_full(model, eps, x0, spec, record_state=True):
         raise ConfigError("dt too large: per-step phase increments would exceed pi")
     track_angle = bool(model.complex_pairs) and 2 * max(OUTER_PAIR) + 1 < model.M
     observe = _unwrapped_pair_angle(OUTER_PAIR) if track_angle else None
+    beat = _beat_period(np.asarray(model.omega, dtype=float))
+    stop = None
+    if until_t01 and track_angle:
+        stop = _until_decided(_pair_angle(x, OUTER_PAIR), beat, spec)
     ts, states, angles, failed = _march(model.stepper_rhs(eps), x, spec,
-                                        record_state=record_state, observe=observe)
+                                        record_state=record_state, observe=observe, stop=stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
         states=np.asarray(states) if record_state else None,
         phi_hat=np.asarray(angles) if track_angle else None,
         kind="full",
         failed=failed,
-        meta={"beat_period": _beat_period(np.asarray(model.omega, dtype=float)),
-              "complex_pairs": bool(model.complex_pairs)},
+        meta={"beat_period": beat, "complex_pairs": bool(model.complex_pairs)},
     )
 
 
-def integrate_reduced(result, eps, phi0, spec):
+def integrate_reduced(result, eps, phi0, spec, until_t01=False):
     """Integrate the reduced phase flow ``dphi/dt = omega + sum eps^j f_j``.
 
     Angles are stored unwrapped (the phase fields are 2 pi periodic, so
     real-line phases are fine).  The recorded observable is the phase
     difference of the ``OUTER_PAIR`` components, shifted by a multiple
-    of 2 pi so that it starts in (-pi, pi].
+    of 2 pi so that it starts in (-pi, pi] like the full record's pair
+    angle.  ``until_t01`` ends the run as in ``integrate_full``.
     """
     omega = result.omega
     phi = np.asarray(phi0, dtype=float).copy()
-    if phi.size != omega.size:
-        raise ConfigError("phase dimension mismatch")
+    if phi.size != omega.size or not np.all(np.isfinite(phi)):
+        raise ConfigError(f"initial phases must be finite with {omega.size} components")
     if spec.dt * float(np.max(np.abs(omega))) >= math.pi:
         raise ConfigError("dt too large: per-step phase increments would exceed pi")
     # Collapse the expansion into one sparse series at this coupling.
@@ -204,34 +247,40 @@ def integrate_reduced(result, eps, phi0, spec):
         def rhs(p):
             return omega
 
-    ts, phis, _, failed = _march(rhs, phi, spec)
-    phis = np.asarray(phis)
-    # Start the observable in (-pi, pi] like the full record's pair angle;
-    # the phase fields are 2 pi periodic, so the winding count is free.
     i_idx, j_idx = OUTER_PAIR
-    phi_hat = phis[:, i_idx] - phis[:, j_idx]
-    phi_hat -= 2.0 * math.pi * math.ceil((phi_hat[0] - math.pi) / (2.0 * math.pi))
+    shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))
+
+    def observe(p):
+        return (p[i_idx] - p[j_idx]) - shift
+
+    beat = _beat_period(np.asarray(omega, dtype=float))
+    stop = _until_decided(observe(phi), beat, spec) if until_t01 else None
+    ts, phis, phi_hat, failed = _march(rhs, phi, spec, observe=observe, stop=stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
-        states=phis,
-        phi_hat=phi_hat,
+        states=np.asarray(phis),
+        phi_hat=np.asarray(phi_hat),
         kind="reduced",
         failed=failed,
-        meta={"beat_period": _beat_period(np.asarray(omega, dtype=float))},
+        meta={"beat_period": beat},
     )
 
 
 def envelope(record):
-    """Forward-looking running maximum of ``|phi_hat|`` over one beat window."""
+    """Forward-looking running maximum of ``|phi_hat|`` over one beat window.
+
+    Sample ``i`` is the maximum of ``|phi_hat|`` over the recorded samples
+    ``[i, i + wn - 1]``, cut at the record's end, where
+    ``wn = ceil(beat_period / dt_rec)`` counts recorded samples
+    (``dt_rec`` is the spacing of the first two).
+    """
     if record.phi_hat is None:
         raise ValueError("record carries no synchronisation angle")
     window = record.meta.get("beat_period", 2.0 * math.pi)
     absphi = np.abs(record.phi_hat)
     if len(record.t) < 2:
         return absphi
-    dt_rec = record.t[1] - record.t[0]
-    wn = max(1, int(math.ceil(window / dt_rec)))
-    wn = min(wn, len(absphi))
+    wn = min(_window_samples(window, record.t[1] - record.t[0]), len(absphi))
     return maximum_filter1d(absphi, size=wn, origin=-(wn // 2), mode="nearest")
 
 
@@ -241,16 +290,20 @@ def measure_T01(record, use_envelope=True):
     The crossing is detected on the running-maximum envelope of
     ``|phi_hat|`` over one slow-beat window (the raw signal oscillates
     quickly and would cross too early); pass ``use_envelope=False`` for
-    the raw-signal variant.  Returns NaN when the threshold is never
-    reached; a start with no initial angle is a configuration error.
+    the raw-signal variant.  T01 is the time of the first recorded
+    sample ``i`` whose forward window ``[i, i + wn - 1]`` (see
+    ``envelope``) stays at or below ``T01_FRACTION * |phi_hat[0]|``.  It
+    is decided once such a stretch of ``wn`` samples is recorded: every
+    earlier window already lies inside the record, and the raw signal
+    never exceeds the envelope, so raw T01 is decided too.  Returns
+    NaN when the threshold is never reached; a start with no initial
+    angle is a configuration error.
     """
     if record.phi_hat is None:
         raise ValueError("record carries no synchronisation angle")
-    baseline = abs(float(record.phi_hat[0]))
-    if baseline < 1e-6:
-        raise ConfigError("initial angle too small: the decay baseline is undefined")
+    threshold = _t01_threshold(record.phi_hat[0])
     signal = envelope(record) if use_envelope else np.abs(record.phi_hat)
-    hits = np.nonzero(signal <= 0.1 * baseline)[0]
+    hits = np.nonzero(signal <= threshold)[0]
     if hits.size == 0:
         return float("nan")
     return float(record.t[hits[0]])
@@ -325,9 +378,15 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
 
     Every run starts from the same initial state.  The horizon grows
     like ``eps^-2`` away from the largest coupling, matching the slow
-    timescale.  Runs execute in list order.  Passing a
-    :class:`ReductionResult` sweeps the reduced flow instead of the full
-    system.
+    timescale.  Each lane stops at the recorded sample that closes its
+    first stretch of ``wn`` samples at or below the T01 threshold, where
+    T01's forward window ``[i, i + wn - 1]`` ends, so T01 and raw T01
+    equal those of the full horizon (see ``measure_T01``).  A lane that
+    never closes such a stretch steps its whole horizon; one that would
+    blow up only after its stop reports its T01 instead of NaN.  Lanes
+    run in list order, and an in-phase outer pair raises ``ConfigError``
+    before any stepping.  Passing a :class:`ReductionResult` sweeps the
+    reduced flow instead of the full system.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
@@ -341,9 +400,9 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     def run(eps):
         run_spec = spec.with_horizon(spec.t_end * (eps_ref / eps) ** 2)
         if reduction is not None:
-            rec = integrate_reduced(reduction, eps, phi0, run_spec)
+            rec = integrate_reduced(reduction, eps, phi0, run_spec, until_t01=True)
         else:
-            rec = integrate_full(model, eps, x0, run_spec, record_state=False)
+            rec = integrate_full(model, eps, x0, run_spec, record_state=False, until_t01=True)
         if rec.failed:
             return float("nan"), float("nan")
         return measure_T01(rec), measure_T01(rec, use_envelope=False)

@@ -1,4 +1,4 @@
-"""Smoke test: the quick narrative demos run to completion."""
+"""Smoke test: the narrative demos run to completion."""
 
 import os
 import subprocess
@@ -17,6 +17,8 @@ SRC = Path(torusred.__file__).resolve().parents[1]
     "01_fourier_toolbox.py",
     "02_floquet_fast_fibres.py",
     "03_phase_reduction_chain.py",
+    "04_remote_synchronisation.py",
+    "05_decay_time_sweep.py",
 ])
 def test_demo_runs(tmp_path, name):
     env = dict(os.environ)

@@ -12,9 +12,12 @@ from torusred.models import (
     stuart_landau_field,
 )
 from torusred.reduction import phase_reduce
+from torusred import sim
 from torusred.sim import (
     IntegratorSpec,
     TrajectoryRecord,
+    _march,
+    _until_decided,
     embedding_distance,
     fit_powerlaw,
     integrate_full,
@@ -197,6 +200,89 @@ def test_sweep_reduced_flow_slope(chain1, reduced1):
     sw = sweep_epsilon(model, x0, eps, spec, reduction=reduced1)
     assert np.all(sw.converged)
     assert abs(sw.slope + 2.0) <= 0.1
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
+    # A sweep lane stops once its T01 is decided.  Its T01 and raw T01 must
+    # equal measure_T01 on the same lane stepped to its whole horizon, and
+    # the stopped record must be a prefix of the full one, ending wn
+    # recorded samples after T01.
+    cfg, model = chain1
+    x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.5])
+    eps = np.array([0.15, 0.2])
+    spec = IntegratorSpec("euler", 0.05, 400.0, record_stride=stride)
+    reduction = reduced1 if kind == "reduced" else None
+    sw = sweep_epsilon(model, x0, eps, spec, reduction=reduction)
+    assert np.all(sw.converged)
+    for e, t01, t01_raw in zip(eps, sw.t01, sw.t01_raw):
+        lane = spec.with_horizon(spec.t_end * (float(np.max(eps)) / float(e)) ** 2)
+        if reduction is None:
+            def run(**kw):
+                return integrate_full(model, float(e), x0, lane, record_state=False, **kw)
+        else:
+            def run(**kw):
+                return integrate_reduced(reduction, float(e), phases_from_state(x0), lane, **kw)
+        full, stopped = run(), run(until_t01=True)
+        assert t01 == measure_T01(full)
+        assert t01_raw == measure_T01(full, use_envelope=False)
+        assert np.array_equal(stopped.t, full.t[:len(stopped.t)])
+        assert np.array_equal(stopped.phi_hat, full.phi_hat[:len(stopped.t)])
+        wn = int(np.ceil(full.meta["beat_period"] / (stride * spec.dt)))
+        assert len(stopped.t) == np.flatnonzero(full.t == t01)[0] + wn < len(full.t)
+
+
+def synthetic_lane(signal, stride, stop):
+    # The state counts time exactly (dt = 0.25) and the observable is
+    # signal(t); the envelope window is 5 time units.
+    spec = IntegratorSpec("euler", 0.25, 100.0, record_stride=stride)
+    hook = _until_decided(signal(0.0), 5.0, spec) if stop else None
+    ts, _, seen, _ = _march(lambda x: np.ones(1), np.zeros(1), spec, record_state=False,
+                            observe=lambda x: signal(x[0]), stop=hook)
+    return TrajectoryRecord(np.asarray(ts), None, np.asarray(seen), meta={"beat_period": 5.0})
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_stop_rule_ignores_dips_shorter_than_a_window(stride):
+    dt_rec = 0.25 * stride
+    wn = int(np.ceil(5.0 / dt_rec))
+
+    def signal(t):
+        # wn - 1 samples below the threshold from t = 10, then for good from t = 30
+        return 0.05 if 10.0 <= t < 10.0 + (wn - 1) * dt_rec or t >= 30.0 else 1.0
+
+    full, stopped = synthetic_lane(signal, stride, False), synthetic_lane(signal, stride, True)
+    assert [measure_T01(r) for r in (stopped, full)] == [30.0, 30.0]
+    assert [measure_T01(r, use_envelope=False) for r in (stopped, full)] == [10.0, 10.0]
+    assert stopped.t[-1] == 30.0 + (wn - 1) * dt_rec
+
+
+def test_stop_rule_runs_an_unsettled_lane_to_its_horizon():
+    rec = synthetic_lane(lambda t: 1.0 + 0.5 * np.sin(t), 2, True)
+    assert rec.t[-1] == 100.0
+    assert np.isnan(measure_T01(rec))
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_sweep_from_in_phase_outer_pair_fails_before_stepping(monkeypatch, chain1, reduced1,
+                                                              kind):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a lane with an undefined decay baseline was stepped")
+
+    monkeypatch.setattr(sim, "_march", no_stepping)
+    cfg, model = chain1
+    x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.3])
+    with pytest.raises(ConfigError, match="baseline"):
+        sweep_epsilon(model, x0, [0.08, 0.1], IntegratorSpec("euler", 0.05, 1500.0),
+                      reduction=reduced1 if kind == "reduced" else None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_reduced_rejects_non_finite_phases(reduced1, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        integrate_reduced(reduced1, 0.1, np.array([bad, 0.2, 0.3]),
+                          IntegratorSpec("euler", 0.05, 10.0))
 
 
 def test_sweep_reduced_start_across_branch_cut(chain1, reduced1):
