@@ -12,12 +12,13 @@ networks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, logm
 
 from .errors import HyperbolicityError, NumericalError, TransversalityError
-from .fourier import FourierMap, TorusGrid, d_omega, dealias_grid
+from .fourier import FourierMap, TorusGrid, _sum_on_keys, d_omega, dealias_grid
 
 __all__ = [
     "LimitCycle",
@@ -142,33 +143,20 @@ def find_limit_cycle(field, x0, t_transient):
     return LimitCycle.from_flow(field, p, period)
 
 
+@dataclass
 class MonodromyData:
     """Floquet factorisation data of a periodic orbit.
 
-    Holds the fundamental matrix at the period, the constant matrix
-    ``B = log(Phi(T)) / T`` (principal real logarithm), and samples of
-    the periodic factor ``P(t) = Phi(t) exp(-B t)`` together with the
-    orbit itself on a uniform phase grid.
+    Holds the constant matrix ``B = log(Phi(T)) / T`` (principal real
+    logarithm) and samples of the periodic factor
+    ``P(t) = Phi(t) exp(-B t)`` together with the orbit itself on a
+    uniform phase grid.  ``floquet_decompose`` checks the factorisation.
     """
 
-    def __init__(self, period, fundamental_at_period, floquet_matrix,
-                 periodic_samples, orbit_samples, periodic_at_period):
-        self.period = float(period)
-        self.fundamental_at_period = np.asarray(fundamental_at_period, dtype=float)
-        self.floquet_matrix = np.asarray(floquet_matrix, dtype=float)
-        self.periodic_samples = np.asarray(periodic_samples, dtype=float)
-        self.orbit_samples = np.asarray(orbit_samples, dtype=float)
-        self.periodic_at_period = np.asarray(periodic_at_period, dtype=float)
-        M = self.fundamental_at_period.shape[0]
-        eye = np.eye(M)
-        if np.max(np.abs(self.periodic_samples[0] - eye)) > 1e-12:
-            raise NumericalError("periodic factor does not start at the identity")
-        if np.max(np.abs(self.periodic_at_period - eye)) > 1e-6:
-            raise NumericalError("periodic factor fails to return to the identity")
-        rebuilt = expm(self.floquet_matrix * self.period)
-        err = np.max(np.abs(rebuilt - self.fundamental_at_period))
-        if err > 1e-8 * max(1.0, np.max(np.abs(self.fundamental_at_period))):
-            raise NumericalError(f"exp(B T) deviates from the monodromy matrix by {err:.3e}")
+    period: float
+    floquet_matrix: np.ndarray
+    periodic_samples: np.ndarray
+    orbit_samples: np.ndarray
 
 
 def floquet_matrix_from_monodromy(PhiT, period):
@@ -238,11 +226,16 @@ def floquet_decompose(cycle):
     B = floquet_matrix_from_monodromy(PhiT, cycle.period)
     times = np.arange(n_phi + 1) * (cycle.period / n_phi)
     P = np.array([fundamentals[i] @ expm(-B * times[i]) for i in range(n_phi + 1)])
-    return MonodromyData(
-        cycle.period, PhiT, B,
-        periodic_samples=P[:-1], orbit_samples=np.array(orbit[:-1]),
-        periodic_at_period=P[-1],
-    )
+    eye = np.eye(M)
+    if np.max(np.abs(P[0] - eye)) > 1e-12:
+        raise NumericalError("periodic factor does not start at the identity")
+    if np.max(np.abs(P[-1] - eye)) > 1e-6:
+        raise NumericalError("periodic factor fails to return to the identity")
+    err = np.max(np.abs(expm(B * cycle.period) - PhiT))
+    if err > 1e-8 * max(1.0, np.max(np.abs(PhiT))):
+        raise NumericalError(f"exp(B T) deviates from the monodromy matrix by {err:.3e}")
+    return MonodromyData(cycle.period, B, periodic_samples=P[:-1],
+                         orbit_samples=np.array(orbit[:-1]))
 
 
 # ----------------------------------------------------------------------
@@ -470,40 +463,32 @@ def product_bundle(bundles):
     omega = np.concatenate([b.omega for b in bundles])
     L = np.zeros((r, r))
 
-    e0_coeffs, N_coeffs, pi_coeffs = {}, {}, {}
-
-    def _accumulate(target, k, value):
-        if k in target:
-            target[k] = target[k] + value
-        else:
-            target[k] = value
-
+    shapes = {"e0": (M,), "N": (M, r), "pi": (M, M)}
+    keys = {name: [] for name in shapes}
+    values = {name: [] for name in shapes}
     m_off = M_off = r_off = 0
     for b in bundles:
         bm, bM, br = b.m, b.M, b.M - b.m
         L[r_off:r_off + br, r_off:r_off + br] = b.L
-        for k, c in b.e0.coeffs.items():
-            kk = (0,) * m_off + k + (0,) * (m - m_off - bm)
-            v = np.zeros(M, dtype=complex)
-            v[M_off:M_off + bM] = c
-            _accumulate(e0_coeffs, kk, v)
-        for k, c in b.N.coeffs.items():
-            kk = (0,) * m_off + k + (0,) * (m - m_off - bm)
-            v = np.zeros((M, r), dtype=complex)
-            v[M_off:M_off + bM, r_off:r_off + br] = c
-            _accumulate(N_coeffs, kk, v)
-        for k, c in b.pi.coeffs.items():
-            kk = (0,) * m_off + k + (0,) * (m - m_off - bm)
-            v = np.zeros((M, M), dtype=complex)
-            v[M_off:M_off + bM, M_off:M_off + bM] = c
-            _accumulate(pi_coeffs, kk, v)
+        rows, cols = slice(M_off, M_off + bM), slice(r_off, r_off + br)
+        for name, f, block in (("e0", b.e0, (rows,)), ("N", b.N, (rows, cols)),
+                               ("pi", b.pi, (rows, rows))):
+            k = np.zeros((len(f.keys), m), dtype=np.int64)
+            k[:, m_off:m_off + bm] = f.keys
+            v = np.zeros((len(f.keys),) + shapes[name], dtype=complex)
+            v[(slice(None),) + block] = f.values
+            keys[name].append(k)
+            values[name].append(v)
         m_off += bm
         M_off += bM
         r_off += br
 
-    e0 = FourierMap(m, K, e0_coeffs, (M,))
-    N = FourierMap(m, K, N_coeffs, (M, r))
-    pi = FourierMap(m, K, pi_coeffs, (M, M))
+    # Only k = 0 is shared between factors; its blocks add up in factor order.
+    e0, N, pi = (
+        FourierMap(m, K, _sum_on_keys(np.concatenate(keys[name]), np.concatenate(values[name])),
+                   shape)
+        for name, shape in shapes.items()
+    )
     return TorusBundle(e0, omega, N, L, pi)
 
 

@@ -285,9 +285,8 @@ def check_normal_form(result, K_nf):
     """Largest nonresonant phase coefficient with ``|k| <= K_nf``."""
     worst = 0.0
     for f in result.phase_terms:
-        for k, c in f.coeffs.items():
-            if abs(float(np.dot(result.omega, k))) > 1e-9 and np.linalg.norm(k) <= K_nf:
-                worst = max(worst, float(np.max(np.abs(c))))
+        inside = (np.abs(f.keys @ result.omega) > 1e-9) & (np.linalg.norm(f.keys, axis=1) <= K_nf)
+        worst = max(worst, float(np.max(np.abs(f.values[inside]), initial=0.0)))
     return ("normal form", worst <= TOL_NORMAL_FORM,
             f"largest nonresonant phase coefficient {worst:.2e}", {"worst": worst})
 

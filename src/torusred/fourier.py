@@ -2,18 +2,21 @@
 
 Everything downstream (embeddings, fast fibre maps, homological
 right-hand sides, reduced phase fields) is represented as a
-:class:`FourierMap`: a sparse collection of coefficients ``c_k`` over
-integer frequency vectors ``k`` with Euclidean norm at most a
-truncation radius ``K``.  Products are true coefficient convolutions;
-composition with nonlinear maps is pseudo-spectral (sample on a
-de-aliased grid, apply the map pointwise, project back).  Expansions
-in a small parameter are handled by :class:`EpsJet`, a list of maps
-acting as Taylor coefficients.
+:class:`FourierMap`: coefficients ``c_k`` over integer frequency vectors
+``k`` with Euclidean norm at most a truncation radius ``K``, stored as
+one sorted ``(n, m)`` integer key array and one ``(n, *value_shape)``
+complex value array.  Every coefficient-wise operation is an array
+operation on that pair.  Products are true coefficient convolutions,
+summed on equal keys by one helper; composition with nonlinear maps is
+pseudo-spectral (sample on a de-aliased grid, apply the map pointwise,
+project back).  Expansions in a small parameter are handled by
+:class:`EpsJet`, a list of maps acting as Taylor coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,6 +44,52 @@ def _as_omega(omega, m):
     return w
 
 
+def _knorms(keys):
+    return np.sqrt(np.sum(keys * keys, axis=1))
+
+
+def _find(keys, queries):
+    """Index of the row of the distinct ``keys`` equal to each query row, or -1."""
+    _, inv = np.unique(np.concatenate([keys, queries]), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    row = np.full(len(keys) + len(queries), -1)
+    row[inv[:len(keys)]] = np.arange(len(keys))
+    return row[inv[len(keys):]]
+
+
+def _sum_on_keys(keys, values):
+    """Distinct keys in order of first appearance, each with its values summed.
+
+    Each sum starts from the first value and adds the others in row order,
+    as a running accumulation does, so zeros keep their signs.
+    """
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    out = values[first]
+    rest = np.setdiff1d(np.arange(len(keys)), first)  # every other row, in row order
+    np.add.at(out, inv.reshape(-1)[rest], values[rest])
+    order = np.argsort(first)
+    return keys[first[order]], out[order]
+
+
+def _hermitian_closure(keys, values):
+    """Rows with ``c_{-k} = conj(c_k)`` enforced exactly.
+
+    Of each pair ``k, -k`` the earlier row leads: it takes the average
+    ``(c_k + conj(c_{-k})) / 2``, or half of ``c_k`` when ``-k`` is
+    absent, and its partner the conjugate.  Which row leads decides only
+    the signs of zero parts.
+    """
+    rows = np.arange(len(keys))
+    partner = _find(keys, -keys)
+    lead = (partner < 0) | (partner >= rows)
+    paired = lead & (partner >= 0)
+    c = 0.5 * values
+    c[paired] = 0.5 * (values[paired] + np.conj(values[partner[paired]]))
+    mirror = lead & (partner != rows)
+    return (np.concatenate([keys[lead], -keys[mirror]]),
+            np.concatenate([c[lead], np.conj(c[mirror])]))
+
+
 class FourierMap:
     """Truncated Fourier series ``phi -> sum_k c_k exp(i<k, phi>)``.
 
@@ -51,17 +100,22 @@ class FourierMap:
     K : float
         Truncation radius; only frequencies with Euclidean norm
         ``|k| <= K`` are stored.
-    coeffs : dict
-        Sparse association of integer tuples ``k`` to complex
-        coefficient arrays, all of a common shape.
+    coeffs : dict or tuple
+        A dict from integer tuples ``k`` to complex coefficient arrays of a
+        common shape, or a pair ``(keys, values)`` of arrays laid out as
+        the storage below, with distinct key rows.
     value_shape : tuple
         Shape of each coefficient: ``()`` for scalar-valued maps,
         ``(p,)`` for vector-valued, ``(p, q)`` for matrix-valued.
     real : bool
         If True the map is real-valued and the Hermitian symmetry
-        ``c_{-k} = conj(c_k)`` is enforced exactly on construction.
+        ``c_{-k} = conj(c_k)`` is enforced exactly on construction, led
+        by whichever of ``k, -k`` comes first in dict or row order.
 
-    Instances are immutable by convention: no method mutates ``coeffs``.
+    Storage is one key array ``keys`` of shape ``(n, m)``, sorted
+    lexicographically, and one complex value array ``values`` of shape
+    ``(n, *value_shape)``; zero coefficients are not stored.  Both are
+    read-only, and ``coeffs`` is a read-only ``{k: c_k}`` view of them.
     """
 
     def __init__(self, m, K, coeffs, value_shape, real=True):
@@ -71,21 +125,32 @@ class FourierMap:
         self.real = bool(real)
         if self.m < 1:
             raise ValueError("torus dimension must be >= 1")
-        clean = {}
-        for k, c in coeffs.items():
-            k = tuple(int(x) for x in k)
-            if len(k) != self.m:
-                raise ValueError(f"frequency {k} does not match torus dimension {self.m}")
-            if _knorm(k) > self.K + 1e-12:
-                raise ValueError(f"frequency {k} outside truncation radius {self.K}")
-            c = np.asarray(c, dtype=complex)
-            if c.shape != self.value_shape:
-                raise ValueError(f"coefficient at {k} has shape {c.shape}, expected {self.value_shape}")
-            clean[k] = c
+        if isinstance(coeffs, tuple):
+            keys, values = coeffs
+        else:
+            keys = [tuple(int(x) for x in k) for k in coeffs]
+            values = [np.asarray(c, dtype=complex) for c in coeffs.values()]
+            for k, c in zip(keys, values):
+                if len(k) != self.m:
+                    raise ValueError(f"frequency {k} does not match torus dimension {self.m}")
+                if c.shape != self.value_shape:
+                    raise ValueError(f"coefficient at {k} has shape {c.shape}, "
+                                     f"expected {self.value_shape}")
+        n = len(keys)
+        keys = np.asarray(keys, dtype=np.int64).reshape(n, self.m)
+        values = np.asarray(values, dtype=complex).reshape((n,) + self.value_shape)
+        outside = _knorms(keys) > self.K + 1e-12
+        if outside.any():
+            k = tuple(keys[outside][0].tolist())
+            raise ValueError(f"frequency {k} outside truncation radius {self.K}")
         if self.real:
-            clean = _symmetrize(clean)
-        self.coeffs = {k: clean[k] for k in sorted(clean) if np.any(clean[k])}
-        self._cache = None
+            keys, values = _hermitian_closure(keys, values)
+        nonzero = np.any(values.reshape(len(keys), self.p) != 0, axis=1)
+        keys, values = keys[nonzero], values[nonzero]
+        order = np.lexsort(keys.T[::-1])
+        self.keys, self.values = keys[order], values[order]
+        self.keys.flags.writeable = False
+        self.values.flags.writeable = False
 
     # ------------------------------------------------------------------
     # constructors
@@ -104,11 +169,15 @@ class FourierMap:
         value = np.asarray(value, dtype=complex)
         k = tuple(int(x) for x in k)
         if K is None:
-            K = _knorm(k)
+            K = math.sqrt(sum(x * x for x in k))
         coeffs = {k: value}
         if any(k):
             coeffs[tuple(-x for x in k)] = np.conj(value)
         return cls(m, K, coeffs, value.shape)
+
+    def _like(self, values, value_shape):
+        """A map on this map's keys with new values."""
+        return FourierMap(self.m, self.K, (self.keys, values), value_shape, real=self.real)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -117,25 +186,33 @@ class FourierMap:
         """Total number of (flattened) value components."""
         return int(np.prod(self.value_shape, dtype=int)) if self.value_shape else 1
 
+    @property
+    def coeffs(self):
+        """Read-only ``{k: c_k}`` view in key order, built on each access."""
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.values)))
+
+    def _at(self, keys):
+        """Coefficients at the given key rows, zero where none is stored."""
+        row = _find(self.keys, keys)
+        out = np.zeros((len(keys),) + self.value_shape, dtype=complex)
+        out[row >= 0] = self.values[row[row >= 0]]
+        return out
+
     def norm(self):
         """l2 norm of the coefficient set (Frobenius over values)."""
-        if not self.coeffs:
-            return 0.0
-        return math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in self.coeffs.values()))
+        return self.shell_mass(-1.0)  # every frequency lies outside radius -1
 
     def shell_mass(self, inner_radius):
         """Coefficient mass carried by frequencies with ``|k| > inner_radius``."""
-        s = sum(
-            float(np.sum(np.abs(c) ** 2))
-            for k, c in self.coeffs.items()
-            if _knorm(k) > inner_radius + 1e-12
-        )
-        return math.sqrt(s)
+        shell = self.values[_knorms(self.keys) > inner_radius + 1e-12]
+        masses = np.sum(np.abs(shell.reshape(len(shell), self.p)) ** 2, axis=1)
+        # Summed over keys in key order: reported norms keep their last bits.
+        return math.sqrt(sum(masses.tolist()))
 
     def __repr__(self):
         return (
             f"FourierMap(m={self.m}, K={self.K}, value_shape={self.value_shape}, "
-            f"n_coeffs={len(self.coeffs)}, real={self.real})"
+            f"n_coeffs={len(self.keys)}, real={self.real})"
         )
 
     # ------------------------------------------------------------------
@@ -145,32 +222,29 @@ class FourierMap:
             raise TypeError("expected a FourierMap")
         if (self.m, self.value_shape) != (other.m, other.value_shape):
             raise ValueError("incompatible FourierMaps")
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = np.zeros(self.value_shape, dtype=complex)
-        out = {k: op(self.coeffs.get(k, zero), other.coeffs.get(k, zero)) for k in keys}
-        return FourierMap(self.m, max(self.K, other.K), out, self.value_shape,
+        # Of each conjugate pair, the key the union set yields first leads
+        # the closure; that signs zero parts, and so the artifacts' bytes.
+        union = set(map(tuple, self.keys.tolist())) | set(map(tuple, other.keys.tolist()))
+        keys = np.array(list(union), dtype=np.int64).reshape(len(union), self.m)
+        values = op(self._at(keys), other._at(keys))
+        return FourierMap(self.m, max(self.K, other.K), (keys, values), self.value_shape,
                           real=self.real and other.real)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, np.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, np.subtract)
 
     def scale(self, s):
         """Multiply every coefficient by the real scalar ``s``."""
-        s = float(s)
-        return FourierMap(self.m, self.K, {k: s * c for k, c in self.coeffs.items()},
-                          self.value_shape, real=self.real)
+        return self._like(float(s) * self.values, self.value_shape)
 
     def component(self, idx):
         """Extract one scalar component of a vector-valued map."""
         if len(self.value_shape) != 1:
             raise ValueError("component() expects a vector-valued map")
-        return FourierMap(
-            self.m, self.K, {k: np.asarray(c[idx]) for k, c in self.coeffs.items()},
-            (), real=self.real,
-        )
+        return self._like(self.values[:, idx], ())
 
     def jacobian(self):
         """Derivative with respect to the angles.
@@ -178,22 +252,12 @@ class FourierMap:
         Appends one axis of length ``m`` to the value shape; the entry
         ``[..., l]`` is the partial derivative along ``phi_l``.
         """
-        out = {}
-        for k, c in self.coeffs.items():
-            ik = 1j * np.asarray(k, dtype=float)
-            out[k] = c[..., None] * ik
-        return FourierMap(self.m, self.K, out, self.value_shape + (self.m,), real=self.real)
+        ik = (1j * self.keys.astype(float)).reshape(
+            (len(self.keys),) + (1,) * len(self.value_shape) + (self.m,))
+        return self._like(self.values[..., None] * ik, self.value_shape + (self.m,))
 
     # ------------------------------------------------------------------
     # evaluation
-    def _eval_arrays(self):
-        if self._cache is None:
-            keys = sorted(self.coeffs)
-            kmat = np.array(keys, dtype=float).reshape(len(keys), self.m)
-            cmat = np.stack([self.coeffs[k] for k in keys]) if keys else np.zeros((0,) + self.value_shape)
-            self._cache = (kmat, cmat)
-        return self._cache
-
     def eval(self, phi):
         """Evaluate at angles ``phi`` (shape ``(..., m)`` or ``(m,)``).
 
@@ -202,12 +266,8 @@ class FourierMap:
         phi = np.asarray(phi, dtype=float)
         single = phi.ndim == 1
         pts = np.atleast_2d(phi)
-        kmat, cmat = self._eval_arrays()
-        if kmat.shape[0] == 0:
-            vals = np.zeros(pts.shape[:-1] + self.value_shape, dtype=complex)
-        else:
-            phases = np.exp(1j * pts @ kmat.T)
-            vals = np.tensordot(phases, cmat, axes=(-1, 0))
+        phases = np.exp(1j * pts @ self.keys.astype(float).T)
+        vals = np.tensordot(phases, self.values, axes=(-1, 0))
         if self.real:
             vals = vals.real
         return vals[0] if single else vals
@@ -216,10 +276,9 @@ class FourierMap:
     # serialisation
     def to_json_dict(self):
         """JSON document with lexicographically sorted frequencies."""
-        entries = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k].reshape(-1)
-            entries.append({"k": list(k), "re": c.real.tolist(), "im": c.imag.tolist()})
+        flat = self.values.reshape(len(self.keys), self.p)
+        entries = [{"k": k, "re": re, "im": im} for k, re, im in
+                   zip(self.keys.tolist(), flat.real.tolist(), flat.imag.tolist())]
         return {
             "m": self.m,
             "p": self.p,
@@ -239,29 +298,6 @@ class FourierMap:
         return cls(doc["m"], doc["K"], coeffs, shape, real=doc.get("real", True))
 
 
-def _knorm(k):
-    return math.sqrt(sum(x * x for x in k))
-
-
-def _symmetrize(coeffs):
-    """Enforce c_{-k} = conj(c_k) exactly, averaging stored pairs."""
-    out = {}
-    for k in coeffs:
-        mk = tuple(-x for x in k)
-        if k in out:
-            continue
-        if mk == k:
-            out[k] = 0.5 * (coeffs[k] + np.conj(coeffs[k]))
-            continue
-        if mk in coeffs:
-            c = 0.5 * (coeffs[k] + np.conj(coeffs[mk]))
-        else:
-            c = 0.5 * coeffs[k]
-        out[k] = c
-        out[mk] = np.conj(c)
-    return out
-
-
 # ----------------------------------------------------------------------
 # spectral calculus
 
@@ -273,29 +309,23 @@ def d_omega(f, omega):
     preserved because the multiplier is odd in ``k``.
     """
     w = _as_omega(omega, f.m)
-    out = {}
-    for k, c in f.coeffs.items():
-        out[k] = 1j * float(np.dot(w, k)) * c
-    return FourierMap(f.m, f.K, out, f.value_shape, real=f.real)
+    mult = (1j * np.vecdot(f.keys, w)).reshape((-1,) + (1,) * len(f.value_shape))
+    return f._like(mult * f.values, f.value_shape)
 
 
 def _convolve(f, g, combine, out_shape, K):
+    """Coefficient convolution: ``combine`` every key pair, stacked, and sum on equal keys."""
     if f.m != g.m:
         raise ValueError("torus dimensions differ")
     if K is None:
         K = max(f.K, g.K)
-    acc = {}
-    for k1 in sorted(f.coeffs):
-        c1 = f.coeffs[k1]
-        for k2 in sorted(g.coeffs):
-            k = tuple(a + b for a, b in zip(k1, k2))
-            v = combine(c1, g.coeffs[k2])
-            if k in acc:
-                acc[k] = acc[k] + v
-            else:
-                acc[k] = v
-    kept = {k: v for k, v in acc.items() if _knorm(k) <= K + 1e-12}
-    return FourierMap(f.m, K, kept, out_shape, real=f.real and g.real)
+    i = np.repeat(np.arange(len(f.keys)), len(g.keys))
+    j = np.tile(np.arange(len(g.keys)), len(f.keys))
+    keys = f.keys[i] + g.keys[j]
+    kept = _knorms(keys) <= K + 1e-12
+    i, j, keys = i[kept], j[kept], keys[kept]
+    values = combine(f.values[i], g.values[j]).reshape((len(keys),) + tuple(out_shape))
+    return FourierMap(f.m, K, _sum_on_keys(keys, values), out_shape, real=f.real and g.real)
 
 
 def multiply(f, g, K=None):
@@ -306,19 +336,24 @@ def multiply(f, g, K=None):
     """
     if f.value_shape != ():
         raise ValueError("multiply() expects a scalar-valued first factor")
-    return _convolve(f, g, lambda a, b: a * b, g.value_shape, K=K)
+    return _convolve(f, g, lambda a, b: a.reshape(a.shape + (1,) * (b.ndim - 1)) * b,
+                     g.value_shape, K=K)
 
 
 def matmul(f, g, K=None):
     """Pointwise matrix product of two maps, as a coefficient convolution.
 
-    Value shapes follow ``numpy.matmul``: matrix times vector gives a
-    vector, matrix times matrix a matrix.
+    Value shapes follow ``numpy.matmul`` for vectors and matrices:
+    matrix times vector gives a vector, matrix times matrix a matrix.
     """
     out_shape = np.matmul(
         np.zeros(f.value_shape), np.zeros(g.value_shape)
     ).shape
-    return _convolve(f, g, np.matmul, out_shape, K=K)
+
+    def combine(a, b):  # one pair per row; vectors become one-row or one-column matrices
+        return np.matmul(a[:, None, :] if a.ndim == 2 else a, b[..., None] if b.ndim == 2 else b)
+
+    return _convolve(f, g, combine, out_shape, K=K)
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +393,12 @@ class TorusGrid:
         """Evaluate ``fmap`` on the grid; returns ``(*shape, *value_shape)``."""
         if fmap.m != self.m:
             raise ValueError("torus dimensions differ")
-        cap = self.max_freq()
+        over = np.any(np.abs(fmap.keys) > self.max_freq(), axis=1)
+        if over.any():
+            k = tuple(fmap.keys[over][0].tolist())
+            raise ValueError(f"frequency {k} does not fit on grid {self.shape}")
         dense = np.zeros(self.shape + fmap.value_shape, dtype=complex)
-        for k, c in fmap.coeffs.items():
-            if any(abs(ki) > cap[i] for i, ki in enumerate(k)):
-                raise ValueError(f"frequency {k} does not fit on grid {self.shape}")
-            idx = tuple(ki % n for ki, n in zip(k, self.shape))
-            dense[idx] = c
+        dense[tuple((fmap.keys % self.shape).T)] = fmap.values
         vals = np.fft.ifftn(dense, axes=tuple(range(self.m))) * self.size
         return vals.real if fmap.real else vals
 
@@ -382,12 +416,11 @@ class TorusGrid:
         # The frequencies of the Nyquist box that lie in the ball |k| <= K.
         box = np.meshgrid(*[np.arange(-c, c + 1) for c in self.max_freq()], indexing="ij")
         ks = np.stack(box, axis=-1).reshape(-1, self.m)
-        ks = ks[np.sqrt(np.sum(ks * ks, axis=1)) <= K + 1e-12]
+        ks = ks[_knorms(ks) <= K + 1e-12]
         vals = spec[tuple((ks % self.shape).T)]
         mags = np.abs(vals).max(axis=tuple(range(1, vals.ndim)), initial=0.0)
         keep = mags > prune * mags.max(initial=0.0)
-        coeffs = {tuple(k): c for k, c in zip(ks[keep].tolist(), vals[keep])}
-        return FourierMap(self.m, K, coeffs, value_shape, real=real)
+        return FourierMap(self.m, K, (ks[keep], vals[keep]), value_shape, real=real)
 
 
 # ----------------------------------------------------------------------

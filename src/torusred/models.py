@@ -162,8 +162,7 @@ def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     pi = grid.project(pi_vals, K)
 
     bundle = TorusBundle(e0, np.array([p.frequency]), N, L, pi)
-    _, bundle.diagnostics = validate_bundle(bundle, F0=stuart_landau_field(p),
-                                            grid=grid, pde_tol=1e-10)
+    _, bundle.diagnostics = validate_bundle(bundle, F0=stuart_landau_field(p), pde_tol=1e-10)
     return bundle
 
 

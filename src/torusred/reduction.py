@@ -12,8 +12,6 @@ embedding.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bundle import validate_bundle
@@ -91,8 +89,7 @@ class ReductionResult:
 def _apply_matrix(mat, f):
     """Constant matrix acting on a vector-valued map, coefficient-wise."""
     mat = np.asarray(mat)
-    out = {k: mat @ c for k, c in f.coeffs.items()}
-    return FourierMap(f.m, f.K, out, (mat.shape[0],), real=f.real)
+    return f._like(np.matmul(mat, f.values[..., None])[..., 0], (mat.shape[0],))
 
 
 def order_forcing(j, model, e_terms, f_terms, K, grid=None):
@@ -153,20 +150,17 @@ def solve_tangential(U, omega, K_nf, tol_res, g_choice=None):
     if g_choice is not None:
         f = U - d_omega(g_choice, w)
         return f, g_choice
-    f_coeffs, g_coeffs = {}, {}
-    for k in sorted(U.coeffs):
-        c = U.coeffs[k]
-        s = float(np.dot(w, k))
-        if abs(s) <= tol_res:
-            f_coeffs[k] = c
-        elif abs(s) < SMALL_DIVISOR_FLOOR:
-            raise SmallDivisorError(k, s, SMALL_DIVISOR_FLOOR)
-        elif math.sqrt(sum(x * x for x in k)) <= K_nf + 1e-12:
-            g_coeffs[k] = c / (1j * s)
-        else:
-            f_coeffs[k] = c
-    f = FourierMap(U.m, U.K, f_coeffs, U.value_shape, real=U.real)
-    g = FourierMap(U.m, U.K, g_coeffs, U.value_shape, real=U.real)
+    s = np.vecdot(U.keys, w)
+    resonant = np.abs(s) <= tol_res
+    small = ~resonant & (np.abs(s) < SMALL_DIVISOR_FLOOR)
+    if small.any():
+        first = int(np.argmax(small))  # keys are sorted: the first offending k
+        raise SmallDivisorError(U.keys[first].tolist(), float(s[first]), SMALL_DIVISOR_FLOOR)
+    into_g = ~resonant & (np.linalg.norm(U.keys, axis=1) <= K_nf + 1e-12)
+    divisor = (1j * s[into_g]).reshape((-1,) + (1,) * len(U.value_shape))
+    f = FourierMap(U.m, U.K, (U.keys[~into_g], U.values[~into_g]), U.value_shape, real=U.real)
+    g = FourierMap(U.m, U.K, (U.keys[into_g], U.values[into_g] / divisor), U.value_shape,
+                   real=U.real)
     return f, g
 
 
@@ -181,22 +175,14 @@ def solve_normal(V, omega, L):
     gap = float(np.min(np.abs(np.linalg.eigvals(L).real)))
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix not hyperbolic (gap {gap:.3e})")
-    w = np.asarray(omega, dtype=float).reshape(-1)
-    r = L.shape[0]
-    eye = np.eye(r)
-    out = {}
-    worst = 0.0
-    scale = max(1.0, V.norm())
-    for k in sorted(V.coeffs):
-        c = V.coeffs[k]
-        s = float(np.dot(w, k))
-        A = 1j * s * eye - L
-        h = np.linalg.solve(A, c)
-        worst = max(worst, float(np.max(np.abs(A @ h - c))))
-        out[k] = h
-    if worst > NORMAL_RESIDUAL_TOL * scale:
+    s = np.vecdot(V.keys, np.asarray(omega, dtype=float).reshape(-1))
+    A = (1j * s)[:, None, None] * np.eye(L.shape[0]) - L
+    c = V.values[..., None]
+    h = np.linalg.solve(A, c)
+    worst = float(np.max(np.abs(A @ h - c), initial=0.0))
+    if worst > NORMAL_RESIDUAL_TOL * max(1.0, V.norm()):
         raise NumericalError(f"normal homological solve residual {worst:.3e}")
-    return FourierMap(V.m, V.K, out, V.value_shape, real=V.real)
+    return V._like(h[..., 0], V.value_shape)
 
 
 def _check_saturation(label, fmap, K):

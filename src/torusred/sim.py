@@ -18,6 +18,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .bundle import _rk4_step
 from .errors import ConfigError
+from .fourier import FourierMap
 from .models import OUTER_PAIR, phases_from_state
 
 __all__ = [
@@ -231,21 +232,13 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
     if spec.dt * float(np.max(np.abs(omega))) >= math.pi:
         raise ConfigError("dt too large: per-step phase increments would exceed pi")
     # Collapse the expansion into one sparse series at this coupling.
-    combined = {}
+    series = FourierMap.zero(omega.size, (omega.size,), result.K)
     for j, f in enumerate(result.phase_terms, start=1):
-        w = eps ** j
-        for k, c in f.coeffs.items():
-            combined[k] = combined.get(k, 0.0) + w * c
-    if combined:
-        keys = sorted(combined)
-        kmat = np.array(keys, dtype=float)
-        cmat = np.array([combined[k] for k in keys])
+        series = series + f.scale(eps ** j)
+    kmat, cmat = series.keys.astype(float), series.values
 
-        def rhs(p):
-            return omega + (np.exp(1j * (kmat @ p)) @ cmat).real
-    else:
-        def rhs(p):
-            return omega
+    def rhs(p):
+        return omega + (np.exp(1j * (kmat @ p)) @ cmat).real
 
     i_idx, j_idx = OUTER_PAIR
     shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))

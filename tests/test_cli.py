@@ -109,6 +109,19 @@ def test_too_small_truncation_exits_with_numerical_error(tmp_path, capsys):
     assert "raise K" in capsys.readouterr().err
 
 
+def test_small_divisor_exits_with_numerical_error(tmp_path, capsys):
+    # The middle frequency 2 + 5e-7 puts <omega, (-1, 1, 0)> = 5e-7 between
+    # the resonance threshold tol_res and the small-divisor floor.
+    doc = {
+        "command": "reduce",
+        "model": {"chain": {**SET1_MODEL["chain"], "b": 3.0 + 5e-7}},
+        "numerics": {"K": 8, "K_nf": 6, "J": 2},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
+    assert "small divisor at k=(-1, 1, 0)" in capsys.readouterr().err
+
+
 def test_invalid_json_is_config_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusred.fourier import (
     EpsJet,
@@ -405,3 +406,169 @@ def test_json_round_trip():
     assert (f - g).norm() <= 1e-15
     ks = [tuple(entry["k"]) for entry in doc["coeffs"]]
     assert ks == sorted(ks)
+
+
+# ----------------------------------------------------------------------
+# property tests: the algebra any coefficient storage has to keep
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+BOX = 2  # |k_i| <= BOX for drawn frequencies
+
+# Values with exact zeros of both signs, so the tests see how zeros are closed.
+PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.25, 1.0]) | st.floats(
+    -2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+def complex_value(re, im, shape):
+    c = np.empty(len(re), dtype=complex)
+    c.real, c.imag = re, im
+    return c.reshape(shape)
+
+
+@st.composite
+def coeff_dicts(draw, m, shape):
+    """Sparse ``{k: c_k}`` in drawn insertion order, zeros and signed zeros included."""
+    keys = draw(st.lists(st.tuples(*[st.integers(-BOX, BOX)] * m), unique=True, max_size=7))
+    p = int(np.prod(shape, dtype=int))
+    parts = st.lists(PARTS, min_size=p, max_size=p)
+    return {k: complex_value(draw(parts), draw(parts), shape) for k in keys}
+
+
+@st.composite
+def real_maps(draw, m, shape):
+    return FourierMap(m, BOX * m, draw(coeff_dicts(m, shape)), shape)
+
+
+def dict_symmetrize(coeffs):
+    """Reference closure on a ``{k: c_k}`` dict, one pair at a time."""
+    out = {}
+    for k in coeffs:
+        mk = tuple(-x for x in k)
+        if k in out:
+            continue
+        if mk == k:
+            out[k] = 0.5 * (coeffs[k] + np.conj(coeffs[k]))
+            continue
+        if mk in coeffs:
+            c = 0.5 * (coeffs[k] + np.conj(coeffs[mk]))
+        else:
+            c = 0.5 * coeffs[k]
+        out[k] = c
+        out[mk] = np.conj(c)
+    return out
+
+
+def dict_close(coeffs, real):
+    """Reference construction from a dict: closure, zero drop, key order."""
+    if real:
+        coeffs = dict_symmetrize(coeffs)
+    return {k: coeffs[k] for k in sorted(coeffs) if np.any(coeffs[k])}
+
+
+def dict_convolve(f, g, combine, K):
+    """Reference convolution: one key pair at a time, accumulated in a dict."""
+    acc = {}
+    for k1 in sorted(f.coeffs):
+        c1 = f.coeffs[k1]
+        for k2 in sorted(g.coeffs):
+            k = tuple(a + b for a, b in zip(k1, k2))
+            v = combine(c1, g.coeffs[k2])
+            if k in acc:
+                acc[k] = acc[k] + v
+            else:
+                acc[k] = v
+    kept = {k: v for k, v in acc.items() if math.sqrt(sum(x * x for x in k)) <= K + 1e-12}
+    return dict_close(kept, f.real and g.real)
+
+
+def dict_binary(f, g, op):
+    """Reference sum and difference over the union of the key sets."""
+    zero = np.zeros(f.value_shape, dtype=complex)
+    keys = set(f.coeffs) | set(g.coeffs)
+    out = {k: op(f.coeffs.get(k, zero), g.coeffs.get(k, zero)) for k in keys}
+    return dict_close(out, f.real and g.real)
+
+
+def assert_bitwise(fmap, ref):
+    """Equal key sequences and bit-identical coefficients, signed zeros included."""
+    assert list(fmap.coeffs) == list(ref)
+    for k, c in ref.items():
+        got = fmap.coeffs[k]
+        assert got.shape == c.shape and got.dtype == c.dtype
+        assert got.tobytes() == np.ascontiguousarray(c).tobytes(), k
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 3).flatmap(lambda m: coeff_dicts(m, (2,)).map(lambda d: (m, d))))
+def test_property_construction_closes_hermitian_pairs(case):
+    m, coeffs = case
+    f = FourierMap(m, BOX * m, coeffs, (2,))
+    for k, c in f.coeffs.items():
+        assert np.array_equal(f.coeffs[tuple(-x for x in k)], np.conj(c))
+    assert_bitwise(f, dict_close(coeffs, True))
+    assert_bitwise(FourierMap(m, BOX * m, coeffs, (2,), real=False), dict_close(coeffs, False))
+
+
+@PROPERTY_SETTINGS
+@given(real_maps(2, ()), real_maps(2, ()), st.tuples(PARTS, PARTS))
+def test_property_d_omega_is_a_derivation(f, g, omega):
+    K = 2.0 * BOX * 2
+    lhs = d_omega(multiply(f, g, K=K), omega)
+    rhs = multiply(d_omega(f, omega), g, K=K) + multiply(f, d_omega(g, omega), K=K)
+    assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
+
+
+@PROPERTY_SETTINGS
+@given(real_maps(2, ()), real_maps(2, ()))
+def test_property_jacobian_is_a_derivation(f, g):
+    K = 2.0 * BOX * 2
+    lhs = multiply(f, g, K=K).jacobian()
+    rhs = multiply(g, f.jacobian(), K=K) + multiply(f, g.jacobian(), K=K)
+    assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    real_maps(m, (2,)),
+    st.lists(st.integers(2 * BOX + 1, 2 * BOX + 4), min_size=m, max_size=m))))
+def test_property_project_inverts_sample_inside_the_nyquist_box(case):
+    f, shape = case
+    grid = TorusGrid(f.m, shape)
+    back = grid.project(grid.sample(f), f.K, prune=0.0)
+    assert (back - f).norm() <= 1e-13 * max(1.0, f.norm())
+
+
+@PROPERTY_SETTINGS
+@given(real_maps(2, ()), real_maps(2, (2,)))
+def test_property_multiply_matches_grid_product(f, g):
+    K = 2.0 * BOX * 2
+    grid = dealias_grid(2, K)
+    expected = grid.project(grid.sample(f)[..., None] * grid.sample(g), K, prune=0.0)
+    assert (multiply(f, g, K=K) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
+
+
+@PROPERTY_SETTINGS
+@given(real_maps(2, (2, 2)), real_maps(2, (2,)), real_maps(2, (2, 2)))
+def test_property_matmul_matches_grid_product(A, x, B):
+    K = 2.0 * BOX * 2
+    grid = dealias_grid(2, K)
+    Av = grid.sample(A)
+    for g, prod in ((x, (Av @ grid.sample(x)[..., None])[..., 0]), (B, Av @ grid.sample(B))):
+        expected = grid.project(prod, K, prune=0.0)
+        assert (matmul(A, g, K=K) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
+
+
+@PROPERTY_SETTINGS
+@given(real_maps(2, ()), real_maps(2, (2,)), real_maps(2, (2, 2)), real_maps(2, (2, 2)),
+       st.sampled_from([2.0, 3.0, 8.0]))
+def test_property_products_match_the_dict_convolution(s, x, A, B, K):
+    assert_bitwise(multiply(s, x, K=K), dict_convolve(s, x, lambda a, b: a * b, K))
+    assert_bitwise(matmul(A, x, K=K), dict_convolve(A, x, np.matmul, K))
+    assert_bitwise(matmul(A, B, K=K), dict_convolve(A, B, np.matmul, K))
+
+
+@PROPERTY_SETTINGS
+@given(real_maps(3, (3,)), real_maps(3, (3,)))
+def test_property_sum_and_difference_match_the_dict_arithmetic(f, g):
+    assert_bitwise(f + g, dict_binary(f, g, lambda a, b: a + b))
+    assert_bitwise(f - g, dict_binary(f, g, lambda a, b: a - b))

@@ -3,6 +3,7 @@ import pytest
 
 from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
+from torusred.fourier import TorusGrid
 from torusred.models import (
     ChainConfig,
     StuartLandauParams,
@@ -32,6 +33,23 @@ def test_stuart_landau_second_parameter_set():
 def test_stuart_landau_rejects_missing_cycle():
     with pytest.raises(ConfigError):
         StuartLandauParams(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("K", [4.0, 8.0, 12.0])
+def test_sl_bundle_checks_on_the_circle_floor(monkeypatch, K):
+    # Every grid sample during construction belongs to the bundle check,
+    # which must run on at least the 64 nodes validate_bundle keeps for circles.
+    sizes = []
+    sample = TorusGrid.sample
+
+    def spy(grid, fmap):
+        sizes.append(grid.size)
+        return sample(grid, fmap)
+
+    monkeypatch.setattr(TorusGrid, "sample", spy)
+    b = sl_bundle(StuartLandauParams(1.0, 1.0, -1.0, 1.0), K=K)
+    assert sizes and min(sizes) >= 64
+    assert b.diagnostics["pde_residual_rel"] <= 1e-10
 
 
 def test_sl_bundle_closed_forms():
