@@ -32,6 +32,7 @@ from .bundle import (
     validate_bundle,
 )
 from .errors import (
+    AliasingError,
     ConfigError,
     HyperbolicityError,
     NumericalError,
@@ -44,11 +45,12 @@ from .fourier import (
     FourierMap,
     SmoothMap,
     TorusGrid,
+    check_grid,
     d_omega,
-    dealias_grid,
     jet_compose,
     matmul,
     multiply,
+    spectral_grid,
 )
 from .models import (
     ChainConfig,
@@ -89,6 +91,7 @@ from .sim import (
 )
 
 __all__ = [
+    "AliasingError",
     "ChainConfig",
     "ConfigError",
     "EpsJet",
@@ -115,8 +118,8 @@ __all__ = [
     "chain_slow_law",
     "conjugacy_residual",
     "cycle_bundle",
+    "check_grid",
     "d_omega",
-    "dealias_grid",
     "embedding_distance",
     "envelope",
     "find_limit_cycle",
@@ -135,6 +138,7 @@ __all__ = [
     "phases_from_state",
     "product_bundle",
     "sl_bundle",
+    "spectral_grid",
     "solve_normal",
     "solve_tangential",
     "split_forcing",

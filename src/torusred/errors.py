@@ -2,7 +2,7 @@
 
 Two broad families matter to callers: configuration problems (bad
 parameters, invalid run configs) and numerical failures (lost
-hyperbolicity, small divisors, saturated truncation).  The CLI maps
+hyperbolicity, small divisors, saturated truncation, aliasing).  The CLI maps
 them onto distinct exit codes.
 """
 
@@ -50,6 +50,19 @@ class TruncationSaturationError(NumericalError):
         self.label = label
         self.K = K
         self.shell_mass = shell_mass
+
+
+class AliasingError(NumericalError):
+    """A series computed on a grid carries mass on the grid's guard shell."""
+
+    def __init__(self, label, shape, guard_mass):
+        super().__init__(
+            f"series '{label}' has mass {guard_mass:.3e} on the guard shell of "
+            f"grid {shape}, so it may alias; raise the grid"
+        )
+        self.label = label
+        self.shape = shape
+        self.guard_mass = guard_mass
 
 
 class HyperbolicityError(NumericalError):

@@ -8,9 +8,12 @@ one sorted ``(n, m)`` integer key array and one ``(n, *value_shape)``
 complex value array.  Every coefficient-wise operation is an array
 operation on that pair.  Products are true coefficient convolutions,
 summed on equal keys by one helper; composition with nonlinear maps is
-pseudo-spectral (sample on a de-aliased grid, apply the map pointwise,
-project back).  Expansions in a small parameter are handled by
-:class:`EpsJet`, a list of maps acting as Taylor coefficients.
+pseudo-spectral (sample on a grid, apply the map pointwise, project
+back).  One rule, :func:`spectral_grid`, sizes every computation grid
+from the frequency support of the result; :func:`check_grid` states the
+node floor of every pointwise check.  Expansions in a small parameter
+are handled by :class:`EpsJet`, a list of maps acting as Taylor
+coefficients.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ __all__ = [
     "multiply",
     "matmul",
     "jet_compose",
-    "dealias_grid",
+    "spectral_grid",
+    "check_grid",
 ]
 
 
@@ -187,6 +191,11 @@ class FourierMap:
         return int(np.prod(self.value_shape, dtype=int)) if self.value_shape else 1
 
     @property
+    def support(self):
+        """Largest ``|k_i|`` over the stored frequencies; 0 for a constant or empty map."""
+        return int(np.max(np.abs(self.keys), initial=0))
+
+    @property
     def coeffs(self):
         """Read-only ``{k: c_k}`` view in key order, built on each access."""
         return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.values)))
@@ -222,10 +231,9 @@ class FourierMap:
             raise TypeError("expected a FourierMap")
         if (self.m, self.value_shape) != (other.m, other.value_shape):
             raise ValueError("incompatible FourierMaps")
-        # Of each conjugate pair, the key the union set yields first leads
-        # the closure; that signs zero parts, and so the artifacts' bytes.
-        union = set(map(tuple, self.keys.tolist())) | set(map(tuple, other.keys.tolist()))
-        keys = np.array(list(union), dtype=np.int64).reshape(len(union), self.m)
+        # The key union in key order, so the smaller key of each conjugate
+        # pair leads the closure (that signs zero parts in the artifacts).
+        keys = np.unique(np.concatenate([self.keys, other.keys]), axis=0)
         values = op(self._at(keys), other._at(keys))
         return FourierMap(self.m, max(self.K, other.K), (keys, values), self.value_shape,
                           real=self.real and other.real)
@@ -360,17 +368,50 @@ def matmul(f, g, K=None):
 # grids and pseudo-spectral composition
 
 
-def dealias_grid(m, K):
-    """Grid sized by the 3/2 rule so quadratic products do not alias."""
-    n = max(3 * int(math.ceil(K)) + 1, 2 * int(math.ceil(K)) + 2)
+CIRCLE_CHECK_NODES = 64  # a pointwise check on a circle never runs on fewer nodes
+
+
+def _radius_nodes(K):
+    """Nodes per axis of the 3/2-rule grid of truncation radius ``K``."""
+    return max(3 * int(math.ceil(K)) + 1, 2 * int(math.ceil(K)) + 2)
+
+
+def spectral_grid(m, K, support=None):
+    """The grid a pseudo-spectral computation runs on.
+
+    Sampling series, combining them pointwise and projecting back is
+    exact when the result's frequencies fit the grid: products are
+    formed at the nodes, and only the projection can alias.  A result
+    whose ``|k_i|`` stay within ``support`` therefore gets ``2 support + 3``
+    nodes per axis: the support plus one guard shell, on which any mass
+    means the bound was wrong (see :meth:`TorusGrid.guard_mass`).  With no
+    bound, or one that needs more nodes, the grid is the 3/2-rule grid of
+    the truncation radius ``K``.
+    """
+    n = _radius_nodes(K)
+    if support is not None:
+        n = min(n, 2 * int(support) + 3)
+    return TorusGrid(m, (n,) * m)
+
+
+def check_grid(m, K):
+    """The grid of a pointwise check on series of truncation radius ``K``.
+
+    This is the floor of every check: the 3/2-rule node count of ``K`` on
+    each axis, and at least ``CIRCLE_CHECK_NODES`` on a circle.
+    """
+    n = _radius_nodes(K)
+    if m == 1:
+        n = max(n, CIRCLE_CHECK_NODES)
     return TorusGrid(m, (n,) * m)
 
 
 class TorusGrid:
     """Regular sampling grid ``phi_i = 2 pi i / n`` on the m-torus.
 
-    Sampling and projection go through dense FFTs; both are exact for
-    trigonometric polynomials that fit inside the grid's Nyquist box.
+    Sampling is an inverse DFT pruned to the map's frequency box, and
+    projection a dense FFT; both are exact for trigonometric polynomials
+    that fit inside the grid's Nyquist box.
     """
 
     def __init__(self, m, shape):
@@ -389,17 +430,42 @@ class TorusGrid:
     def max_freq(self):
         return tuple((n - 1) // 2 for n in self.shape)
 
+    def guard_mass(self, fmap):
+        """Coefficient mass of ``fmap`` on or beyond the grid's outermost shell.
+
+        On a :func:`spectral_grid` that shell is the guard shell: a result
+        that fits its support bound carries no mass there, and mass folded
+        back by aliasing lands there first.
+        """
+        edge = np.any(np.abs(fmap.keys) >= self.max_freq(), axis=1)
+        return math.sqrt(float(np.sum(np.abs(fmap.values[edge]) ** 2)))
+
     def sample(self, fmap):
-        """Evaluate ``fmap`` on the grid; returns ``(*shape, *value_shape)``."""
+        """Evaluate ``fmap`` on the grid; returns ``(*shape, *value_shape)``.
+
+        The inverse DFT runs one axis at a time over the map's frequency
+        box only, as an ``einsum`` contraction (which stays off
+        multithreaded BLAS).
+        """
         if fmap.m != self.m:
             raise ValueError("torus dimensions differ")
         over = np.any(np.abs(fmap.keys) > self.max_freq(), axis=1)
         if over.any():
             k = tuple(fmap.keys[over][0].tolist())
             raise ValueError(f"frequency {k} does not fit on grid {self.shape}")
-        dense = np.zeros(self.shape + fmap.value_shape, dtype=complex)
-        dense[tuple((fmap.keys % self.shape).T)] = fmap.values
-        vals = np.fft.ifftn(dense, axes=tuple(range(self.m))) * self.size
+        lo = np.min(fmap.keys, axis=0, initial=0)
+        hi = np.max(fmap.keys, axis=0, initial=0)
+        # Value components first, then one axis per frequency of the box.
+        box = np.zeros((fmap.p,) + tuple(hi - lo + 1), dtype=complex)
+        box[(slice(None),) + tuple((fmap.keys - lo).T)] = fmap.values.reshape(-1, fmap.p).T
+        for n, a, b in zip(self.shape, lo, hi):
+            # exp(2 pi i x k / n) at node x, read from the n-th roots of unity
+            roots = np.exp(2j * np.pi * np.arange(n) / n)
+            dft = roots[np.outer(np.arange(n), np.arange(a, b + 1)) % n]
+            # Contract the leading grid axis; its nodes go last, so after m
+            # steps the axes are back in order.
+            box = np.einsum("xk,pk...->p...x", dft, box)
+        vals = np.moveaxis(box, 0, -1).reshape(self.shape + fmap.value_shape)
         return vals.real if fmap.real else vals
 
     def project(self, values, K, real=True, prune=1e-14):
@@ -469,12 +535,18 @@ class SmoothMap:
     jac : callable, optional
         Full Jacobian evaluator ``(..., p_in) -> (..., p_out, p_in)``;
         used by variational integration.
+    degree : int, optional
+        Polynomial degree of ``fun`` in its input, when it is a
+        polynomial.  It bounds the frequency support of compositions, and
+        so sizes their grids; without it, compositions run on the 3/2-rule
+        grid of the truncation radius.
     """
 
-    def __init__(self, fun, derivs=(), jac=None):
+    def __init__(self, fun, derivs=(), jac=None, degree=None):
         self.fun = fun
         self.derivs = tuple(derivs)
         self.jac = jac
+        self.degree = degree
 
     def deriv(self, q, x, *vs):
         if q > len(self.derivs):
@@ -494,6 +566,33 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _composition_support(F_list, supports, order):
+    """Bound on the ``|k_i|`` of the order-``order`` coefficient of ``F(e(phi; eps); eps)``.
+
+    ``supports[r]`` bounds the support of the expansion term ``e_r``.
+    The q-th derivative of a degree-d polynomial is a polynomial of degree
+    ``d - q`` in ``e_0``, linear in each of its q directions, so a term of
+    the composition reaches ``(d - q) supports[0]`` plus the supports of
+    its directions.  None when a map declares no degree.
+    """
+    bound = 0
+    for i, Fi in enumerate(F_list[:order + 1]):
+        if Fi is None:
+            continue
+        if Fi.degree is None:
+            return None
+        s = order - i
+        if s == 0:
+            bound = max(bound, Fi.degree * supports[0])
+            continue
+        for q in range(1, min(s, Fi.degree) + 1):
+            for comp in _compositions(s, q):
+                if all(r < len(supports) for r in comp):
+                    bound = max(bound, (Fi.degree - q) * supports[0]
+                                + sum(supports[r] for r in comp))
+    return bound
+
+
 def jet_compose(F_list, jet, order, K=None, grid=None):
     """Taylor coefficient of order ``order`` of ``F(e(phi; eps); eps)``.
 
@@ -501,12 +600,17 @@ def jet_compose(F_list, jet, order, K=None, grid=None):
     may be None); ``jet`` expands the inner map.  The coefficient
     collects, for every ``i <= order``, the order ``order - i`` part of
     ``F_i`` composed with the expansion, assembled from the supplied
-    directional derivatives on a de-aliased grid.
+    directional derivatives on ``grid``.  The default grid is the
+    :func:`spectral_grid` of the terms' support and the result's support
+    bound, which the maps' declared degrees give.
     """
     if K is None:
         K = max(t.K for t in jet.terms)
     if grid is None:
-        grid = dealias_grid(jet.m, K)
+        supports = [t.support for t in jet.terms]
+        bound = _composition_support(F_list, supports, order)
+        # The grid holds the sampled terms as well as the result.
+        grid = spectral_grid(jet.m, K, None if bound is None else max(bound, *supports))
     samples = [grid.sample(t) for t in jet.terms]
     base = samples[0]
     acc = None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundle import LimitCycle, TorusBundle, product_bundle, validate_bundle
 from .errors import ConfigError
-from .fourier import FourierMap, SmoothMap, dealias_grid
+from .fourier import FourierMap, SmoothMap, spectral_grid
 
 __all__ = [
     "StuartLandauParams",
@@ -120,7 +120,7 @@ def _cubic_oscillator_maps(lin, cub):
             out[..., 2 * j + 1, 2 * j + 1] = (pj - qj).real
         return out
 
-    return SmoothMap(fun, derivs=(d1, d2, d3, d4), jac=jac)
+    return SmoothMap(fun, derivs=(d1, d2, d3, d4), jac=jac, degree=3)
 
 
 def stuart_landau_field(p: StuartLandauParams) -> SmoothMap:
@@ -153,7 +153,7 @@ def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     )
     L = np.array([[p.floquet_exponent]])
 
-    grid = dealias_grid(1, K)
+    grid = spectral_grid(1, K, support=2)  # pi is quadratic in exp(i phi)
     phis = grid.axes()[0]
     pi0 = np.array([[0.0, 0.0], [-d / g, 1.0]])
     cs, sn = np.cos(phis), np.sin(phis)
@@ -301,7 +301,7 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
                 jac1[2 * r + 1, 2 * cidx + 1] = 1.0
 
     F1 = SmoothMap(f1, derivs=(f1_d1, f1_zero, f1_zero, f1_zero),
-                   jac=lambda x: np.broadcast_to(jac1, np.shape(x)[:-1] + (6, 6)))
+                   jac=lambda x: np.broadcast_to(jac1, np.shape(x)[:-1] + (6, 6)), degree=1)
 
     l1, l2 = complex(lin[0]), complex(lin[1])
     c1, c2 = complex(cub[0]), complex(cub[1])

@@ -16,13 +16,14 @@ import numpy as np
 
 from .bundle import validate_bundle
 from .errors import (
+    AliasingError,
     ConfigError,
     HyperbolicityError,
     NumericalError,
     SmallDivisorError,
     TruncationSaturationError,
 )
-from .fourier import EpsJet, FourierMap, d_omega, dealias_grid, jet_compose, matmul
+from .fourier import EpsJet, FourierMap, check_grid, d_omega, jet_compose, matmul, spectral_grid
 from .models import OUTER_PAIR
 
 __all__ = [
@@ -32,13 +33,14 @@ __all__ = [
     "solve_tangential",
     "solve_normal",
     "phase_reduce",
+    "reduction_grid",
     "phase_difference_field",
     "chain_slow_law",
     "conjugacy_residual",
 ]
 
 SMALL_DIVISOR_FLOOR = 1e-6  # nonresonant |<omega, k>| below this aborts the run
-SATURATION_TOL = 1e-9  # relative mass a series may carry on its outermost shell
+SATURATION_TOL = 1e-9  # relative mass a series may carry on its outermost shell (or guard shell)
 RECON_TOL = 1e-9  # relative error of the tangent/fibre reconstruction
 LINEAR_RESIDUAL_TOL = 1e-8  # relative residual of an order's linearised equation
 NORMAL_RESIDUAL_TOL = 1e-10  # relative residual of the normal homological solve
@@ -111,11 +113,18 @@ def order_forcing(j, model, e_terms, f_terms, K, grid=None):
 def split_forcing(Gv, frames):
     """Split a sampled forcing term along the tangent and fibre directions.
 
-    ``Gv`` holds the forcing and ``frames`` the ``(e0', N, pi)`` that
-    ``validate_bundle`` returns, all sampled on one grid.  Pointwise,
-    ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G`` with Moore-Penrose
-    pseudo-inverses of the frames; the reconstruction ``e0' U + N V = G``
-    is verified before the samples of ``(U, V)`` are returned.
+    ``Gv`` holds the forcing and ``frames`` the ``(e0', N, pi)``, all
+    sampled on one grid.  Pointwise, ``U = (e0')^+ pi G`` and
+    ``V = N^+ (1 - pi) G`` with Moore-Penrose pseudo-inverses of the
+    frames; the reconstruction ``e0' U + N V = G`` is verified before the
+    samples of ``(U, V)`` are returned.
+
+    The pseudo-inverses apply the inverse Gram matrices ``(A^T A)^{-1}``,
+    which are rational in the angles in general.  The split is exact on a
+    grid that holds the support of ``U`` and ``V`` when each Gram matrix
+    is constant, as it is on a product of circles whose frames rotate
+    rigidly; otherwise ``U`` and ``V`` are not trigonometric polynomials,
+    their projections alias, and the guard of ``phase_reduce`` applies.
     """
     E, Nv, Pv = frames
 
@@ -191,6 +200,35 @@ def _check_saturation(label, fmap, K):
         raise TruncationSaturationError(label, K, shell)
 
 
+def _alias_margin(label, fmap, grid):
+    """Guard-shell mass of a series over its norm; past ``SATURATION_TOL`` it aborts the run."""
+    mass, scale = grid.guard_mass(fmap), max(fmap.norm(), 1e-16)
+    if mass > SATURATION_TOL * scale:
+        raise AliasingError(label, grid.shape, mass)
+    return mass / scale
+
+
+def reduction_grid(model, bundle, order, K):
+    """The one computation grid of a reduction to order ``order``.
+
+    The first-order forcing is the field on the unperturbed torus; a
+    polynomial field of degree ``d`` reaches ``d s(e0)`` there, with
+    ``s`` the largest ``|k_i|`` of a series.  Each further order is solved
+    in the frames, ``e_j = e0' g_j + N h_j``, which widens the support by
+    ``max(s(e0), s(N))``.  The grid holds that bound plus a guard shell
+    (:func:`spectral_grid`); as the bound rests on the split being exact
+    (see :func:`split_forcing`), every order checks its forcing and both
+    parts of its split on the guard shell.  A field without a declared
+    degree gets the 3/2-rule grid of the truncation radius.
+    """
+    degrees = [F.degree for F in model.F_list if F is not None]
+    support = None
+    if None not in degrees:
+        support = (max(degrees) * bundle.e0.support
+                   + (order - 1) * max(bundle.e0.support, bundle.N.support))
+    return spectral_grid(bundle.m, max(K, bundle.K), support)
+
+
 def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=None):
     """Compute the reduction to the requested order in the coupling.
 
@@ -201,13 +239,16 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         derivatives up to the requested order.
     bundle : TorusBundle
         Fast fibre data of the unperturbed torus; checked against the
-        model's uncoupled field before the iteration starts.
+        model's uncoupled field on the computation grid before the
+        iteration starts.
     order : int
         Number of expansion orders to solve.
     K : float
         Truncation radius of every computed series; defaults to the
         bundle's radius.  Any series with mass on the outermost shell
-        aborts the run with a "raise K" diagnostic.
+        aborts the run with a "raise K" diagnostic.  The computation grid
+        does not depend on ``K`` (see :func:`reduction_grid`); mass on its
+        guard shell aborts the run with a "raise the grid" diagnostic.
     K_nf : float
         Normal-form radius: nonresonant phase-field coefficients with
         ``|k| <= K_nf`` are removed.  Defaults to the truncation radius.
@@ -234,7 +275,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     w = bundle.omega
     if tol_res is None:
         tol_res = 1e-9 * float(np.linalg.norm(w))
-    grid = dealias_grid(bundle.m, max(K, bundle.K))
+    grid = reduction_grid(model, bundle, order, K)
     frames, _ = validate_bundle(bundle, F0=model.F0, grid=grid)
 
     E_map = bundle.e0.jacobian()
@@ -246,11 +287,13 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     for j in range(1, order + 1):
         G = order_forcing(j, model, e_terms, f_terms, K, grid=grid)
         _check_saturation(f"G_{j}", G, K)
+        margin = _alias_margin(f"G_{j}", G, grid)
         Gv = grid.sample(G)
         U_vals, V_vals = split_forcing(Gv, frames)
         U, V = grid.project(U_vals, K), grid.project(V_vals, K)
         _check_saturation(f"U_{j}", U, K)
         _check_saturation(f"V_{j}", V, K)
+        margin = max(margin, _alias_margin(f"U_{j}", U, grid), _alias_margin(f"V_{j}", V, grid))
         g_choice = g_rule(j, U) if g_rule is not None else None
         if g_choice is not None:
             custom_gauge = True
@@ -280,6 +323,8 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
             "forcing_norm": G.norm(),
             "linear_residual_rel": lin_res,
             "shell_mass_e": e_j.shell_mass(K - 1.0),
+            "grid": list(grid.shape),
+            "alias_margin": margin,
         })
         f_terms.append(f_j)
         g_terms.append(g_j)
@@ -344,7 +389,7 @@ def conjugacy_residual(model, result, eps):
     defect shrinks like ``eps^(J+1)``.
     """
     bundle = result.bundle
-    grid = dealias_grid(bundle.m, max(result.K, bundle.K))
+    grid = check_grid(bundle.m, max(result.K, bundle.K))
     e = bundle.e0
     for l, term in enumerate(result.embedding_terms, start=1):
         e = e + term.scale(eps ** l)

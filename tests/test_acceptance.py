@@ -23,7 +23,7 @@ from torusred.cli import (
     check_slow_law,
     check_sync,
 )
-from torusred.fourier import EpsJet, FourierMap, dealias_grid, jet_compose
+from torusred.fourier import EpsJet, FourierMap, jet_compose, spectral_grid
 from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
 from torusred.reduction import (
     chain_slow_law,
@@ -200,7 +200,7 @@ def test_criterion_09c_jet_composition_oracle():
         F_list = [cubic_polynomial_map(rng, 2) for _ in range(3)]
         terms = [random_real_map(rng, 1, 2, K=2, n_harmonics=3).scale(0.4) for _ in range(3)]
         jet = EpsJet(terms)
-        grid = dealias_grid(1, 8.0)
+        grid = spectral_grid(1, 8.0)
         samples = [grid.sample(t) for t in terms]
 
         def full_eval(eps):

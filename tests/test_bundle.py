@@ -84,6 +84,12 @@ def test_floquet_exponents_stuart_landau():
     assert abs(expos[0] - (-2.0 * SET1.alpha)) <= 1e-6
 
 
+def test_floquet_periodic_factor_starts_at_the_identity_exactly():
+    # P(0) = Phi(0) exp(-B 0) = I @ I holds bit for bit, so no check is needed.
+    mono = floquet_decompose(stuart_landau_cycle(SET1))
+    assert np.array_equal(mono.periodic_samples[0], np.eye(2))
+
+
 def test_floquet_rejects_double_unit_eigenvalue():
     with pytest.raises(HyperbolicityError):
         floquet_matrix_from_monodromy(np.eye(2), period=2 * np.pi)

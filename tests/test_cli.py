@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from test_reduction import understated_degree
 
 from torusred.bundle import TorusBundle
 from torusred.cli import (
@@ -120,6 +121,16 @@ def test_small_divisor_exits_with_numerical_error(tmp_path, capsys):
     }
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
     assert "small divisor at k=(-1, 1, 0)" in capsys.readouterr().err
+
+
+def test_aliasing_exits_with_numerical_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("torusred.cli.chain_model", lambda chain: understated_degree(
+        chain_model(chain)))
+    doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 2},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
+    assert "guard shell of grid (7, 7, 7), so it may alias; raise the grid" in \
+        capsys.readouterr().err
 
 
 def test_invalid_json_is_config_error(tmp_path):

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusred.fourier import (
     EpsJet,
@@ -12,10 +12,10 @@ from torusred.fourier import (
     SmoothMap,
     TorusGrid,
     d_omega,
-    dealias_grid,
     jet_compose,
     matmul,
     multiply,
+    spectral_grid,
 )
 from torusred.errors import NumericalError
 
@@ -107,7 +107,7 @@ def test_multiply_matches_grid_product():
     g = random_real_map(rng, 2, 2, K=3)
     K = 8.0
     prod = multiply(f, g, K=K)
-    grid = dealias_grid(2, K)
+    grid = spectral_grid(2, K)
     vals = grid.sample(f)[..., None] * grid.sample(g)
     expected = grid.project(vals, K, prune=0.0)
     diff = (prod - expected).norm()
@@ -213,7 +213,7 @@ def test_jet_compose_linear():
     e0 = random_real_map(rng, 2, 3, K=2)
     e1 = random_real_map(rng, 2, 3, K=2)
     term1 = jet_compose([F0, F1], EpsJet([e0, e1]), order=1, K=5.0)
-    grid = dealias_grid(2, 5.0)
+    grid = spectral_grid(2, 5.0)
     expected = grid.project(grid.sample(e1) @ A.T + grid.sample(e0) @ B.T, 5.0, prune=0.0)
     assert (term1 - expected).norm() <= 1e-11
 
@@ -241,7 +241,7 @@ def test_jet_compose_quadratic_second_order_term():
     e0 = random_real_map(rng, 1, 2, K=1)
     e1 = random_real_map(rng, 1, 2, K=1)
     term2 = jet_compose([F0], EpsJet([e0, e1]), order=2, K=4.0)
-    grid = dealias_grid(1, 4.0)
+    grid = spectral_grid(1, 4.0)
     expected = grid.project(0.5 * d2(None, grid.sample(e1), grid.sample(e1)), 4.0, prune=0.0)
     assert (term2 - expected).norm() <= 1e-12
 
@@ -292,7 +292,7 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     e2 = random_real_map(rng, 1, 2, K=2, n_harmonics=3).scale(0.4)
     jet = EpsJet([e0, e1, e2])
     K = 8.0
-    grid = dealias_grid(1, K)
+    grid = spectral_grid(1, K)
     samples = [grid.sample(t) for t in jet.terms]
 
     def full_eval(eps):
@@ -311,12 +311,32 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     assert np.max(np.abs(got2 - fd2)) <= 1e-5
 
 
+def test_jet_compose_sizes_its_grid_from_the_declared_degree(sampled_shapes):
+    # Cubic maps on terms of support 2: every order reaches support 6, so
+    # the default grid has 15 nodes where the 3/2-rule grid of K = 8 has 25.
+    # At order 2 only terms with derivatives reach it.
+    rng = np.random.default_rng(100)
+    F_list = [cubic_polynomial_map(rng, 2) for _ in range(2)]
+    declared = [SmoothMap(F.fun, F.derivs, degree=3) for F in F_list]
+    jet = EpsJet([FourierMap.harmonic(1, (1,), 0.2 * rng.normal(size=2), K=2.0)
+                  + FourierMap.harmonic(1, (2,), 0.2 * rng.normal(size=2), K=2.0)
+                  for _ in range(3)])
+    for order in range(3):
+        ref = jet_compose(F_list, jet, order=order, K=8.0)
+        assert set(sampled_shapes) == {(25,)}
+        sampled_shapes.clear()
+        got = jet_compose(declared, jet, order=order, K=8.0)
+        assert set(sampled_shapes) == {(15,)}
+        sampled_shapes.clear()
+        assert (got - ref).norm() <= 1e-13 * ref.norm()
+
+
 def test_jet_compose_order_zero_is_compose():
     rng = np.random.default_rng(17)
     F0 = cubic_polynomial_map(rng, 2)
     e0 = random_real_map(rng, 2, 2, K=2)
     term0 = jet_compose([F0], EpsJet([e0]), order=0, K=6.0)
-    grid = dealias_grid(2, 6.0)
+    grid = spectral_grid(2, 6.0)
     direct = grid.project(F0.fun(grid.sample(e0)), 6.0)
     assert (term0 - direct).norm() <= 1e-12
 
@@ -482,9 +502,9 @@ def dict_convolve(f, g, combine, K):
 
 
 def dict_binary(f, g, op):
-    """Reference sum and difference over the union of the key sets."""
+    """Reference sum and difference over the union of the key sets, in key order."""
     zero = np.zeros(f.value_shape, dtype=complex)
-    keys = set(f.coeffs) | set(g.coeffs)
+    keys = sorted(set(f.coeffs) | set(g.coeffs))
     out = {k: op(f.coeffs.get(k, zero), g.coeffs.get(k, zero)) for k in keys}
     return dict_close(out, f.real and g.real)
 
@@ -542,7 +562,7 @@ def test_property_project_inverts_sample_inside_the_nyquist_box(case):
 @given(real_maps(2, ()), real_maps(2, (2,)))
 def test_property_multiply_matches_grid_product(f, g):
     K = 2.0 * BOX * 2
-    grid = dealias_grid(2, K)
+    grid = spectral_grid(2, K)
     expected = grid.project(grid.sample(f)[..., None] * grid.sample(g), K, prune=0.0)
     assert (multiply(f, g, K=K) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
 
@@ -551,7 +571,7 @@ def test_property_multiply_matches_grid_product(f, g):
 @given(real_maps(2, (2, 2)), real_maps(2, (2,)), real_maps(2, (2, 2)))
 def test_property_matmul_matches_grid_product(A, x, B):
     K = 2.0 * BOX * 2
-    grid = dealias_grid(2, K)
+    grid = spectral_grid(2, K)
     Av = grid.sample(A)
     for g, prod in ((x, (Av @ grid.sample(x)[..., None])[..., 0]), (B, Av @ grid.sample(B))):
         expected = grid.project(prod, K, prune=0.0)
@@ -572,3 +592,54 @@ def test_property_products_match_the_dict_convolution(s, x, A, B, K):
 def test_property_sum_and_difference_match_the_dict_arithmetic(f, g):
     assert_bitwise(f + g, dict_binary(f, g, lambda a, b: a + b))
     assert_bitwise(f - g, dict_binary(f, g, lambda a, b: a - b))
+
+
+def dense_sample(grid, fmap):
+    """Reference sample: zero-fill the whole grid and run ``ifftn`` over every value component."""
+    dense = np.zeros(grid.shape + fmap.value_shape, dtype=complex)
+    dense[tuple((fmap.keys % grid.shape).T)] = fmap.values
+    vals = np.fft.ifftn(dense, axes=tuple(range(grid.m))) * grid.size
+    return vals.real if fmap.real else vals
+
+
+@st.composite
+def maps_on_grids(draw, fits=True):
+    """A grid of 2 to 9 nodes per axis and a map with keys in its Nyquist box.
+
+    One key sits on the box's edge; with ``fits=False`` that key lies one
+    frequency beyond it.
+    """
+    m = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(2, 9), min_size=m, max_size=m)))
+    value_shape = draw(st.sampled_from([(), (2,), (2, 3)]))
+    top = [(n - 1) // 2 for n in shape]
+    keys = draw(st.lists(st.tuples(*[st.integers(-t, t) for t in top]), max_size=7))
+    axis = draw(st.integers(0, m - 1))
+    edge = [draw(st.integers(-t, t)) for t in top]
+    edge[axis] = draw(st.sampled_from([-1, 1])) * (top[axis] + (0 if fits else 1))
+    p = int(np.prod(value_shape, dtype=int))
+    parts = st.lists(PARTS, min_size=p, max_size=p)
+    coeffs = {k: complex_value(draw(parts), draw(parts), value_shape)
+              for k in keys + [tuple(edge)]}
+    K = math.sqrt(sum((t + 1) ** 2 for t in top))
+    return TorusGrid(m, shape), FourierMap(m, K, coeffs, value_shape, real=draw(st.booleans()))
+
+
+@PROPERTY_SETTINGS
+@given(maps_on_grids())
+def test_property_pruned_sample_matches_the_dense_ifftn(case):
+    grid, f = case
+    got, ref = grid.sample(f), dense_sample(grid, f)
+    assert got.shape == ref.shape == grid.shape + f.value_shape
+    assert got.dtype == ref.dtype
+    scale = max(1.0, float(np.sum(np.abs(f.values))))
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * scale
+
+
+@PROPERTY_SETTINGS
+@given(maps_on_grids(fits=False))
+def test_property_sample_rejects_a_key_beyond_the_grid(case):
+    grid, f = case
+    assume(np.any(np.abs(f.keys) > grid.max_freq()))  # the closure may zero the key
+    with pytest.raises(ValueError, match="does not fit on grid"):
+        grid.sample(f)

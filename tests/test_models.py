@@ -3,7 +3,6 @@ import pytest
 
 from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
-from torusred.fourier import TorusGrid
 from torusred.models import (
     ChainConfig,
     StuartLandauParams,
@@ -36,19 +35,11 @@ def test_stuart_landau_rejects_missing_cycle():
 
 
 @pytest.mark.parametrize("K", [4.0, 8.0, 12.0])
-def test_sl_bundle_checks_on_the_circle_floor(monkeypatch, K):
+def test_sl_bundle_checks_on_the_circle_floor(sampled_shapes, K):
     # Every grid sample during construction belongs to the bundle check,
     # which must run on at least the 64 nodes validate_bundle keeps for circles.
-    sizes = []
-    sample = TorusGrid.sample
-
-    def spy(grid, fmap):
-        sizes.append(grid.size)
-        return sample(grid, fmap)
-
-    monkeypatch.setattr(TorusGrid, "sample", spy)
     b = sl_bundle(StuartLandauParams(1.0, 1.0, -1.0, 1.0), K=K)
-    assert sizes and min(sizes) >= 64
+    assert sampled_shapes and min(n for (n,) in sampled_shapes) >= 64
     assert b.diagnostics["pde_residual_rel"] <= 1e-10
 
 

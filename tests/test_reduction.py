@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from test_fourier import dense_sample
 
-from torusred.bundle import TorusBundle, validate_bundle
-from torusred.errors import SmallDivisorError, TransversalityError, TruncationSaturationError
-from torusred.fourier import FourierMap, d_omega, dealias_grid, matmul
+from torusred import reduction
+from torusred.bundle import TorusBundle, tangent_identity_residual, validate_bundle
+from torusred.errors import (
+    AliasingError,
+    SmallDivisorError,
+    TransversalityError,
+    TruncationSaturationError,
+)
+from torusred.fourier import FourierMap, SmoothMap, TorusGrid, d_omega, matmul, spectral_grid
 from torusred.models import (
     ChainConfig,
     OscillatorModel,
@@ -17,12 +24,14 @@ from torusred.reduction import (
     order_forcing,
     phase_difference_field,
     phase_reduce,
+    reduction_grid,
     solve_normal,
     solve_tangential,
     split_forcing,
 )
 
 SET1 = dict(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0, a=1.0, b=2.0, c=-1.0, d=-1.0)
+SET2 = dict(alpha=1.0, beta=0.1, gamma=-1.0, delta=1.0, a=1.0, b=6.0, c=-1.0, d=-1.0)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +84,7 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
     # of the conjugacy defect of the order-1 partial sums.
     cfg, model, bundle = chain
     res = reduced
-    grid = dealias_grid(3, 8.0)
+    grid = spectral_grid(3, 8.0)
     e0v = grid.sample(bundle.e0)
     e1v = grid.sample(res.embedding_terms[0])
     E0 = grid.sample(bundle.e0.jacobian())
@@ -101,7 +110,7 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
 
 
 def split(G, bundle):
-    grid = dealias_grid(G.m, G.K)
+    grid = spectral_grid(G.m, G.K)
     frames, _ = validate_bundle(bundle, grid=grid)
     U_vals, V_vals = split_forcing(grid.sample(G), frames)
     return grid.project(U_vals, G.K), grid.project(V_vals, G.K)
@@ -309,6 +318,91 @@ def test_reduce_rejects_saturating_truncation(chain):
     with pytest.raises(TruncationSaturationError) as err:
         phase_reduce(model, bundle, order=2, K=1.0, K_nf=1.0)
     assert "raise K" in str(err.value)
+
+
+# ----------------------------------------------------------------------
+# the computation grid
+
+
+def radius_grid(model, bundle, order, K):
+    """The grid of every reduction before the support rule: the 3/2-rule grid of K."""
+    return spectral_grid(bundle.m, max(K, bundle.K))
+
+
+@pytest.mark.parametrize("J,K", [(2, 8.0), (3, 8.0), (4, 8.0), (4, 12.0)])
+@pytest.mark.parametrize("params", [SET1, SET2], ids=["set1", "set2"])
+def test_support_grid_reduction_matches_the_radius_grid(monkeypatch, params, J, K):
+    # Oracle: the same reduction on the 3/2-rule grid, sampled by dense ifftn.
+    cfg = ChainConfig(**params)
+    model, bundle = chain_model(cfg), chain_bundle(cfg, K=K)
+    new = phase_reduce(model, bundle, order=J, K=K, K_nf=6.0)
+    monkeypatch.setattr(reduction, "reduction_grid", radius_grid)
+    monkeypatch.setattr(TorusGrid, "sample", dense_sample)
+    old = phase_reduce(model, bundle, order=J, K=K, K_nf=6.0)
+    assert [row["grid"] for row in new.residuals] == [[2 * J + 7] * 3] * J
+    assert [row["grid"] for row in old.residuals] == [[3 * int(K) + 1] * 3] * J
+    for name in ("phase_terms", "embedding_terms", "tangent_terms", "fibre_terms"):
+        for a, b in zip(getattr(new, name), getattr(old, name)):
+            scale = max(a.norm(), b.norm())
+            ca, cb = a.coeffs, b.coeffs
+            for k in set(ca) | set(cb):
+                if k in ca and k in cb:
+                    assert np.max(np.abs(ca[k] - cb[k])) <= 1e-13 * scale, (name, k)
+                else:  # noise the projection's 1e-14 relative prune let through
+                    c = ca[k] if k in ca else cb[k]
+                    assert np.max(np.abs(c)) <= 1e-14 * scale, (name, k)
+
+
+def test_computation_grid_does_not_grow_with_K():
+    cfg = ChainConfig(**SET1)
+    model = chain_model(cfg)
+    shapes = [reduction_grid(model, chain_bundle(cfg, K=K), 4, K).shape for K in (8.0, 12.0)]
+    assert shapes == [(15, 15, 15)] * 2
+
+
+def understated_degree(model):
+    """The model with its cubic field declared linear, which undersizes the grid."""
+    F0 = model.F0
+    return OscillatorModel(dims=model.dims, F0=SmoothMap(F0.fun, F0.derivs, F0.jac, degree=1),
+                           perturbations=model.perturbations, omega=model.omega,
+                           complex_pairs=True)
+
+
+def test_undersized_grid_trips_the_alias_guard(chain):
+    # Declared degree 1 gives support 2 at order 2, so 7 nodes per axis with
+    # the guard shell at |k_i| = 3, where the order-2 forcing has mass.
+    cfg, model, bundle = chain
+    lying = understated_degree(model)
+    assert reduction_grid(lying, bundle, 2, 8.0).shape == (7, 7, 7)
+    with pytest.raises(AliasingError, match="'G_2'.*raise the grid") as err:
+        phase_reduce(lying, bundle, order=2, K_nf=6.0)
+    assert err.value.shape == (7, 7, 7)
+    # One order fits: the first-order series stay inside |k_i| <= 2.
+    first = phase_reduce(lying, bundle, order=1, K_nf=6.0)
+    assert first.residuals[0]["grid"] == [5, 5, 5]
+
+
+def test_reduction_reports_grid_and_alias_margin(reduced):
+    for row in reduced.residuals:
+        assert row["grid"] == [11, 11, 11]
+        assert 0.0 <= row["alias_margin"] <= reduction.SATURATION_TOL
+
+
+# Node counts of the parent's check grids: 3 ceil(K) + 1 per axis.
+PARENT_CHECK_NODES = {8.0: 25, 12.0: 37}
+
+
+@pytest.mark.parametrize("K", [8.0, 12.0])
+def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, K):
+    cfg = ChainConfig(**SET1)
+    model, bundle = chain_model(cfg), chain_bundle(cfg, K=K)
+    result = phase_reduce(model, bundle, order=2, K=K, K_nf=6.0)
+    for check in (lambda: validate_bundle(bundle, F0=model.F0),
+                  lambda: tangent_identity_residual(bundle, model.F0),
+                  lambda: conjugacy_residual(model, result, 1e-2)):
+        sampled_shapes.clear()
+        check()
+        assert sampled_shapes and min(min(s) for s in sampled_shapes) >= PARENT_CHECK_NODES[K]
 
 
 # ----------------------------------------------------------------------
