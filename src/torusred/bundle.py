@@ -326,6 +326,10 @@ class TorusBundle:
     def K(self):
         return max(self.e0.K, self.N.K, self.pi.K)
 
+    def sample_frames(self, grid):
+        """``(e0', N, pi)`` sampled on ``grid``."""
+        return grid.sample(self.e0.jacobian()), grid.sample(self.N), grid.sample(self.pi)
+
     def spectral_gap(self):
         return float(np.min(np.abs(np.linalg.eigvals(self.L).real)))
 
@@ -353,9 +357,7 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     """
     if grid is None:
         grid = check_grid(bundle.m, bundle.K)
-    E = grid.sample(bundle.e0.jacobian())
-    Nv = grid.sample(bundle.N)
-    Pv = grid.sample(bundle.pi)
+    E, Nv, Pv = bundle.sample_frames(grid)
     stacked = np.concatenate([E, Nv], axis=-1)
     max_cond = float(np.max(np.linalg.cond(stacked.reshape((-1,) + stacked.shape[-2:]))))
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:

@@ -465,8 +465,9 @@ class TorusGrid:
             # Contract the leading grid axis; its nodes go last, so after m
             # steps the axes are back in order.
             box = np.einsum("xk,pk...->p...x", dft, box)
-        vals = np.moveaxis(box, 0, -1).reshape(self.shape + fmap.value_shape)
-        return vals.real if fmap.real else vals
+        # A contiguous copy, so a real map keeps no complex buffer alive.
+        vals = np.ascontiguousarray(np.moveaxis(box.real if fmap.real else box, 0, -1))
+        return vals.reshape(self.shape + fmap.value_shape)
 
     def project(self, values, K, real=True, prune=1e-14):
         """Project grid values onto frequencies with ``|k| <= K``.
@@ -537,9 +538,8 @@ class SmoothMap:
         used by variational integration.
     degree : int, optional
         Polynomial degree of ``fun`` in its input, when it is a
-        polynomial.  It bounds the frequency support of compositions, and
-        so sizes their grids; without it, compositions run on the 3/2-rule
-        grid of the truncation radius.
+        polynomial.  It bounds the frequency support of a reduction's
+        forcing, and so sizes its grid (:func:`torusred.reduction.reduction_grid`).
     """
 
     def __init__(self, fun, derivs=(), jac=None, degree=None):
@@ -566,33 +566,6 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _composition_support(F_list, supports, order):
-    """Bound on the ``|k_i|`` of the order-``order`` coefficient of ``F(e(phi; eps); eps)``.
-
-    ``supports[r]`` bounds the support of the expansion term ``e_r``.
-    The q-th derivative of a degree-d polynomial is a polynomial of degree
-    ``d - q`` in ``e_0``, linear in each of its q directions, so a term of
-    the composition reaches ``(d - q) supports[0]`` plus the supports of
-    its directions.  None when a map declares no degree.
-    """
-    bound = 0
-    for i, Fi in enumerate(F_list[:order + 1]):
-        if Fi is None:
-            continue
-        if Fi.degree is None:
-            return None
-        s = order - i
-        if s == 0:
-            bound = max(bound, Fi.degree * supports[0])
-            continue
-        for q in range(1, min(s, Fi.degree) + 1):
-            for comp in _compositions(s, q):
-                if all(r < len(supports) for r in comp):
-                    bound = max(bound, (Fi.degree - q) * supports[0]
-                                + sum(supports[r] for r in comp))
-    return bound
-
-
 def jet_compose(F_list, jet, order, K=None, grid=None):
     """Taylor coefficient of order ``order`` of ``F(e(phi; eps); eps)``.
 
@@ -600,17 +573,13 @@ def jet_compose(F_list, jet, order, K=None, grid=None):
     may be None); ``jet`` expands the inner map.  The coefficient
     collects, for every ``i <= order``, the order ``order - i`` part of
     ``F_i`` composed with the expansion, assembled from the supplied
-    directional derivatives on ``grid``.  The default grid is the
-    :func:`spectral_grid` of the terms' support and the result's support
-    bound, which the maps' declared degrees give.
+    directional derivatives on ``grid``, by default the 3/2-rule grid of
+    ``K``.
     """
     if K is None:
         K = max(t.K for t in jet.terms)
     if grid is None:
-        supports = [t.support for t in jet.terms]
-        bound = _composition_support(F_list, supports, order)
-        # The grid holds the sampled terms as well as the result.
-        grid = spectral_grid(jet.m, K, None if bound is None else max(bound, *supports))
+        grid = spectral_grid(jet.m, K)
     samples = [grid.sample(t) for t in jet.terms]
     base = samples[0]
     acc = None

@@ -153,7 +153,7 @@ def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     )
     L = np.array([[p.floquet_exponent]])
 
-    grid = spectral_grid(1, K, support=2)  # pi is quadratic in exp(i phi)
+    grid = spectral_grid(1, K)
     phis = grid.axes()[0]
     pi0 = np.array([[0.0, 0.0], [-d / g, 1.0]])
     cs, sn = np.cos(phis), np.sin(phis)

@@ -239,8 +239,8 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         derivatives up to the requested order.
     bundle : TorusBundle
         Fast fibre data of the unperturbed torus; checked against the
-        model's uncoupled field on the computation grid before the
-        iteration starts.
+        model's uncoupled field on the check grid of the truncation
+        radius (:func:`check_grid`) before the iteration starts.
     order : int
         Number of expansion orders to solve.
     K : float
@@ -275,8 +275,9 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     w = bundle.omega
     if tol_res is None:
         tol_res = 1e-9 * float(np.linalg.norm(w))
+    validate_bundle(bundle, F0=model.F0, grid=check_grid(bundle.m, max(K, bundle.K)))
     grid = reduction_grid(model, bundle, order, K)
-    frames, _ = validate_bundle(bundle, F0=model.F0, grid=grid)
+    frames = bundle.sample_frames(grid)
 
     E_map = bundle.e0.jacobian()
     e_terms = [bundle.e0]

@@ -311,26 +311,6 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     assert np.max(np.abs(got2 - fd2)) <= 1e-5
 
 
-def test_jet_compose_sizes_its_grid_from_the_declared_degree(sampled_shapes):
-    # Cubic maps on terms of support 2: every order reaches support 6, so
-    # the default grid has 15 nodes where the 3/2-rule grid of K = 8 has 25.
-    # At order 2 only terms with derivatives reach it.
-    rng = np.random.default_rng(100)
-    F_list = [cubic_polynomial_map(rng, 2) for _ in range(2)]
-    declared = [SmoothMap(F.fun, F.derivs, degree=3) for F in F_list]
-    jet = EpsJet([FourierMap.harmonic(1, (1,), 0.2 * rng.normal(size=2), K=2.0)
-                  + FourierMap.harmonic(1, (2,), 0.2 * rng.normal(size=2), K=2.0)
-                  for _ in range(3)])
-    for order in range(3):
-        ref = jet_compose(F_list, jet, order=order, K=8.0)
-        assert set(sampled_shapes) == {(25,)}
-        sampled_shapes.clear()
-        got = jet_compose(declared, jet, order=order, K=8.0)
-        assert set(sampled_shapes) == {(15,)}
-        sampled_shapes.clear()
-        assert (got - ref).norm() <= 1e-13 * ref.norm()
-
-
 def test_jet_compose_order_zero_is_compose():
     rng = np.random.default_rng(17)
     F0 = cubic_polynomial_map(rng, 2)

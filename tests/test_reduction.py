@@ -393,16 +393,28 @@ PARENT_CHECK_NODES = {8.0: 25, 12.0: 37}
 
 
 @pytest.mark.parametrize("K", [8.0, 12.0])
-def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, K):
+def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, monkeypatch, K):
     cfg = ChainConfig(**SET1)
     model, bundle = chain_model(cfg), chain_bundle(cfg, K=K)
+    shapes = {}
+
+    def bundle_check(*args, **kwargs):  # the product bundle's check inside phase_reduce
+        sampled_shapes.clear()
+        out = validate_bundle(*args, **kwargs)
+        shapes["phase_reduce"] = list(sampled_shapes)
+        return out
+
+    monkeypatch.setattr(reduction, "validate_bundle", bundle_check)
     result = phase_reduce(model, bundle, order=2, K=K, K_nf=6.0)
-    for check in (lambda: validate_bundle(bundle, F0=model.F0),
-                  lambda: tangent_identity_residual(bundle, model.F0),
-                  lambda: conjugacy_residual(model, result, 1e-2)):
+    for name, check in (("validate_bundle", lambda: validate_bundle(bundle, F0=model.F0)),
+                        ("tangent_identity", lambda: tangent_identity_residual(bundle, model.F0)),
+                        ("conjugacy", lambda: conjugacy_residual(model, result, 1e-2))):
         sampled_shapes.clear()
         check()
-        assert sampled_shapes and min(min(s) for s in sampled_shapes) >= PARENT_CHECK_NODES[K]
+        shapes[name] = list(sampled_shapes)
+    assert len(shapes) == 4
+    for name, sampled in shapes.items():
+        assert sampled and min(min(s) for s in sampled) >= PARENT_CHECK_NODES[K], name
 
 
 # ----------------------------------------------------------------------
