@@ -60,11 +60,11 @@ class LimitCycle:
     """A hyperbolic periodic orbit, sampled on a uniform time grid.
 
     ``samples[i]`` is the state at ``t_i = i * period / n`` for
-    ``i = 0 .. n`` (both endpoints stored); closure of the orbit is
-    checked on construction.
+    ``i = 0 .. n`` (both endpoints stored) of an orbit of the vector
+    field ``field``; closure of the orbit is checked on construction.
     """
 
-    def __init__(self, period, samples, field=None):
+    def __init__(self, period, samples, field):
         self.period = float(period)
         self.samples = np.asarray(samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[0] < 3:
@@ -90,13 +90,13 @@ class LimitCycle:
         for _ in range(CYCLE_SAMPLES):
             x = _rk4_step(field.fun, x, dt)
             samples.append(x)
-        return cls(period, np.array(samples), field=field)
+        return cls(period, np.array(samples), field)
 
     @classmethod
     def from_function(cls, orbit, period, field):
         """Build from a closed-form orbit ``t -> X(t)``."""
         t = np.linspace(0.0, period, CYCLE_SAMPLES + 1)
-        return cls(period, np.array([orbit(ti) for ti in t]), field=field)
+        return cls(period, np.array([orbit(ti) for ti in t]), field)
 
 
 def find_limit_cycle(field, x0, t_transient):
@@ -203,8 +203,8 @@ def floquet_decompose(cycle):
     ``PHASE_SAMPLES`` of them for the periodic factor.
     """
     field = cycle.field
-    if field is None or field.jac is None:
-        raise ValueError("cycle must carry its vector field with a Jacobian evaluator")
+    if field.jac is None:
+        raise ValueError("the cycle's vector field must carry a Jacobian evaluator")
     M = cycle.dimension
     n_steps, n_phi = CYCLE_SAMPLES, PHASE_SAMPLES
     stride = n_steps // n_phi
@@ -344,16 +344,15 @@ class TorusBundle:
         }
 
 
-def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
+def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     """Check the defining properties of a torus bundle on a dense grid.
 
     Samples ``e0'``, ``N`` and ``pi`` once and verifies transversality of
     ``[e0' | N]`` (condition number below ``COND_THRESHOLD`` at every node,
     which bounds each column block alone too), the invariance equation
-    ``d_omega N + N L = (F0' o e0) N`` when the field is supplied,
+    ``d_omega N + N L = (F0' o e0) N`` of the uncoupled field ``F0``,
     hyperbolicity of ``L``, and the algebraic identities of ``pi``.
-    Returns the sampled frames ``(e0', N, pi)`` and a diagnostics dict;
-    raises on violation.
+    Returns a diagnostics dict; raises on violation.
     """
     if grid is None:
         grid = check_grid(bundle.m, bundle.K)
@@ -366,11 +365,9 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     gap = bundle.spectral_gap()
 
     n_scale = max(1.0, float(np.max(np.abs(Nv))))
-    pde_rel = None
-    if F0 is not None:
-        lhs = grid.sample(d_omega(bundle.N, bundle.omega)) + Nv @ bundle.L
-        J = F0.jac(grid.sample(bundle.e0))
-        pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
+    lhs = grid.sample(d_omega(bundle.N, bundle.omega)) + Nv @ bundle.L
+    J = F0.jac(grid.sample(bundle.e0))
+    pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
 
     p_scale = max(1.0, float(np.max(np.abs(Pv))))
     idem = float(np.max(np.abs(Pv @ Pv - Pv)))
@@ -387,14 +384,14 @@ def validate_bundle(bundle, F0=None, grid=None, pde_tol=1e-8):
     }
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
-    if pde_rel is not None and pde_rel > pde_tol:
+    if pde_rel > pde_tol:
         raise NumericalError(
             f"fibre invariance equation violated: relative residual {pde_rel:.3e}"
         )
     scale = max(p_scale, n_scale)
     if max(idem, keep_tangent, kill_fibre) > PROJ_TOL * scale * 10:
         raise NumericalError("projection identities violated on the grid")
-    return (E, Nv, Pv), diag
+    return diag
 
 
 def cycle_bundle(cycle, monodromy, K=8.0):
@@ -437,7 +434,7 @@ def cycle_bundle(cycle, monodromy, K=8.0):
     pi = grid.project(pi_vals, K)
     omega = np.array([2.0 * math.pi / monodromy.period])
     bundle = TorusBundle(e0, omega, N, L, pi)
-    _, bundle.diagnostics = validate_bundle(bundle, F0=cycle.field, grid=grid)
+    bundle.diagnostics = validate_bundle(bundle, cycle.field, grid=grid)
     return bundle
 
 

@@ -129,6 +129,7 @@ class RunConfig:
 
         num = _section(doc, "numerics")
         self.K = _number(num, "K", 8, float)
+        self.bundle_K = max(self.K, 4.0)  # the chain's bundle has intrinsic radius 2
         self.K_nf = _number(num, "K_nf", 6, float)
         self.tol_res = num.get("tol_res")
         if self.tol_res is not None:
@@ -152,6 +153,7 @@ class RunConfig:
         self.sweep_n = _number(sweep, "n", 20, int)
         self.sweep_t_end_ref = _number(sweep, "t_end_ref", 2500.0, float)
         self.sweep_dt = _number(sweep, "dt", 0.05, float)
+        self.sweep_spec = IntegratorSpec("euler", self.sweep_dt, self.sweep_t_end_ref)
         self.sweep_x0 = self._parse_state(sweep.get("x0", [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]]))
         if not (0 < self.sweep_eps_min < self.sweep_eps_max):
             raise ConfigError("sweep needs 0 < eps_min < eps_max")
@@ -196,9 +198,8 @@ def _reduce_report(cfg, result, model):
 
 
 def _cmd_bundle(cfg, out):
-    # The chain's bundle data has intrinsic radius 2; never truncate below it.
-    bundle = chain_bundle(cfg.chain, K=max(cfg.K, 4.0))
-    _, bundle.diagnostics = validate_bundle(bundle, F0=chain_model(cfg.chain).F0, pde_tol=1e-10)
+    bundle = chain_bundle(cfg.chain, K=cfg.bundle_K)
+    bundle.diagnostics = validate_bundle(bundle, chain_model(cfg.chain).F0, pde_tol=1e-10)
     _dump_json(bundle.to_json_dict(), out / "bundle.json")
     _dump_json(bundle.diagnostics, out / "report.json")
     return EXIT_OK
@@ -206,7 +207,7 @@ def _cmd_bundle(cfg, out):
 
 def _cmd_reduce(cfg, out):
     model = chain_model(cfg.chain)
-    bundle = chain_bundle(cfg.chain, K=max(cfg.K, 4.0))
+    bundle = chain_bundle(cfg.chain, K=cfg.bundle_K)
     result = phase_reduce(model, bundle, order=cfg.J, K=cfg.K, K_nf=cfg.K_nf,
                           tol_res=cfg.tol_res)
     _dump_json(result.to_json_dict(), out / "reduction.json")
@@ -236,9 +237,7 @@ def _cmd_simulate(cfg, out):
 
 
 def _cmd_sweep(cfg, out):
-    model = chain_model(cfg.chain)
-    spec = IntegratorSpec("euler", cfg.sweep_dt, cfg.sweep_t_end_ref)
-    sw = sweep_epsilon(model, cfg.sweep_x0, cfg.sweep_eps(), spec)
+    sw = sweep_epsilon(chain_model(cfg.chain), cfg.sweep_x0, cfg.sweep_eps(), cfg.sweep_spec)
     sweep_csv(sw, out / "sweep.csv")
     _dump_json(sw.to_json_dict(), out / "report.json")
     return EXIT_OK
@@ -291,6 +290,14 @@ def check_normal_form(result, K_nf):
             f"largest nonresonant phase coefficient {worst:.2e}", {"worst": worst})
 
 
+def fibre_angle(a, b):
+    """Largest angle between the lines of planar vectors ``a[i]`` and ``b[i]``.
+
+    Read as ``atan2(|a x b|, |a . b|)``: arccos of a normalised dot product stops near 1.5e-8."""
+    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return float(np.max(np.arctan2(np.abs(cross), np.abs(np.sum(a * b, axis=-1)))))
+
+
 def check_floquet(params, K):
     """Numeric Floquet data of a Stuart-Landau cycle against its analytic bundle."""
     cycle = stuart_landau_cycle(params)
@@ -301,11 +308,7 @@ def check_floquet(params, K):
     ncyc = cycle_bundle(cycle, mono, K=K)
     analytic = sl_bundle(params, K=K)
     grid = TorusGrid(1, (256,))
-    Nn = grid.sample(ncyc.N)[..., 0]
-    Na = grid.sample(analytic.N)[..., 0]
-    dots = np.abs(np.sum(Nn * Na, axis=-1))
-    norms = np.linalg.norm(Nn, axis=-1) * np.linalg.norm(Na, axis=-1)
-    angle = float(np.max(np.arccos(np.clip(dots / norms, -1.0, 1.0))))
+    angle = fibre_angle(grid.sample(ncyc.N)[..., 0], grid.sample(analytic.N)[..., 0])
     return ("floquet cross-check", dexp <= TOL_FLOQUET and angle <= TOL_FLOQUET,
             f"exponent error {dexp:.2e}, fibre subspace angle {angle:.2e}",
             {"exponents": expos, "target_exponents": target, "angle": angle})
@@ -363,13 +366,13 @@ def verify_battery(cfg):
     """Yield the criteria that apply to a run configuration, in report order."""
     chain = cfg.chain
     model = chain_model(chain)
-    bundle = chain_bundle(chain, K=max(cfg.K, 4.0))
+    bundle = chain_bundle(chain, K=cfg.bundle_K)
     result = phase_reduce(model, bundle, order=max(cfg.J, 2), K=cfg.K, K_nf=cfg.K_nf,
                           tol_res=cfg.tol_res)
     yield check_slow_law(chain, result)
     yield check_residual_scaling(model, result)
     yield check_normal_form(result, cfg.K_nf)
-    yield check_floquet(chain.outer, K=max(cfg.K, 4.0))
+    yield check_floquet(chain.outer, K=cfg.bundle_K)
     A, B = chain_phase_constants(chain)
     if A <= 0:
         yield check_phase_lock(model, chain.epsilon, cfg.x0, A, B)
@@ -377,8 +380,7 @@ def verify_battery(cfg):
     yield check_sync(model, chain.epsilon, cfg.x0)
     # The decay-to-10% time only exists when the outer pair
     # synchronises; locking parameter sets have no such crossing.
-    spec = IntegratorSpec("euler", cfg.sweep_dt, cfg.sweep_t_end_ref)
-    yield check_decay_sweep(model, cfg.sweep_x0, cfg.sweep_eps(), spec)
+    yield check_decay_sweep(model, cfg.sweep_x0, cfg.sweep_eps(), cfg.sweep_spec)
 
 
 def _cmd_verify(cfg, out):

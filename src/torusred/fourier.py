@@ -111,22 +111,20 @@ class FourierMap:
     value_shape : tuple
         Shape of each coefficient: ``()`` for scalar-valued maps,
         ``(p,)`` for vector-valued, ``(p, q)`` for matrix-valued.
-    real : bool
-        If True the map is real-valued and the Hermitian symmetry
-        ``c_{-k} = conj(c_k)`` is enforced exactly on construction, led
-        by whichever of ``k, -k`` comes first in dict or row order.
 
-    Storage is one key array ``keys`` of shape ``(n, m)``, sorted
-    lexicographically, and one complex value array ``values`` of shape
-    ``(n, *value_shape)``; zero coefficients are not stored.  Both are
-    read-only, and ``coeffs`` is a read-only ``{k: c_k}`` view of them.
+    Every map is real-valued: the Hermitian symmetry ``c_{-k} = conj(c_k)``
+    is enforced exactly on construction, led by whichever of ``k, -k``
+    comes first in dict or row order.  Storage is one key array ``keys``
+    of shape ``(n, m)``, sorted lexicographically, and one complex value
+    array ``values`` of shape ``(n, *value_shape)``; zero coefficients are
+    not stored.  Both are read-only, and ``coeffs`` is a read-only
+    ``{k: c_k}`` view of them.
     """
 
-    def __init__(self, m, K, coeffs, value_shape, real=True):
+    def __init__(self, m, K, coeffs, value_shape):
         self.m = int(m)
         self.K = float(K)
         self.value_shape = tuple(value_shape)
-        self.real = bool(real)
         if self.m < 1:
             raise ValueError("torus dimension must be >= 1")
         if isinstance(coeffs, tuple):
@@ -147,8 +145,7 @@ class FourierMap:
         if outside.any():
             k = tuple(keys[outside][0].tolist())
             raise ValueError(f"frequency {k} outside truncation radius {self.K}")
-        if self.real:
-            keys, values = _hermitian_closure(keys, values)
+        keys, values = _hermitian_closure(keys, values)
         nonzero = np.any(values.reshape(len(keys), self.p) != 0, axis=1)
         keys, values = keys[nonzero], values[nonzero]
         order = np.lexsort(keys.T[::-1])
@@ -163,9 +160,9 @@ class FourierMap:
         return cls(m, K, {}, value_shape)
 
     @classmethod
-    def constant(cls, m, value, real=True):
+    def constant(cls, m, value):
         value = np.asarray(value, dtype=complex)
-        return cls(m, 0.0, {(0,) * m: value}, value.shape, real=real)
+        return cls(m, 0.0, {(0,) * m: value}, value.shape)
 
     @classmethod
     def harmonic(cls, m, k, value, K=None):
@@ -181,7 +178,7 @@ class FourierMap:
 
     def _like(self, values, value_shape):
         """A map on this map's keys with new values."""
-        return FourierMap(self.m, self.K, (self.keys, values), value_shape, real=self.real)
+        return FourierMap(self.m, self.K, (self.keys, values), value_shape)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -221,7 +218,7 @@ class FourierMap:
     def __repr__(self):
         return (
             f"FourierMap(m={self.m}, K={self.K}, value_shape={self.value_shape}, "
-            f"n_coeffs={len(self.keys)}, real={self.real})"
+            f"n_coeffs={len(self.keys)})"
         )
 
     # ------------------------------------------------------------------
@@ -235,8 +232,7 @@ class FourierMap:
         # pair leads the closure (that signs zero parts in the artifacts).
         keys = np.unique(np.concatenate([self.keys, other.keys]), axis=0)
         values = op(self._at(keys), other._at(keys))
-        return FourierMap(self.m, max(self.K, other.K), (keys, values), self.value_shape,
-                          real=self.real and other.real)
+        return FourierMap(self.m, max(self.K, other.K), (keys, values), self.value_shape)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -267,23 +263,18 @@ class FourierMap:
     # ------------------------------------------------------------------
     # evaluation
     def eval(self, phi):
-        """Evaluate at angles ``phi`` (shape ``(..., m)`` or ``(m,)``).
-
-        Returns a real array for real-flagged maps.
-        """
+        """Evaluate at angles ``phi`` (shape ``(..., m)`` or ``(m,)``); returns a real array."""
         phi = np.asarray(phi, dtype=float)
         single = phi.ndim == 1
         pts = np.atleast_2d(phi)
         phases = np.exp(1j * pts @ self.keys.astype(float).T)
-        vals = np.tensordot(phases, self.values, axes=(-1, 0))
-        if self.real:
-            vals = vals.real
+        vals = np.tensordot(phases, self.values, axes=(-1, 0)).real
         return vals[0] if single else vals
 
     # ------------------------------------------------------------------
     # serialisation
     def to_json_dict(self):
-        """JSON document with lexicographically sorted frequencies."""
+        """JSON document with lexicographically sorted frequencies; ``"real"`` is always true."""
         flat = self.values.reshape(len(self.keys), self.p)
         entries = [{"k": k, "re": re, "im": im} for k, re, im in
                    zip(self.keys.tolist(), flat.real.tolist(), flat.imag.tolist())]
@@ -292,18 +283,20 @@ class FourierMap:
             "p": self.p,
             "K": self.K,
             "shape": list(self.value_shape),
-            "real": self.real,
+            "real": True,
             "coeffs": entries,
         }
 
     @classmethod
     def from_json_dict(cls, doc):
+        if doc.get("real", True) is not True:
+            raise ValueError("only real-valued series are supported")
         shape = tuple(doc.get("shape", [doc["p"]]))
         coeffs = {}
         for entry in doc["coeffs"]:
             c = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"], dtype=float)
             coeffs[tuple(entry["k"])] = c.reshape(shape)
-        return cls(doc["m"], doc["K"], coeffs, shape, real=doc.get("real", True))
+        return cls(doc["m"], doc["K"], coeffs, shape)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +326,7 @@ def _convolve(f, g, combine, out_shape, K):
     kept = _knorms(keys) <= K + 1e-12
     i, j, keys = i[kept], j[kept], keys[kept]
     values = combine(f.values[i], g.values[j]).reshape((len(keys),) + tuple(out_shape))
-    return FourierMap(f.m, K, _sum_on_keys(keys, values), out_shape, real=f.real and g.real)
+    return FourierMap(f.m, K, _sum_on_keys(keys, values), out_shape)
 
 
 def multiply(f, g, K=None):
@@ -441,7 +434,7 @@ class TorusGrid:
         return math.sqrt(float(np.sum(np.abs(fmap.values[edge]) ** 2)))
 
     def sample(self, fmap):
-        """Evaluate ``fmap`` on the grid; returns ``(*shape, *value_shape)``.
+        """Evaluate ``fmap`` on the grid; returns a real ``(*shape, *value_shape)`` array.
 
         The inverse DFT runs one axis at a time over the map's frequency
         box only, as an ``einsum`` contraction (which stays off
@@ -465,11 +458,11 @@ class TorusGrid:
             # Contract the leading grid axis; its nodes go last, so after m
             # steps the axes are back in order.
             box = np.einsum("xk,pk...->p...x", dft, box)
-        # A contiguous copy, so a real map keeps no complex buffer alive.
-        vals = np.ascontiguousarray(np.moveaxis(box.real if fmap.real else box, 0, -1))
+        # A contiguous copy of the real part, so no complex buffer stays alive.
+        vals = np.ascontiguousarray(np.moveaxis(box.real, 0, -1))
         return vals.reshape(self.shape + fmap.value_shape)
 
-    def project(self, values, K, real=True, prune=1e-14):
+    def project(self, values, K, prune=1e-14):
         """Project grid values onto frequencies with ``|k| <= K``.
 
         Coefficients smaller than ``prune`` times the largest one are
@@ -487,7 +480,7 @@ class TorusGrid:
         vals = spec[tuple((ks % self.shape).T)]
         mags = np.abs(vals).max(axis=tuple(range(1, vals.ndim)), initial=0.0)
         keep = mags > prune * mags.max(initial=0.0)
-        return FourierMap(self.m, K, (ks[keep], vals[keep]), value_shape, real=real)
+        return FourierMap(self.m, K, (ks[keep], vals[keep]), value_shape)
 
 
 # ----------------------------------------------------------------------

@@ -135,7 +135,7 @@ def stuart_landau_cycle(p: StuartLandauParams) -> LimitCycle:
     def orbit(t):
         return np.array([R * math.cos(w * t), R * math.sin(w * t)])
 
-    return LimitCycle.from_function(orbit, 2.0 * math.pi / w, field=stuart_landau_field(p))
+    return LimitCycle.from_function(orbit, 2.0 * math.pi / w, stuart_landau_field(p))
 
 
 def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
@@ -162,7 +162,7 @@ def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     pi = grid.project(pi_vals, K)
 
     bundle = TorusBundle(e0, np.array([p.frequency]), N, L, pi)
-    _, bundle.diagnostics = validate_bundle(bundle, F0=stuart_landau_field(p), pde_tol=1e-10)
+    bundle.diagnostics = validate_bundle(bundle, stuart_landau_field(p), pde_tol=1e-10)
     return bundle
 
 

@@ -72,6 +72,15 @@ class ReductionResult:
     def omega(self):
         return self.bundle.omega
 
+    def embedding(self, eps):
+        """The embedding ``e0 + sum_l eps^l e_l`` at coupling ``eps``."""
+        return _eps_sum([self.bundle.e0] + self.embedding_terms, eps, FourierMap.scale)
+
+    def phase_field(self, eps):
+        """The phase field ``sum_j eps^j f_j`` at coupling ``eps`` (``omega`` not included)."""
+        zero = FourierMap.zero(self.bundle.m, (self.bundle.m,), self.K)
+        return _eps_sum([zero] + self.phase_terms, eps, FourierMap.scale)
+
     def to_json_dict(self):
         return {
             "order": self.order,
@@ -86,6 +95,14 @@ class ReductionResult:
             "fibre_terms": [h.to_json_dict() for h in self.fibre_terms],
             "residuals": self.residuals,
         }
+
+
+def _eps_sum(terms, eps, scale):
+    """``terms[0] + sum_l eps^l terms[l]`` added in order of ``l``; ``scale(t, s)`` is ``s t``."""
+    total = terms[0]
+    for l, term in enumerate(terms[1:], start=1):
+        total = total + scale(term, eps ** l)
+    return total
 
 
 def _apply_matrix(mat, f):
@@ -145,21 +162,16 @@ def split_forcing(Gv, frames):
     return U_vals, V_vals
 
 
-def solve_tangential(U, omega, K_nf, tol_res, g_choice=None):
+def solve_tangential(U, omega, K_nf, tol_res):
     """Solve ``d_omega g + f = U`` coefficient-wise, in normal form.
 
     Resonant coefficients (``|<omega, k>| <= tol_res``) pass to the
     phase field ``f``; nonresonant ones inside the normal-form radius
     are absorbed into ``g`` by dividing by ``i <omega, k>``; the
     nonresonant tail beyond ``K_nf`` stays in ``f``.  Divisors between
-    ``tol_res`` and the safety floor abort the run.  A caller-supplied
-    ``g_choice`` overrides the default and fixes ``f = U - d_omega g``.
+    ``tol_res`` and the safety floor abort the run.
     """
-    w = np.asarray(omega, dtype=float).reshape(-1)
-    if g_choice is not None:
-        f = U - d_omega(g_choice, w)
-        return f, g_choice
-    s = np.vecdot(U.keys, w)
+    s = np.vecdot(U.keys, np.asarray(omega, dtype=float).reshape(-1))
     resonant = np.abs(s) <= tol_res
     small = ~resonant & (np.abs(s) < SMALL_DIVISOR_FLOOR)
     if small.any():
@@ -167,9 +179,8 @@ def solve_tangential(U, omega, K_nf, tol_res, g_choice=None):
         raise SmallDivisorError(U.keys[first].tolist(), float(s[first]), SMALL_DIVISOR_FLOOR)
     into_g = ~resonant & (np.linalg.norm(U.keys, axis=1) <= K_nf + 1e-12)
     divisor = (1j * s[into_g]).reshape((-1,) + (1,) * len(U.value_shape))
-    f = FourierMap(U.m, U.K, (U.keys[~into_g], U.values[~into_g]), U.value_shape, real=U.real)
-    g = FourierMap(U.m, U.K, (U.keys[into_g], U.values[into_g] / divisor), U.value_shape,
-                   real=U.real)
+    f = FourierMap(U.m, U.K, (U.keys[~into_g], U.values[~into_g]), U.value_shape)
+    g = FourierMap(U.m, U.K, (U.keys[into_g], U.values[into_g] / divisor), U.value_shape)
     return f, g
 
 
@@ -256,10 +267,11 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         Resonance detection threshold on ``|<omega, k>|``; defaults to
         ``1e-9 * |omega|``.
     g_rule : callable, optional
-        ``g_rule(j, U_j)`` returning the tangential component to use at
-        order ``j`` (or None to keep the default); exposes the gauge
-        freedom in the embedding.  Results produced with a custom rule
-        are not guaranteed to be in normal form.
+        ``g_rule(j, U_j)`` returning the tangential component ``g_j`` to
+        use at order ``j`` (or None to keep the default), which fixes
+        ``f_j = U_j - d_omega g_j``; exposes the gauge freedom in the
+        embedding.  Results produced with a custom rule are not
+        guaranteed to be in normal form.
 
     Returns
     -------
@@ -295,10 +307,12 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         _check_saturation(f"U_{j}", U, K)
         _check_saturation(f"V_{j}", V, K)
         margin = max(margin, _alias_margin(f"U_{j}", U, grid), _alias_margin(f"V_{j}", V, grid))
-        g_choice = g_rule(j, U) if g_rule is not None else None
-        if g_choice is not None:
+        g_j = g_rule(j, U) if g_rule is not None else None
+        if g_j is None:
+            f_j, g_j = solve_tangential(U, w, K_nf, tol_res)
+        else:
             custom_gauge = True
-        f_j, g_j = solve_tangential(U, w, K_nf, tol_res, g_choice=g_choice)
+            f_j = U - d_omega(g_j, w)
         h_j = solve_normal(V, w, bundle.L)
         e_j = matmul(E_map, g_j, K=K) + matmul(bundle.N, h_j, K=K)
 
@@ -391,12 +405,10 @@ def conjugacy_residual(model, result, eps):
     """
     bundle = result.bundle
     grid = check_grid(bundle.m, max(result.K, bundle.K))
-    e = bundle.e0
-    for l, term in enumerate(result.embedding_terms, start=1):
-        e = e + term.scale(eps ** l)
-    f_vals = grid.sample(FourierMap.constant(bundle.m, bundle.omega.astype(complex)))
-    for l, term in enumerate(result.phase_terms, start=1):
-        f_vals = f_vals + eps ** l * grid.sample(term)
+    e = result.embedding(eps)
+    # Summed from the samples of its terms: the residual's last digits depend on that order.
+    w = FourierMap.constant(bundle.m, bundle.omega.astype(complex))
+    f_vals = _eps_sum([grid.sample(f) for f in [w] + result.phase_terms], eps, np.multiply)
     E = grid.sample(e.jacobian())
     lhs = (E @ f_vals[..., None])[..., 0]
     rhs = model.rhs(grid.sample(e), eps)

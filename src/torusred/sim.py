@@ -18,7 +18,6 @@ from scipy.ndimage import maximum_filter1d
 
 from .bundle import _rk4_step
 from .errors import ConfigError
-from .fourier import FourierMap
 from .models import OUTER_PAIR, phases_from_state
 
 __all__ = [
@@ -231,10 +230,7 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
         raise ConfigError(f"initial phases must be finite with {omega.size} components")
     if spec.dt * float(np.max(np.abs(omega))) >= math.pi:
         raise ConfigError("dt too large: per-step phase increments would exceed pi")
-    # Collapse the expansion into one sparse series at this coupling.
-    series = FourierMap.zero(omega.size, (omega.size,), result.K)
-    for j, f in enumerate(result.phase_terms, start=1):
-        series = series + f.scale(eps ** j)
+    series = result.phase_field(eps)
     kmat, cmat = series.keys.astype(float), series.values
 
     def rhs(p):
@@ -315,9 +311,7 @@ def embedding_distance(record, result, eps, t_min=None):
         raise ValueError("record carries no states")
     if t_min is None:
         t_min = 0.5 * float(record.t[-1])
-    e = result.bundle.e0
-    for l, term in enumerate(result.embedding_terms, start=1):
-        e = e + term.scale(eps ** l)
+    e = result.embedding(eps)
     ejac = e.jacobian()
     m = result.bundle.m
     axes = [np.linspace(0.0, 2.0 * np.pi, DISTANCE_GRID, endpoint=False) for _ in range(m)]

@@ -156,7 +156,7 @@ def test_cycle_bundle_pde_residual_on_dense_grid():
     cycle = stuart_landau_cycle(SET1)
     mono = floquet_decompose(cycle)
     bundle = cycle_bundle(cycle, mono, K=4.0)
-    _, diag = validate_bundle(bundle, F0=stuart_landau_field(SET1), grid=TorusGrid(1, (256,)))
+    diag = validate_bundle(bundle, F0=stuart_landau_field(SET1), grid=TorusGrid(1, (256,)))
     assert diag["pde_residual_rel"] <= 1e-8
     assert diag["spectral_gap"] > 1.9
 
@@ -194,7 +194,7 @@ def test_chain_product_passes_the_strict_bundle_check(preset, K):
     # chain_bundle checks only its circles; the product they form has to
     # pass the full check at the circles' tolerance.
     cfg = ChainConfig(**PRESETS[preset]["model"]["chain"])
-    _, diag = validate_bundle(chain_bundle(cfg, K=K), F0=chain_model(cfg).F0, pde_tol=1e-10)
+    diag = validate_bundle(chain_bundle(cfg, K=K), F0=chain_model(cfg).F0, pde_tol=1e-10)
     assert diag["pde_residual_rel"] <= 1e-10
 
 
@@ -220,7 +220,7 @@ def test_gauge_covariance_of_fibre_frame():
     from torusred.bundle import TorusBundle
 
     gauged = TorusBundle(bundle.e0, bundle.omega, N2, L2, bundle.pi)
-    _, diag = validate_bundle(gauged, F0=chain_model(cfg).F0, pde_tol=1e-9)
+    diag = validate_bundle(gauged, F0=chain_model(cfg).F0, pde_tol=1e-9)
     assert diag["pde_residual_rel"] <= 1e-9
     assert np.allclose(
         np.sort(np.linalg.eigvals(L2).real), np.sort(np.linalg.eigvals(bundle.L).real),
@@ -239,4 +239,12 @@ def test_limit_cycle_closure_guard():
     samples = np.zeros((16, 2))
     samples[:, 0] = np.linspace(0.0, 1.0, 16)
     with pytest.raises(NumericalError):
-        LimitCycle(1.0, samples)
+        LimitCycle(1.0, samples, stuart_landau_field(SET1))
+
+
+def test_bundle_check_and_cycle_require_their_field():
+    with pytest.raises(TypeError):
+        validate_bundle(sl_bundle(SET1))
+    cycle = stuart_landau_cycle(SET1)
+    with pytest.raises(TypeError):
+        LimitCycle(cycle.period, cycle.samples)

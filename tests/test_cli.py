@@ -13,6 +13,7 @@ from torusred.cli import (
     EXIT_OK,
     PRESETS,
     check_phase_lock,
+    fibre_angle,
     main,
     run,
 )
@@ -234,6 +235,23 @@ def test_bundle_command(tmp_path):
     assert bundle["e0"]["m"] == 3 and bundle["e0"]["p"] == 6
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["pde_residual_rel"] <= 1e-10
+
+
+def test_bundle_command_keeps_the_radius_floor(tmp_path):
+    # The chain's bundle data has intrinsic radius 2; K = 3 still truncates at 4.
+    doc = {"command": "bundle", "model": SET1_MODEL, "numerics": {"K": 3},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_OK
+    bundle = json.loads((tmp_path / "out" / "bundle.json").read_text())
+    assert [bundle[name]["K"] for name in ("e0", "N", "pi")] == [4.0, 4.0, 4.0]
+
+
+def test_fibre_angle_resolves_angles_below_the_arccos_floor():
+    phi = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    a = 0.7 * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    b = -1.3 * np.stack([np.cos(phi + 1e-10), np.sin(phi + 1e-10)], axis=-1)
+    assert fibre_angle(a, b) == pytest.approx(1e-10, rel=0.01)
+    assert fibre_angle(a, a) <= 1e-15
 
 
 def test_simulate_command(tmp_path):

@@ -37,7 +37,7 @@ def random_real_map(rng, m, p, K, n_harmonics=6):
 
 
 def test_d_omega_single_harmonic():
-    f = FourierMap(2, 2.0, {(1, 0): np.asarray(1.0 + 0j)}, (), real=False)
+    f = FourierMap.harmonic(2, (1, 0), np.asarray(1.0 + 0j), K=2.0)
     df = d_omega(f, [2.0, 1.0])
     assert df.coeffs[(1, 0)] == pytest.approx(2j)
     assert df.m == f.m and df.K == f.K
@@ -95,7 +95,7 @@ def test_multiply_product_to_sum():
 def test_multiply_identity():
     rng = np.random.default_rng(11)
     f = random_real_map(rng, 2, 2, K=3)
-    one = FourierMap.constant(2, np.asarray(1.0 + 0j), real=True)
+    one = FourierMap.constant(2, np.asarray(1.0 + 0j))
     g = multiply(one, f)
     assert (g - f).norm() <= 1e-15
 
@@ -343,7 +343,7 @@ def test_grid_round_trip():
     assert np.max(np.abs(vals - vals2)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
 
 
-def project_by_node_loop(grid, values, K, real=True, prune=1e-14):
+def project_by_node_loop(grid, values, K, prune=1e-14):
     """Reference projection: visit every node of the Nyquist box in turn."""
     spec = np.fft.fftn(values, axes=tuple(range(grid.m))) / grid.size
     coeffs = {}
@@ -358,7 +358,7 @@ def project_by_node_loop(grid, values, K, real=True, prune=1e-14):
             top = max(top, mag)
     if prune > 0 and top > 0:
         coeffs = {k: c for k, c in coeffs.items() if np.max(np.abs(c)) > prune * top}
-    return FourierMap(grid.m, K, coeffs, values.shape[grid.m:], real=real)
+    return FourierMap(grid.m, K, coeffs, values.shape[grid.m:])
 
 
 @pytest.mark.parametrize("prune", [0.0, 1e-14], ids=["prune0", "default"])
@@ -375,27 +375,34 @@ def test_project_matches_node_loop(m, shape, K, value_shape, prune):
     # Noise puts coefficients on both sides of the default prune level.
     noisy = smooth + 3e-13 * rng.normal(size=smooth.shape)
     for values in (smooth, noisy, np.zeros_like(smooth)):
-        for real in (True, False):
-            got = grid.project(values, K, real=real, prune=prune)
-            ref = project_by_node_loop(grid, values, K, real=real, prune=prune)
-            assert list(got.coeffs) == list(ref.coeffs)
-            for k in ref.coeffs:
-                assert np.array_equal(got.coeffs[k], ref.coeffs[k])
+        got = grid.project(values, K, prune=prune)
+        ref = project_by_node_loop(grid, values, K, prune=prune)
+        assert list(got.coeffs) == list(ref.coeffs)
+        for k in ref.coeffs:
+            assert np.array_equal(got.coeffs[k], ref.coeffs[k])
 
 
 def test_reality_enforced_bitwise_on_construction():
     rng = np.random.default_rng(31)
     raw = {(1, 0): rng.normal(size=2) + 1j * rng.normal(size=2)}
-    f = FourierMap(2, 2.0, raw, (2,), real=True)
+    f = FourierMap(2, 2.0, raw, (2,))
     assert np.array_equal(f.coeffs[(-1, 0)], np.conj(f.coeffs[(1, 0)]))
 
 
 def test_jacobian_single_harmonic():
-    f = FourierMap(2, 2.0, {(1, -1): np.array([2.0 + 0j])}, (1,), real=False)
+    f = FourierMap.harmonic(2, (1, -1), np.array([2.0 + 0j]), K=2.0)
     J = f.jacobian()
     assert J.value_shape == (1, 2)
     assert J.coeffs[(1, -1)][0, 0] == pytest.approx(2j)
     assert J.coeffs[(1, -1)][0, 1] == pytest.approx(-2j)
+
+
+def test_json_rejects_a_complex_valued_series():
+    doc = FourierMap.harmonic(1, (1,), np.asarray(0.5 + 0j)).to_json_dict()
+    assert doc["real"] is True
+    doc["real"] = False
+    with pytest.raises(ValueError, match="real-valued"):
+        FourierMap.from_json_dict(doc)
 
 
 def test_json_round_trip():
@@ -458,10 +465,9 @@ def dict_symmetrize(coeffs):
     return out
 
 
-def dict_close(coeffs, real):
+def dict_close(coeffs):
     """Reference construction from a dict: closure, zero drop, key order."""
-    if real:
-        coeffs = dict_symmetrize(coeffs)
+    coeffs = dict_symmetrize(coeffs)
     return {k: coeffs[k] for k in sorted(coeffs) if np.any(coeffs[k])}
 
 
@@ -478,7 +484,7 @@ def dict_convolve(f, g, combine, K):
             else:
                 acc[k] = v
     kept = {k: v for k, v in acc.items() if math.sqrt(sum(x * x for x in k)) <= K + 1e-12}
-    return dict_close(kept, f.real and g.real)
+    return dict_close(kept)
 
 
 def dict_binary(f, g, op):
@@ -486,7 +492,7 @@ def dict_binary(f, g, op):
     zero = np.zeros(f.value_shape, dtype=complex)
     keys = sorted(set(f.coeffs) | set(g.coeffs))
     out = {k: op(f.coeffs.get(k, zero), g.coeffs.get(k, zero)) for k in keys}
-    return dict_close(out, f.real and g.real)
+    return dict_close(out)
 
 
 def assert_bitwise(fmap, ref):
@@ -505,8 +511,7 @@ def test_property_construction_closes_hermitian_pairs(case):
     f = FourierMap(m, BOX * m, coeffs, (2,))
     for k, c in f.coeffs.items():
         assert np.array_equal(f.coeffs[tuple(-x for x in k)], np.conj(c))
-    assert_bitwise(f, dict_close(coeffs, True))
-    assert_bitwise(FourierMap(m, BOX * m, coeffs, (2,), real=False), dict_close(coeffs, False))
+    assert_bitwise(f, dict_close(coeffs))
 
 
 @PROPERTY_SETTINGS
@@ -579,7 +584,7 @@ def dense_sample(grid, fmap):
     dense = np.zeros(grid.shape + fmap.value_shape, dtype=complex)
     dense[tuple((fmap.keys % grid.shape).T)] = fmap.values
     vals = np.fft.ifftn(dense, axes=tuple(range(grid.m))) * grid.size
-    return vals.real if fmap.real else vals
+    return vals.real
 
 
 @st.composite
@@ -602,7 +607,7 @@ def maps_on_grids(draw, fits=True):
     coeffs = {k: complex_value(draw(parts), draw(parts), value_shape)
               for k in keys + [tuple(edge)]}
     K = math.sqrt(sum((t + 1) ** 2 for t in top))
-    return TorusGrid(m, shape), FourierMap(m, K, coeffs, value_shape, real=draw(st.booleans()))
+    return TorusGrid(m, shape), FourierMap(m, K, coeffs, value_shape)
 
 
 @PROPERTY_SETTINGS

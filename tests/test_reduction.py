@@ -10,7 +10,15 @@ from torusred.errors import (
     TransversalityError,
     TruncationSaturationError,
 )
-from torusred.fourier import FourierMap, SmoothMap, TorusGrid, d_omega, matmul, spectral_grid
+from torusred.fourier import (
+    FourierMap,
+    SmoothMap,
+    TorusGrid,
+    check_grid,
+    d_omega,
+    matmul,
+    spectral_grid,
+)
 from torusred.models import (
     ChainConfig,
     OscillatorModel,
@@ -109,10 +117,10 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
 # splitting
 
 
-def split(G, bundle):
+def split(G, bundle, F0):
     grid = spectral_grid(G.m, G.K)
-    frames, _ = validate_bundle(bundle, grid=grid)
-    U_vals, V_vals = split_forcing(grid.sample(G), frames)
+    validate_bundle(bundle, F0, grid=grid)
+    U_vals, V_vals = split_forcing(grid.sample(G), bundle.sample_frames(grid))
     return grid.project(U_vals, G.K), grid.project(V_vals, G.K)
 
 
@@ -120,7 +128,7 @@ def test_split_recovers_tangential_input(chain):
     cfg, model, bundle = chain
     u = FourierMap.harmonic(3, (0, 1, -1), np.array([0.3 + 0.1j, 0.0, -0.2j]), K=8.0)
     G = matmul(bundle.e0.jacobian(), u, K=8.0)
-    U, V = split(G, bundle)
+    U, V = split(G, bundle, model.F0)
     assert V.norm() <= 1e-12
     assert (U - u).norm() <= 1e-12
 
@@ -128,16 +136,16 @@ def test_split_recovers_tangential_input(chain):
 def test_split_first_order_closed_forms(chain):
     cfg, model, bundle = chain
     G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
-    U, V = split(G1, bundle)
+    U, V = split(G1, bundle, model.F0)
     R1, R2 = cfg.outer.radius, cfg.middle.radius
     dg = cfg.delta / cfg.gamma
     # Third tangential component: (R2/R3)(sin(phi2-phi3) - (d/g) cos(phi2-phi3))
     expected_u3 = combo_harmonic(3, (0, 1, -1), R2 / R1, -dg * R2 / R1, 2, 3)
     got_u3 = FourierMap(3, U.K, {k: np.atleast_1d(c[2]) for k, c in U.coeffs.items()},
-                        (1,), real=True)
+                        (1,))
     assert (got_u3 - FourierMap(3, expected_u3.K,
                                 {k: np.atleast_1d(c[2]) for k, c in expected_u3.coeffs.items()},
-                                (1,), real=True)).norm() <= 1e-12
+                                (1,))).norm() <= 1e-12
     # Second normal component: (R1/c) cos(phi1 - phi2)
     expected_v2 = combo_harmonic(3, (1, -1, 0), 0.0, R1 / cfg.c, 1, 3)
     got = V.component(1)
@@ -154,7 +162,7 @@ def test_fibres_along_the_tangent_trip_the_transversality_guard(chain):
         phase_reduce(model, bad, order=2, K_nf=6.0)
     G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
     with pytest.raises(TransversalityError):
-        split(G1, bad)
+        split(G1, bad, model.F0)
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +309,30 @@ def test_reduce_embedding_ansatz_identity(chain, reduced):
             bundle.N, reduced.fibre_terms[j], K=8.0
         )
         assert (rebuilt - reduced.embedding_terms[j]).norm() <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.07])
+def test_eps_sums_match_the_inline_loops_bit_for_bit(chain, eps):
+    # The loops each caller of the expansion at one coupling used to hold.
+    cfg, model, bundle = chain
+    result = phase_reduce(model, bundle, order=3, K_nf=6.0)
+    e = bundle.e0
+    for l, term in enumerate(result.embedding_terms, start=1):
+        e = e + term.scale(eps ** l)
+    series = FourierMap.zero(3, (3,), result.K)
+    for j, f in enumerate(result.phase_terms, start=1):
+        series = series + f.scale(eps ** j)
+    for got, ref in ((result.embedding(eps), e), (result.phase_field(eps), series)):
+        assert np.array_equal(got.keys, ref.keys) and got.K == ref.K
+        assert got.values.tobytes() == ref.values.tobytes()
+
+    grid = check_grid(3, max(result.K, bundle.K))
+    f_vals = grid.sample(FourierMap.constant(3, bundle.omega.astype(complex)))
+    for l, term in enumerate(result.phase_terms, start=1):
+        f_vals = f_vals + eps ** l * grid.sample(term)
+    lhs = (grid.sample(e.jacobian()) @ f_vals[..., None])[..., 0]
+    inline = float(np.max(np.abs(lhs - model.rhs(grid.sample(e), eps))))
+    assert conjugacy_residual(model, result, eps) == inline
 
 
 @pytest.mark.parametrize("order,expected_slope", [(1, 2.0), (2, 3.0)])
@@ -521,7 +553,7 @@ def test_gauge_freedom_nonresonant_regauge_preserves_harmonics(chain, reduced):
             return None
         _, g = solve_tangential(U, bundle.omega, 6.0, 1e-9)
         coeffs = {k: c for k, c in g.coeffs.items() if k not in drop}
-        return FourierMap(g.m, g.K, coeffs, g.value_shape, real=g.real)
+        return FourierMap(g.m, g.K, coeffs, g.value_shape)
 
     alt = phase_reduce(model, bundle, order=2, K_nf=6.0, g_rule=g_rule)
     assert alt.phase_terms[0].norm() > 0.1

@@ -1,0 +1,95 @@
+"""Print the size of ``src/`` and the digests of the standard artifact matrix.
+
+Usage: ``python3 tools/footprint.py`` from anywhere; it runs the package in
+the ``src/`` next to it.
+
+Size: the line count of ``src/torusred/*.py`` and the number of defaulted
+parameters, counted as ``len(args.defaults)`` plus the non-None
+``kw_defaults`` of every ``def`` found by ``ast.walk``.
+
+Artifacts: the first 16 hex digits of the sha256 of every file the CLI
+writes for set-1 ``reduce`` at (J, K) = (2, 8), (3, 8), (4, 8), (4, 12),
+set-2 ``reduce`` at (2, 8), ``bundle`` on both presets, set-1 ``simulate``
+and ``sweep``, and ``verify`` on both presets (its ``report.json`` and its
+stdout).  Every run keeps the rest of its preset's numerics.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "torusred"
+
+# (label, preset, command, numerics overrides)
+MATRIX = [
+    *[(f"reduce set1 J={J} K={K}", "set1", "reduce", {"J": J, "K": K})
+      for J, K in ((2, 8), (3, 8), (4, 8), (4, 12))],
+    ("reduce set2 J=2 K=8", "set2", "reduce", {"J": 2, "K": 8}),
+    ("bundle set1", "set1", "bundle", {}),
+    ("bundle set2", "set2", "bundle", {}),
+    ("simulate set1", "set1", "simulate", {}),
+    ("sweep set1", "set1", "sweep", {}),
+    ("verify set1", "set1", "verify", {}),
+    ("verify set2", "set2", "verify", {}),
+]
+
+
+def src_lines():
+    return sum(len(p.read_text().splitlines()) for p in sorted(SRC.glob("*.py")))
+
+
+def defaulted_parameters():
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+    return count
+
+
+def short_digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def artifact_digests(work):
+    """``(label, file, digest, exit code)`` for every artifact of the matrix."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from torusred import cli
+
+    rows = []
+    for i, (label, preset, command, numerics) in enumerate(MATRIX):
+        doc = copy.deepcopy(cli.PRESETS[preset])
+        doc["command"] = command
+        doc["numerics"].update(numerics)
+        config, out = work / f"run{i}.json", work / f"run{i}"
+        config.write_text(json.dumps(doc))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.run(str(config), out_override=str(out))
+        for path in sorted(out.iterdir()):
+            rows.append((label, path.name, short_digest(path.read_bytes()), rc))
+        if command == "verify":
+            rows.append((label, "stdout", short_digest(stdout.getvalue().encode()), rc))
+    return rows
+
+
+def main():
+    print(f"src lines: {src_lines()}")
+    print(f"defaulted parameters: {defaulted_parameters()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, name, digest, rc in artifact_digests(Path(tmp)):
+            print(f"{label:24s} {name:16s} {digest}  exit {rc}")
+
+
+if __name__ == "__main__":
+    main()
