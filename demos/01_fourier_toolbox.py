@@ -8,12 +8,12 @@ with nonlinear maps pseudo-spectrally through ``jet_compose``.
 import numpy as np
 
 from torusred import (
-    EpsJet,
     FourierMap,
     SmoothMap,
     d_omega,
     jet_compose,
     multiply,
+    spectral_grid,
 )
 
 # A real-valued series: f(phi) = cos(phi1) + 0.5 sin(phi1 - 2 phi2)
@@ -36,8 +36,9 @@ print("\nd_omega f at phi:", df.eval(phi), " finite difference:", fd)
 prod = multiply(f, f, K=4.0)
 print("\n(f*f) coefficients at k=(2,0):", prod.coeffs.get((2, 0)))
 
-# Pseudo-spectral composition (the order-0 term of a jet composition):
-# the square of a circle embedding doubles the harmonic exactly.
+# Pseudo-spectral composition (the order-0 term of a jet composition, whose
+# inner expansion is the list of its Taylor coefficients): the square of a
+# circle embedding doubles the harmonic exactly.
 circle = FourierMap.harmonic(1, (1,), np.array([0.5, -0.5j]), K=2.0)
 
 
@@ -47,5 +48,5 @@ def complex_square(x):
     return np.stack([w.real, w.imag], axis=-1)
 
 
-squared = jet_compose([SmoothMap(complex_square)], EpsJet([circle]), order=0)
+squared = jet_compose([SmoothMap(complex_square)], [circle], 0, 2.0, spectral_grid(1, 2.0))
 print("\ncompose(z^2, e^{i phi}) store frequencies:", sorted(squared.coeffs))

@@ -44,7 +44,7 @@ print(f"  B  pipeline {B_pipe:+.12f}   closed form {B_form:+.12f}")
 print(f"  constant coefficient check: {B_const:+.12f}")
 
 diff = phase_difference_field(result, 0, 2)
-print("\nphase-difference field orders:", [t.norm() for t in diff.terms])
+print("\nphase-difference field orders:", [t.norm() for t in diff])
 
 print("\nconjugacy defect vs coupling strength (expect cubic decay):")
 for eps in (1e-1, 1e-2, 1e-3):

@@ -20,134 +20,16 @@ Layout:
 - ``cli``: the ``torusred`` batch command.
 """
 
-from .bundle import (
-    LimitCycle,
-    MonodromyData,
-    TorusBundle,
-    cycle_bundle,
-    find_limit_cycle,
-    floquet_decompose,
-    oblique_projection,
-    product_bundle,
-    validate_bundle,
-)
-from .errors import (
-    AliasingError,
-    ConfigError,
-    HyperbolicityError,
-    NumericalError,
-    SmallDivisorError,
-    TransversalityError,
-    TruncationSaturationError,
-)
-from .fourier import (
-    EpsJet,
-    FourierMap,
-    SmoothMap,
-    TorusGrid,
-    check_grid,
-    d_omega,
-    jet_compose,
-    matmul,
-    multiply,
-    spectral_grid,
-)
-from .models import (
-    ChainConfig,
-    OscillatorModel,
-    StuartLandauParams,
-    chain_bundle,
-    chain_model,
-    chain_phase_constants,
-    phases_from_state,
-    sl_bundle,
-    stuart_landau_cycle,
-    stuart_landau_field,
-)
-from .reduction import (
-    ReductionResult,
-    chain_slow_law,
-    conjugacy_residual,
-    order_forcing,
-    phase_difference_field,
-    phase_reduce,
-    solve_normal,
-    solve_tangential,
-    split_forcing,
-)
-from .sim import (
-    IntegratorSpec,
-    SweepResult,
-    TrajectoryRecord,
-    embedding_distance,
-    envelope,
-    fit_powerlaw,
-    integrate_full,
-    integrate_reduced,
-    measure_T01,
-    sweep_csv,
-    sweep_epsilon,
-    trajectory_csv,
-)
+from .bundle import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fourier import *  # noqa: F403
+from .models import *  # noqa: F403
+from .reduction import *  # noqa: F403
+from .sim import *  # noqa: F403
+from . import bundle, errors, fourier, models, reduction, sim
 
-__all__ = [
-    "AliasingError",
-    "ChainConfig",
-    "ConfigError",
-    "EpsJet",
-    "FourierMap",
-    "HyperbolicityError",
-    "IntegratorSpec",
-    "LimitCycle",
-    "MonodromyData",
-    "NumericalError",
-    "OscillatorModel",
-    "ReductionResult",
-    "SmallDivisorError",
-    "SmoothMap",
-    "StuartLandauParams",
-    "SweepResult",
-    "TorusBundle",
-    "TorusGrid",
-    "TrajectoryRecord",
-    "TransversalityError",
-    "TruncationSaturationError",
-    "chain_bundle",
-    "chain_model",
-    "chain_phase_constants",
-    "chain_slow_law",
-    "conjugacy_residual",
-    "cycle_bundle",
-    "check_grid",
-    "d_omega",
-    "embedding_distance",
-    "envelope",
-    "find_limit_cycle",
-    "fit_powerlaw",
-    "floquet_decompose",
-    "integrate_full",
-    "integrate_reduced",
-    "jet_compose",
-    "matmul",
-    "measure_T01",
-    "multiply",
-    "oblique_projection",
-    "order_forcing",
-    "phase_difference_field",
-    "phase_reduce",
-    "phases_from_state",
-    "product_bundle",
-    "sl_bundle",
-    "spectral_grid",
-    "solve_normal",
-    "solve_tangential",
-    "split_forcing",
-    "stuart_landau_cycle",
-    "stuart_landau_field",
-    "sweep_csv",
-    "sweep_epsilon",
-    "trajectory_csv",
-    "validate_bundle",
-]
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = [name for module in (errors, fourier, bundle, models, reduction, sim)
+           for name in module.__all__]
 
 __version__ = "0.1.0"

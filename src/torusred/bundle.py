@@ -30,6 +30,7 @@ __all__ = [
     "cycle_bundle",
     "product_bundle",
     "validate_bundle",
+    "tangent_identity_residual",
     "find_limit_cycle",
 ]
 

@@ -281,10 +281,15 @@ def check_residual_scaling(model, result):
 
 
 def check_normal_form(result, K_nf):
-    """Largest nonresonant phase coefficient with ``|k| <= K_nf``."""
+    """Largest nonresonant phase coefficient with ``|k| <= K_nf``.
+
+    Resonance is judged as the reduction judged it: ``|<omega, k>|`` at
+    most the run's ``tol_res``.
+    """
     worst = 0.0
     for f in result.phase_terms:
-        inside = (np.abs(f.keys @ result.omega) > 1e-9) & (np.linalg.norm(f.keys, axis=1) <= K_nf)
+        nonresonant = np.abs(np.vecdot(f.keys, result.omega)) > result.tol_res
+        inside = nonresonant & (np.linalg.norm(f.keys, axis=1) <= K_nf)
         worst = max(worst, float(np.max(np.abs(f.values[inside]), initial=0.0)))
     return ("normal form", worst <= TOL_NORMAL_FORM,
             f"largest nonresonant phase coefficient {worst:.2e}", {"worst": worst})

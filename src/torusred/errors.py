@@ -6,6 +6,16 @@ hyperbolicity, small divisors, saturated truncation, aliasing).  The CLI maps
 them onto distinct exit codes.
 """
 
+__all__ = [
+    "ConfigError",
+    "NumericalError",
+    "TransversalityError",
+    "SmallDivisorError",
+    "TruncationSaturationError",
+    "AliasingError",
+    "HyperbolicityError",
+]
+
 
 class ConfigError(ValueError):
     """A parameter set or run configuration violates its invariants."""

@@ -11,9 +11,8 @@ summed on equal keys by one helper; composition with nonlinear maps is
 pseudo-spectral (sample on a grid, apply the map pointwise, project
 back).  One rule, :func:`spectral_grid`, sizes every computation grid
 from the frequency support of the result; :func:`check_grid` states the
-node floor of every pointwise check.  Expansions in a small parameter
-are handled by :class:`EpsJet`, a list of maps acting as Taylor
-coefficients.
+node floor of every pointwise check.  An expansion in a small parameter
+is the plain list of its Taylor coefficients, one map per order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .errors import NumericalError
 __all__ = [
     "FourierMap",
     "TorusGrid",
-    "EpsJet",
     "SmoothMap",
     "d_omega",
     "multiply",
@@ -484,36 +482,7 @@ class TorusGrid:
 
 
 # ----------------------------------------------------------------------
-# jets in the small parameter
-
-
-class EpsJet:
-    """Taylor expansion in the coupling strength: ``sum_j eps^j terms[j]``."""
-
-    def __init__(self, terms):
-        terms = list(terms)
-        if not terms:
-            raise ValueError("a jet needs at least the order-0 term")
-        m, vs = terms[0].m, terms[0].value_shape
-        for t in terms:
-            if (t.m, t.value_shape) != (m, vs):
-                raise ValueError("jet terms must share torus dimension and value shape")
-        self.terms = terms
-
-    @property
-    def order(self):
-        return len(self.terms) - 1
-
-    @property
-    def m(self):
-        return self.terms[0].m
-
-    @property
-    def value_shape(self):
-        return self.terms[0].value_shape
-
-    def __repr__(self):
-        return f"EpsJet(order={self.order}, m={self.m}, value_shape={self.value_shape})"
+# composition with smooth maps
 
 
 class SmoothMap:
@@ -559,21 +528,17 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def jet_compose(F_list, jet, order, K=None, grid=None):
+def jet_compose(F_list, terms, order, K, grid):
     """Taylor coefficient of order ``order`` of ``F(e(phi; eps); eps)``.
 
     ``F_list[i]`` is the coefficient of ``eps^i`` in the map (entries
-    may be None); ``jet`` expands the inner map.  The coefficient
-    collects, for every ``i <= order``, the order ``order - i`` part of
-    ``F_i`` composed with the expansion, assembled from the supplied
-    directional derivatives on ``grid``, by default the 3/2-rule grid of
-    ``K``.
+    may be None), and ``terms[r]`` that of ``eps^r`` in the inner map
+    ``e``.  The coefficient collects, for every ``i <= order``, the
+    order ``order - i`` part of ``F_i`` composed with the expansion,
+    assembled from the supplied directional derivatives on ``grid`` and
+    projected to radius ``K``.
     """
-    if K is None:
-        K = max(t.K for t in jet.terms)
-    if grid is None:
-        grid = spectral_grid(jet.m, K)
-    samples = [grid.sample(t) for t in jet.terms]
+    samples = [grid.sample(t) for t in terms]
     base = samples[0]
     acc = None
     for i, Fi in enumerate(F_list):
@@ -586,7 +551,7 @@ def jet_compose(F_list, jet, order, K=None, grid=None):
             term = None
             for q in range(1, s + 1):
                 for comp in _compositions(s, q):
-                    if any(r > jet.order for r in comp):
+                    if any(r >= len(terms) for r in comp):
                         continue
                     contrib = np.asarray(
                         Fi.deriv(q, base, *[samples[r] for r in comp]), dtype=float

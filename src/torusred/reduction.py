@@ -23,7 +23,7 @@ from .errors import (
     SmallDivisorError,
     TruncationSaturationError,
 )
-from .fourier import EpsJet, FourierMap, check_grid, d_omega, jet_compose, matmul, spectral_grid
+from .fourier import FourierMap, check_grid, d_omega, jet_compose, matmul, spectral_grid
 from .models import OUTER_PAIR
 
 __all__ = [
@@ -111,17 +111,17 @@ def _apply_matrix(mat, f):
     return f._like(np.matmul(mat, f.values[..., None])[..., 0], (mat.shape[0],))
 
 
-def order_forcing(j, model, e_terms, f_terms, K, grid=None):
+def order_forcing(j, model, e_terms, f_terms, K, grid):
     """Inhomogeneous forcing of reduction order ``j``.
 
     Collects the order-j Taylor coefficient of the field composed with
     the expansion so far, minus the order-j part of ``e' f`` formed
-    from the known lower-order terms.  Order 1 is simply the coupling
-    field evaluated on the unperturbed torus.
+    from the known lower-order terms, on ``grid``.  Order 1 is simply
+    the coupling field evaluated on the unperturbed torus.
     """
     if len(e_terms) != j or len(f_terms) != j - 1:
         raise ValueError(f"need exactly the terms below order {j}")
-    G = jet_compose(model.F_list, EpsJet(list(e_terms)), order=j, K=K, grid=grid)
+    G = jet_compose(model.F_list, e_terms, j, K, grid)
     for r in range(1, j):
         G = G - matmul(e_terms[r].jacobian(), f_terms[j - r - 1], K=K)
     return G
@@ -298,7 +298,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     custom_gauge = False
 
     for j in range(1, order + 1):
-        G = order_forcing(j, model, e_terms, f_terms, K, grid=grid)
+        G = order_forcing(j, model, e_terms, f_terms, K, grid)
         _check_saturation(f"G_{j}", G, K)
         margin = _alias_margin(f"G_{j}", G, grid)
         Gv = grid.sample(G)
@@ -358,19 +358,18 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
 def phase_difference_field(result, i, j):
     """Per-order difference of two components of the reduced phase field.
 
-    Term 0 is the constant frequency difference; term ``l`` is the
-    order-l phase field of oscillator ``i`` minus that of oscillator
-    ``j``.  For a resonant pair the difference evolves slowly and the
-    leading nonzero order carries the synchronisation law.
+    Returns its Taylor coefficients in the coupling as a list: entry 0
+    is the constant frequency difference, entry ``l`` the order-l phase
+    field of oscillator ``i`` minus that of oscillator ``j``.  For a
+    resonant pair the difference evolves slowly and the leading nonzero
+    order carries the synchronisation law.
     """
     m = result.bundle.m
     if not (0 <= i < m and 0 <= j < m):
         raise IndexError(f"oscillator indices out of range for m={m}")
     w = result.omega
-    terms = [FourierMap.constant(m, complex(w[i] - w[j]))]
-    for f in result.phase_terms:
-        terms.append(f.component(i) - f.component(j))
-    return EpsJet(terms)
+    return [FourierMap.constant(m, complex(w[i] - w[j]))] + [
+        f.component(i) - f.component(j) for f in result.phase_terms]
 
 
 def chain_slow_law(result):
@@ -385,8 +384,7 @@ def chain_slow_law(result):
     if result.order < 2:
         raise ValueError("the slow law lives at order 2")
     i, j = OUTER_PAIR
-    diff = phase_difference_field(result, i, j)
-    term2 = diff.terms[2]
+    term2 = phase_difference_field(result, i, j)[2]
     m = result.bundle.m
     key = tuple(1 if idx == i else (-1 if idx == j else 0) for idx in range(m))
     c = complex(np.asarray(term2.coeffs.get(key, 0.0 + 0.0j)))

@@ -12,6 +12,7 @@ from torusred.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     PRESETS,
+    check_normal_form,
     check_phase_lock,
     fibre_angle,
     main,
@@ -377,6 +378,21 @@ def test_diverging_phase_lock_run_fails_its_criterion():
     assert name == "phase-locking figure" and not passed
     assert metrics["t_stop"] < 3000.0
     assert f"stopped at t = {metrics['t_stop']:g}" in detail
+
+
+def test_normal_form_check_judges_resonance_by_the_runs_tol_res():
+    # At b = 3.0005, |<omega, (-1, 1, 0)>| = 5e-4: resonant under tol_res = 1e-3,
+    # so the reduction keeps that term in f_1, and the check must not count it.
+    chain = ChainConfig(**{**SET1_MODEL["chain"], "b": 3.0005})
+    result = phase_reduce(chain_model(chain), chain_bundle(chain, K=8.0), order=2,
+                          K_nf=6.0, tol_res=1e-3)
+    f1 = result.phase_terms[0]
+    near = np.abs(np.vecdot(f1.keys, result.omega))
+    assert np.any((near > 0) & (near <= 1e-3))
+    assert f1.norm() > 0.1
+    name, passed, detail, metrics = check_normal_form(result, 6.0)
+    assert passed, detail
+    assert metrics["worst"] == 0.0
 
 
 def test_verify_quick_battery(tmp_path, capsys):

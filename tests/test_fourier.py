@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusred.fourier import (
-    EpsJet,
     FourierMap,
     SmoothMap,
     TorusGrid,
@@ -137,7 +136,7 @@ def test_matmul_matrix_vector():
 
 
 def compose(F, e):
-    return jet_compose([SmoothMap(F)], EpsJet([e]), order=0)
+    return jet_compose([SmoothMap(F)], [e], 0, e.K, spectral_grid(e.m, e.K))
 
 
 def test_compose_complex_square():
@@ -212,8 +211,8 @@ def test_jet_compose_linear():
     F1 = linear_smooth_map(B)
     e0 = random_real_map(rng, 2, 3, K=2)
     e1 = random_real_map(rng, 2, 3, K=2)
-    term1 = jet_compose([F0, F1], EpsJet([e0, e1]), order=1, K=5.0)
     grid = spectral_grid(2, 5.0)
+    term1 = jet_compose([F0, F1], [e0, e1], 1, 5.0, grid)
     expected = grid.project(grid.sample(e1) @ A.T + grid.sample(e0) @ B.T, 5.0, prune=0.0)
     assert (term1 - expected).norm() <= 1e-11
 
@@ -240,8 +239,8 @@ def test_jet_compose_quadratic_second_order_term():
     rng = np.random.default_rng(21)
     e0 = random_real_map(rng, 1, 2, K=1)
     e1 = random_real_map(rng, 1, 2, K=1)
-    term2 = jet_compose([F0], EpsJet([e0, e1]), order=2, K=4.0)
     grid = spectral_grid(1, 4.0)
+    term2 = jet_compose([F0], [e0, e1], 2, 4.0, grid)
     expected = grid.project(0.5 * d2(None, grid.sample(e1), grid.sample(e1)), 4.0, prune=0.0)
     assert (term2 - expected).norm() <= 1e-12
 
@@ -290,10 +289,10 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     e0 = random_real_map(rng, 1, 2, K=2, n_harmonics=3).scale(0.4)
     e1 = random_real_map(rng, 1, 2, K=2, n_harmonics=3).scale(0.4)
     e2 = random_real_map(rng, 1, 2, K=2, n_harmonics=3).scale(0.4)
-    jet = EpsJet([e0, e1, e2])
+    terms = [e0, e1, e2]
     K = 8.0
     grid = spectral_grid(1, K)
-    samples = [grid.sample(t) for t in jet.terms]
+    samples = [grid.sample(t) for t in terms]
 
     def full_eval(eps):
         x = samples[0] + eps * samples[1] + eps ** 2 * samples[2]
@@ -305,8 +304,8 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     h = 1e-4
     fd1 = (full_eval(h) - full_eval(-h)) / (2 * h)
     fd2 = (full_eval(h) - 2 * full_eval(0.0) + full_eval(-h)) / h ** 2 / 2.0
-    got1 = grid.sample(jet_compose(F_list, jet, order=1, K=K))
-    got2 = grid.sample(jet_compose(F_list, jet, order=2, K=K))
+    got1 = grid.sample(jet_compose(F_list, terms, 1, K, grid))
+    got2 = grid.sample(jet_compose(F_list, terms, 2, K, grid))
     assert np.max(np.abs(got1 - fd1)) <= 1e-5
     assert np.max(np.abs(got2 - fd2)) <= 1e-5
 
@@ -315,8 +314,8 @@ def test_jet_compose_order_zero_is_compose():
     rng = np.random.default_rng(17)
     F0 = cubic_polynomial_map(rng, 2)
     e0 = random_real_map(rng, 2, 2, K=2)
-    term0 = jet_compose([F0], EpsJet([e0]), order=0, K=6.0)
     grid = spectral_grid(2, 6.0)
+    term0 = jet_compose([F0], [e0], 0, 6.0, grid)
     direct = grid.project(F0.fun(grid.sample(e0)), 6.0)
     assert (term0 - direct).norm() <= 1e-12
 
@@ -325,8 +324,8 @@ def test_jet_compose_insufficient_derivatives():
     F0 = SmoothMap(lambda x: x ** 2, derivs=())
     e0 = FourierMap.harmonic(1, (1,), np.array([0.5 + 0j]))
     e1 = FourierMap.harmonic(1, (1,), np.array([0.25 + 0j]))
-    with pytest.raises(Exception):
-        jet_compose([F0], EpsJet([e0, e1]), order=1, K=3.0)
+    with pytest.raises(NumericalError, match="order 1 required"):
+        jet_compose([F0], [e0, e1], 1, 3.0, spectral_grid(1, 3.0))
 
 
 # ----------------------------------------------------------------------

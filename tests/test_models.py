@@ -133,6 +133,20 @@ def test_uncoupled_flow_preserves_radii():
     assert np.max(np.abs(y - x)) <= 1e-8
 
 
+@pytest.mark.parametrize("params", [SET1, SET2], ids=["set1", "set2"])
+def test_stepper_rhs_matches_the_generic_field(params):
+    # Oracle for the chain's scalar fast path, which the integrators step with.
+    model = chain_model(ChainConfig(**params))
+    assert model.fast_rhs is not None
+    rng = np.random.default_rng(5)
+    states = rng.normal(size=(200, 6))
+    for eps in (0.0, 0.02, 0.1):
+        step = model.stepper_rhs(eps)
+        for x in states:
+            want = model.rhs(x, eps)
+            assert np.max(np.abs(step(x) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_phases_from_state():
     x = np.array([1.0, 0.0, 0.0, 2.0, -1.0, 0.0])
     assert np.allclose(phases_from_state(x), [0.0, np.pi / 2, np.pi])

@@ -67,7 +67,7 @@ def combo_harmonic(m, k, coeff_sin, coeff_cos, component, p):
 
 def test_first_order_forcing_is_coupling_on_torus(chain):
     cfg, model, bundle = chain
-    G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
+    G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
     R1, R2 = cfg.outer.radius, cfg.middle.radius
     expected = (
         FourierMap.harmonic(3, (0, 1, 0), np.array([R2 / 2, -1j * R2 / 2, 0, 0, 0, 0]))
@@ -109,7 +109,7 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
     h = 1e-4
     fd2 = (defect(h) - 2 * defect(0.0) + defect(-h)) / h ** 2
     G2 = order_forcing(2, model, [bundle.e0, res.embedding_terms[0]],
-                       [res.phase_terms[0]], K=8.0)
+                       [res.phase_terms[0]], 8.0, grid)
     assert np.max(np.abs(grid.sample(G2) + 0.5 * fd2)) <= 1e-5
 
 
@@ -135,7 +135,7 @@ def test_split_recovers_tangential_input(chain):
 
 def test_split_first_order_closed_forms(chain):
     cfg, model, bundle = chain
-    G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
+    G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
     U, V = split(G1, bundle, model.F0)
     R1, R2 = cfg.outer.radius, cfg.middle.radius
     dg = cfg.delta / cfg.gamma
@@ -160,7 +160,7 @@ def test_fibres_along_the_tangent_trip_the_transversality_guard(chain):
     bad = TorusBundle(bundle.e0, bundle.omega, bundle.e0.jacobian(), bundle.L, bundle.pi)
     with pytest.raises(TransversalityError):
         phase_reduce(model, bad, order=2, K_nf=6.0)
-    G1 = order_forcing(1, model, [bundle.e0], [], K=8.0)
+    G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
     with pytest.raises(TransversalityError):
         split(G1, bad, model.F0)
 
@@ -455,7 +455,7 @@ def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, monkeypatch, K
 
 def test_phase_difference_same_index_is_zero(reduced):
     diff = phase_difference_field(reduced, 1, 1)
-    for t in diff.terms:
+    for t in diff:
         assert t.norm() == 0.0
 
 
@@ -476,9 +476,9 @@ def test_normal_solve_rejects_nonhyperbolic_matrix():
 def test_phase_difference_field_set1_coefficients(chain, reduced):
     cfg, model, bundle = chain
     diff = phase_difference_field(reduced, 0, 2)
-    assert diff.terms[0].norm() == 0.0  # the outer frequencies coincide
-    assert diff.terms[1].norm() <= 1e-12
-    term2 = diff.terms[2]
+    assert diff[0].norm() == 0.0  # the outer frequencies coincide
+    assert diff[1].norm() <= 1e-12
+    term2 = diff[2]
     A, B = chain_phase_constants(cfg)
     # -A sin(Phi) - B cos(Phi) + B with Phi = phi1 - phi3
     c = complex(np.asarray(term2.coeffs[(1, 0, -1)]))
@@ -496,7 +496,7 @@ def test_phase_difference_fixed_points(chain, reduced):
     # Phi* = 2 atan(A/B).
     cfg, model, bundle = chain
     A, B = chain_phase_constants(cfg)
-    term2 = phase_difference_field(reduced, 0, 2).terms[2]
+    term2 = phase_difference_field(reduced, 0, 2)[2]
 
     def law(Phi):
         return float(term2.eval(np.array([Phi, 0.7, 0.0])))
@@ -533,8 +533,8 @@ def test_gauge_freedom_resonant_regauge_preserves_slow_law(chain, reduced):
 
     alt = phase_reduce(model, bundle, order=2, K_nf=6.0, g_rule=g_rule)
     assert alt.phase_terms[0].norm() == 0.0
-    base2 = phase_difference_field(reduced, 0, 2).terms[2]
-    alt2 = phase_difference_field(alt, 0, 2).terms[2]
+    base2 = phase_difference_field(reduced, 0, 2)[2]
+    alt2 = phase_difference_field(alt, 0, 2)[2]
     assert (base2 - alt2).norm() <= 1e-8
     # The embeddings themselves do change.
     assert (reduced.embedding_terms[1] - alt.embedding_terms[1]).norm() > 1e-3

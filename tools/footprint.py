@@ -3,15 +3,18 @@
 Usage: ``python3 tools/footprint.py`` from anywhere; it runs the package in
 the ``src/`` next to it.
 
-Size: the line count of ``src/torusred/*.py`` and the number of defaulted
+Size: the line count of ``src/torusred/*.py``, the number of defaulted
 parameters, counted as ``len(args.defaults)`` plus the non-None
-``kw_defaults`` of every ``def`` found by ``ast.walk``.
+``kw_defaults`` of every ``def`` found by ``ast.walk``, and the number of
+public names, ``len(torusred.__all__)``.
 
 Artifacts: the first 16 hex digits of the sha256 of every file the CLI
 writes for set-1 ``reduce`` at (J, K) = (2, 8), (3, 8), (4, 8), (4, 12),
 set-2 ``reduce`` at (2, 8), ``bundle`` on both presets, set-1 ``simulate``
 and ``sweep``, and ``verify`` on both presets (its ``report.json`` and its
 stdout).  Every run keeps the rest of its preset's numerics.
+
+Exits 1 when any command of the matrix exits non-zero.
 """
 
 from __future__ import annotations
@@ -57,16 +60,22 @@ def defaulted_parameters():
     return count
 
 
+def public_names():
+    import torusred
+
+    return len(torusred.__all__)
+
+
 def short_digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
 def artifact_digests(work):
-    """``(label, file, digest, exit code)`` for every artifact of the matrix."""
-    sys.path.insert(0, str(ROOT / "src"))
+    """``(label, file, digest, exit code)`` for every artifact of the matrix,
+    and the exit code of every command."""
     from torusred import cli
 
-    rows = []
+    rows, codes = [], []
     for i, (label, preset, command, numerics) in enumerate(MATRIX):
         doc = copy.deepcopy(cli.PRESETS[preset])
         doc["command"] = command
@@ -76,20 +85,25 @@ def artifact_digests(work):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             rc = cli.run(str(config), out_override=str(out))
-        for path in sorted(out.iterdir()):
+        codes.append(rc)
+        for path in sorted(out.glob("*")):
             rows.append((label, path.name, short_digest(path.read_bytes()), rc))
         if command == "verify":
             rows.append((label, "stdout", short_digest(stdout.getvalue().encode()), rc))
-    return rows
+    return rows, codes
 
 
 def main():
+    sys.path.insert(0, str(ROOT / "src"))
     print(f"src lines: {src_lines()}")
     print(f"defaulted parameters: {defaulted_parameters()}")
+    print(f"public names: {public_names()}")
     with tempfile.TemporaryDirectory() as tmp:
-        for label, name, digest, rc in artifact_digests(Path(tmp)):
-            print(f"{label:24s} {name:16s} {digest}  exit {rc}")
+        rows, codes = artifact_digests(Path(tmp))
+    for label, name, digest, rc in rows:
+        print(f"{label:24s} {name:16s} {digest}  exit {rc}")
+    return 1 if any(codes) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
