@@ -81,6 +81,11 @@ def _to_real(z):
     return out.reshape(z.shape[:-1] + (2 * z.shape[-1],))
 
 
+def _vanishing(x, *vs):
+    """A derivative that vanishes identically."""
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 def _cubic_oscillator_maps(lin, cub):
     """SmoothMap for block-diagonal fields ``z_j -> lin_j z_j + cub_j |z_j|^2 z_j``."""
     lin = np.asarray(lin, dtype=complex)
@@ -104,9 +109,6 @@ def _cubic_oscillator_maps(lin, cub):
         u, v, w = (_to_complex(a, n) for a in (u_, v_, w_))
         return _to_real(2.0 * cub * (u * v * np.conj(w) + u * np.conj(v) * w + np.conj(u) * v * w))
 
-    def d4(x, *vs):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     def jac(x):
         z = _to_complex(x, n)
         p = lin + 2.0 * cub * np.abs(z) ** 2
@@ -120,7 +122,7 @@ def _cubic_oscillator_maps(lin, cub):
             out[..., 2 * j + 1, 2 * j + 1] = (pj - qj).real
         return out
 
-    return SmoothMap(fun, derivs=(d1, d2, d3, d4), jac=jac, degree=3)
+    return SmoothMap(fun, derivs=(d1, d2, d3, _vanishing), jac=jac, degree=3)
 
 
 def stuart_landau_field(p: StuartLandauParams) -> SmoothMap:
@@ -176,7 +178,10 @@ class OscillatorModel:
 
     ``dims[j]`` is the state dimension of oscillator ``j``; the
     uncoupled field ``F0`` is block-diagonal over the oscillators.
-    Evaluators must be pure and accept batched states.
+    Evaluators must be pure and accept batched states.  ``fast_step``,
+    when given, is ``fast_step(eps, scheme, dt)``: one integrator step of
+    ``rhs`` on the tuple of the oscillators' complex values, with the
+    arithmetic of stepping ``rhs`` on the real state.
     """
 
     dims: list
@@ -184,7 +189,7 @@ class OscillatorModel:
     perturbations: list
     omega: np.ndarray
     complex_pairs: bool = False
-    fast_rhs: object = None
+    fast_step: object = None
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float).reshape(-1)
@@ -212,17 +217,6 @@ class OscillatorModel:
             if Fi is not None:
                 out = out + w * Fi.fun(x)
         return out
-
-    def stepper_rhs(self, eps):
-        """Single-state evaluator for integrator loops.
-
-        Uses the model's specialised fast path when available (same
-        math, scalar arithmetic); falls back to the generic batched
-        evaluators otherwise.
-        """
-        if self.fast_rhs is not None:
-            return self.fast_rhs(eps)
-        return lambda x: self.rhs(x, eps)
 
 
 def phases_from_state(x):
@@ -290,34 +284,37 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
     def f1_d1(x, v):
         return f1(v)
 
-    def f1_zero(x, *vs):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    jac1 = np.zeros((6, 6))
-    for r in range(3):
-        for cidx in range(3):
-            if C[r, cidx]:
-                jac1[2 * r, 2 * cidx] = 1.0
-                jac1[2 * r + 1, 2 * cidx + 1] = 1.0
-
-    F1 = SmoothMap(f1, derivs=(f1_d1, f1_zero, f1_zero, f1_zero),
+    jac1 = np.kron(C, np.eye(2))  # each complex coupling acts on a real pair
+    F1 = SmoothMap(f1, derivs=(f1_d1, _vanishing, _vanishing, _vanishing),
                    jac=lambda x: np.broadcast_to(jac1, np.shape(x)[:-1] + (6, 6)), degree=1)
 
     l1, l2 = complex(lin[0]), complex(lin[1])
-    c1, c2 = complex(cub[0]), complex(cub[1])
+    g1, g2 = complex(cub[0]), complex(cub[1])
 
-    def fast_rhs(eps):
-        # Scalar complex arithmetic; hot path for long integrations.
-        def rhs(x):
-            z1 = complex(x[0], x[1])
-            z2 = complex(x[2], x[3])
-            z3 = complex(x[4], x[5])
-            w1 = l1 * z1 + c1 * (z1.real * z1.real + z1.imag * z1.imag) * z1 + eps * z2
-            w2 = l2 * z2 + c2 * (z2.real * z2.real + z2.imag * z2.imag) * z2 + eps * z1
-            w3 = l1 * z3 + c1 * (z3.real * z3.real + z3.imag * z3.imag) * z3 + eps * z2
-            return np.array([w1.real, w1.imag, w2.real, w2.imag, w3.real, w3.imag])
+    def fast_step(eps, scheme, dt):
+        # Scalar complex arithmetic in _rk4_step's order of operations.
+        def field(z1, z2, z3):
+            return (l1 * z1 + g1 * (z1.real * z1.real + z1.imag * z1.imag) * z1 + eps * z2,
+                    l2 * z2 + g2 * (z2.real * z2.real + z2.imag * z2.imag) * z2 + eps * z1,
+                    l1 * z3 + g1 * (z3.real * z3.real + z3.imag * z3.imag) * z3 + eps * z2)
 
-        return rhs
+        def euler(z):
+            a1, a2, a3 = field(*z)
+            return z[0] + dt * a1, z[1] + dt * a2, z[2] + dt * a3
+
+        h, w = 0.5 * dt, dt / 6.0
+
+        def rk4(z):
+            z1, z2, z3 = z
+            a1, a2, a3 = field(z1, z2, z3)
+            b1, b2, b3 = field(z1 + h * a1, z2 + h * a2, z3 + h * a3)
+            c1, c2, c3 = field(z1 + h * b1, z2 + h * b2, z3 + h * b3)
+            d1, d2, d3 = field(z1 + dt * c1, z2 + dt * c2, z3 + dt * c3)
+            return (z1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                    z2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                    z3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
+
+        return euler if scheme == "euler" else rk4
 
     return OscillatorModel(
         dims=[2, 2, 2],
@@ -325,7 +322,7 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
         perturbations=[F1],
         omega=cfg.frequencies,
         complex_pairs=True,
-        fast_rhs=fast_rhs,
+        fast_step=fast_step,
     )
 
 

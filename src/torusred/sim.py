@@ -10,6 +10,7 @@ crossings.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -83,16 +84,10 @@ class TrajectoryRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _angle_step(prev_unwrapped, prev_raw, raw):
-    d = (raw - prev_raw + math.pi) % (2.0 * math.pi) - math.pi
-    return prev_unwrapped + d
-
-
-def _pair_angle(x, pair):
-    i, j = pair
-    a, b = x[2 * i], x[2 * i + 1]
-    c, d = x[2 * j], x[2 * j + 1]
-    # angle of (a + ib)(c - id)
+def _pair_angle(z, pair):
+    """Angle of ``z_i conj(z_j)`` for the pair ``(i, j)`` of complex oscillator values."""
+    zi, zj = z[pair[0]], z[pair[1]]
+    a, b, c, d = zi.real, zi.imag, zj.real, zj.imag
     return math.atan2(b * c - a * d, a * c + b * d)
 
 
@@ -102,52 +97,63 @@ def _beat_period(omega):
     return 2.0 * math.pi / min(diffs) if diffs else 2.0 * math.pi
 
 
-def _march(rhs, x, spec, record_state=True, observe=None, stop=None):
+def _march(step, x, spec, record_state=True, observe=None, stop=None):
     """Fixed-step loop shared by both integrators.
 
-    Steps ``x`` with the spec's scheme and stops at the first non-finite
-    state.  ``observe(x)``, when given, runs after every step.  Every
-    ``record_stride`` steps and at the last one, the time, the state
-    (with ``record_state``) and the latest observed value are recorded;
-    ``stop(value)``, when given, then sees that value and ends the run
-    there by returning true.  Returns ``(t, states, observed, failed)``.
+    Advances the state ``x``, a sequence of scalars, with ``step`` and stops
+    at the first state with a non-finite entry.  Every ``record_stride``
+    steps and at the last one, the time, the state (with ``record_state``)
+    and ``observe(x)``, when given, are recorded; ``stop(value)``, when
+    given, then sees the observed value and ends the run there by
+    returning true.  Returns ``(t, states, observed, failed)``.
     """
     n, stride, dt = spec.steps(), spec.record_stride, spec.dt
-    euler = spec.scheme == "euler"
     ts = [0.0]
-    states = [x.copy()] if record_state else None
+    states = [x] if record_state else None
     seen = [observe(x)] if observe else None
     failed = False
     for i in range(1, n + 1):
-        x = x + dt * rhs(x) if euler else _rk4_step(rhs, x, dt)
-        if not np.all(np.isfinite(x)):
+        x = step(x)
+        if not all(map(cmath.isfinite, x)):
             failed = True
             break
-        if observe:
-            value = observe(x)
         if i % stride == 0 or i == n:
             ts.append(i * dt)
             if record_state:
-                states.append(x.copy())
+                states.append(x)
             if observe:
+                value = observe(x)
                 seen.append(value)
                 if stop and stop(value):
                     break
     return ts, states, seen, failed
 
 
-def _unwrapped_pair_angle(pair):
-    """Observer returning the pair angle, unwrapped against its previous call."""
-    last = None  # (unwrapped, raw) angle of the previous call
+def _array_step(rhs, spec):
+    """The spec's scheme as one step of ``dx/dt = rhs(x)`` on arrays."""
+    dt = spec.dt
+    if spec.scheme == "euler":
+        return lambda x: x + dt * rhs(x)
+    return lambda x: _rk4_step(rhs, x, dt)
 
-    def observe(x):
-        nonlocal last
-        raw = _pair_angle(x, pair)
-        unwrapped = raw if last is None else _angle_step(*last, raw)
-        last = (unwrapped, raw)
-        return unwrapped
 
-    return observe
+def _unwrapped_pair_angle(step, z, pair):
+    """``step`` that also unwraps the pair angle, and an observer of it.
+
+    Unwrapping after every step, from the state ``z`` on, keeps the angle
+    continuous however sparsely the observer's latest value is recorded.
+    """
+    unwrapped = raw = _pair_angle(z, pair)
+
+    def tracked(z):
+        nonlocal unwrapped, raw
+        z = step(z)
+        new = _pair_angle(z, pair)
+        unwrapped += (new - raw + math.pi) % (2.0 * math.pi) - math.pi
+        raw = new
+        return z
+
+    return tracked, lambda z: unwrapped
 
 
 def _t01_threshold(start):
@@ -183,6 +189,16 @@ def _until_decided(start, window, spec):
     return stop
 
 
+def _start(x0, size, what, omega, spec):
+    """A checked fresh float copy of the initial ``what``, and the beat period."""
+    x = np.asarray(x0, dtype=float).copy()
+    if x.size != size or not np.all(np.isfinite(x)):
+        raise ConfigError(f"initial {what} must be finite with {size} components")
+    if spec.dt * float(np.max(np.abs(omega))) >= math.pi:
+        raise ConfigError("dt too large: per-step phase increments would exceed pi")
+    return x, _beat_period(omega)
+
+
 def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     """Integrate the coupled system at coupling strength ``eps``.
 
@@ -192,24 +208,27 @@ def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     ``until_t01`` the run also ends once ``measure_T01`` of the record can
     no longer change (see ``_until_decided``).
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.size != model.M or not np.all(np.isfinite(x)):
-        raise ConfigError(f"initial state must be finite with {model.M} components")
-    if spec.dt * float(np.max(np.abs(model.omega))) >= math.pi:
-        raise ConfigError("dt too large: per-step phase increments would exceed pi")
+    x, beat = _start(x0, model.M, "state", model.omega, spec)
     track_angle = bool(model.complex_pairs) and 2 * max(OUTER_PAIR) + 1 < model.M
-    observe = _unwrapped_pair_angle(OUTER_PAIR) if track_angle else None
-    beat = _beat_period(np.asarray(model.omega, dtype=float))
-    stop = None
-    if until_t01 and track_angle:
-        stop = _until_decided(_pair_angle(x, OUTER_PAIR), beat, spec)
-    ts, states, angles, failed = _march(model.stepper_rhs(eps), x, spec,
-                                        record_state=record_state, observe=observe, stop=stop)
+    rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
+    # Complex-pair states step as the oscillators' complex values.
+    if model.fast_step is not None:
+        step, state = model.fast_step(eps, spec.scheme, spec.dt), tuple(x.view(complex).tolist())
+    elif model.complex_pairs:
+        step, state = (lambda z: rhs_step(z.view(float)).view(complex)), x.view(complex)
+    else:
+        step, state = rhs_step, x
+    observe = stop = None
+    if track_angle:
+        step, observe = _unwrapped_pair_angle(step, state, OUTER_PAIR)
+        if until_t01:
+            stop = _until_decided(observe(state), beat, spec)
+    ts, states, angles, failed = _march(step, state, spec, record_state=record_state,
+                                        observe=observe, stop=stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
-        states=np.asarray(states) if record_state else None,
+        states=np.asarray(states).view(float) if record_state else None,
         phi_hat=np.asarray(angles) if track_angle else None,
-        kind="full",
         failed=failed,
         meta={"beat_period": beat, "complex_pairs": bool(model.complex_pairs)},
     )
@@ -225,11 +244,7 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
     angle.  ``until_t01`` ends the run as in ``integrate_full``.
     """
     omega = result.omega
-    phi = np.asarray(phi0, dtype=float).copy()
-    if phi.size != omega.size or not np.all(np.isfinite(phi)):
-        raise ConfigError(f"initial phases must be finite with {omega.size} components")
-    if spec.dt * float(np.max(np.abs(omega))) >= math.pi:
-        raise ConfigError("dt too large: per-step phase increments would exceed pi")
+    phi, beat = _start(phi0, omega.size, "phases", omega, spec)
     series = result.phase_field(eps)
     kmat, cmat = series.keys.astype(float), series.values
 
@@ -242,9 +257,9 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
     def observe(p):
         return (p[i_idx] - p[j_idx]) - shift
 
-    beat = _beat_period(np.asarray(omega, dtype=float))
     stop = _until_decided(observe(phi), beat, spec) if until_t01 else None
-    ts, phis, phi_hat, failed = _march(rhs, phi, spec, observe=observe, stop=stop)
+    ts, phis, phi_hat, failed = _march(_array_step(rhs, spec), phi, spec, observe=observe,
+                                       stop=stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
         states=np.asarray(phis),

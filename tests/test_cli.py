@@ -22,6 +22,7 @@ from torusred.errors import HyperbolicityError, NumericalError
 from torusred.fourier import FourierMap
 from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
 from torusred.reduction import phase_reduce
+from torusred.sim import IntegratorSpec, integrate_full
 
 SET1_MODEL = {
     "chain": {
@@ -378,6 +379,22 @@ def test_diverging_phase_lock_run_fails_its_criterion():
     assert name == "phase-locking figure" and not passed
     assert metrics["t_stop"] < 3000.0
     assert f"stopped at t = {metrics['t_stop']:g}" in detail
+
+
+@pytest.mark.parametrize("preset,eps,scheme,dt,x0,steps", [
+    ("set2", 200.0, "rk4", 0.01, PRESETS["set2"]["numerics"]["x0"], 4),
+    ("set1", 60.0, "euler", 0.05, [[-1.0, 0.0], [1.0, 0.4], [-1.0, 0.3]], 8),
+], ids=["phase-lock", "sync"])
+def test_diverging_runs_stop_after_their_last_finite_step(preset, eps, scheme, dt, x0, steps):
+    # The runs of the two diverging criteria above, recorded at every step:
+    # each keeps exactly the finite steps the array integrator kept.
+    chain = ChainConfig(**{**PRESETS[preset]["model"]["chain"], "epsilon": eps})
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    rec = integrate_full(chain_model(chain), eps, x, IntegratorSpec(scheme, dt, 4000.0))
+    assert rec.failed
+    assert len(rec.t) == len(rec.states) == len(rec.phi_hat) == steps + 1
+    assert rec.t[-1] == steps * dt
+    assert np.all(np.isfinite(rec.states))
 
 
 def test_normal_form_check_judges_resonance_by_the_runs_tol_res():

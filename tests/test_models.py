@@ -133,18 +133,73 @@ def test_uncoupled_flow_preserves_radii():
     assert np.max(np.abs(y - x)) <= 1e-8
 
 
+def chain_state(x):
+    """The chain's real state as the tuple of complex values the fused step advances."""
+    return tuple(map(complex, np.asarray(x, dtype=float).view(complex)))
+
+
+def array_step(rhs, scheme, dt):
+    if scheme == "euler":
+        return lambda x: x + dt * rhs(x)
+    return lambda x: _rk4_step(rhs, x, dt)
+
+
+def scalar_field(cfg, eps):
+    """The chain's field on one real state in scalar complex arithmetic: the
+    reference that the fused step must reproduce when stepped by ``_rk4_step``
+    or Euler."""
+    p, q = cfg.outer, cfg.middle
+    l1, l2 = complex(p.alpha + 1j * p.beta), complex(q.alpha + 1j * q.beta)
+    c1, c2 = complex(p.gamma + 1j * p.delta), complex(q.gamma + 1j * q.delta)
+
+    def rhs(x):
+        z1 = complex(x[0], x[1])
+        z2 = complex(x[2], x[3])
+        z3 = complex(x[4], x[5])
+        w1 = l1 * z1 + c1 * (z1.real * z1.real + z1.imag * z1.imag) * z1 + eps * z2
+        w2 = l2 * z2 + c2 * (z2.real * z2.real + z2.imag * z2.imag) * z2 + eps * z1
+        w3 = l1 * z3 + c1 * (z3.real * z3.real + z3.imag * z3.imag) * z3 + eps * z2
+        return np.array([w1.real, w1.imag, w2.real, w2.imag, w3.real, w3.imag])
+
+    return rhs
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.1])
+@pytest.mark.parametrize("scheme,dt", [("rk4", 0.01), ("euler", 0.05)])
+@pytest.mark.parametrize("params,x0", [(SET1, [-1.0, 0.0, 1.0, 0.4, -1.0, 0.3]),
+                                       (SET2, [1.0, 0.3, 1.0, 0.4, -0.2, 0.9])],
+                         ids=["set1", "set2"])
+def test_fast_step_is_bit_identical_to_stepping_the_scalar_field(params, x0, scheme, dt, eps):
+    # Oracle for the fused step: every state of 10^4 steps from the preset
+    # start equals the one stepped from the scalar field, bit for bit.
+    cfg = ChainConfig(**params)
+    step = chain_model(cfg).fast_step(eps, scheme, dt)
+    oracle = array_step(scalar_field(cfg, eps), scheme, dt)
+    x = np.array(x0)
+    z = chain_state(x)
+    want, got = [], []
+    for _ in range(10_000):
+        x, z = oracle(x), step(z)
+        want.append(x)
+        got.append(z)
+    assert np.array_equal(np.asarray(got).view(float), np.asarray(want))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("params", [SET1, SET2], ids=["set1", "set2"])
-def test_stepper_rhs_matches_the_generic_field(params):
-    # Oracle for the chain's scalar fast path, which the integrators step with.
+def test_fast_step_matches_the_generic_field(params, scheme):
+    # One fused step against one step of the generic batched field.
     model = chain_model(ChainConfig(**params))
-    assert model.fast_rhs is not None
+    assert model.fast_step is not None
     rng = np.random.default_rng(5)
     states = rng.normal(size=(200, 6))
     for eps in (0.0, 0.02, 0.1):
-        step = model.stepper_rhs(eps)
+        step = model.fast_step(eps, scheme, 0.01)
+        generic = array_step(lambda x: model.rhs(x, eps), scheme, 0.01)
         for x in states:
-            want = model.rhs(x, eps)
-            assert np.max(np.abs(step(x) - want)) <= 1e-13 * np.max(np.abs(want))
+            want = generic(x)
+            got = np.asarray(step(chain_state(x))).view(float)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_phases_from_state():
