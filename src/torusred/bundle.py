@@ -1,32 +1,32 @@
 """Reducible normally hyperbolic torus data.
 
-A limit cycle of a smooth vector field carries a Floquet decomposition
-of its fundamental matrix solution; from it we build a fast fibre map
-``N(phi)`` together with a constant hyperbolic matrix ``L`` governing
-the linearised dynamics transverse to the cycle, and the oblique
-projection ``pi(phi)`` onto the tangent direction along the fibres.
-Products of such circles give the torus data for uncoupled oscillator
-networks.
+A limit cycle of a smooth vector field is solved for in Fourier
+collocation: its values ``X`` at ``n`` equispaced phase nodes and its
+frequency ``omega`` satisfy ``omega D X = F(X)``, with ``D`` the spectral
+derivative, and Newton's method polishes a sampled orbit into that
+solution.  The spectrum of ``omega D - F'(X)`` is ``-lambda_j + i omega k``
+over the Floquet exponents ``lambda_j``; one representative of each
+family and its eigenvector give the fast fibre map ``N(phi)`` and the
+constant hyperbolic matrix ``L`` of the linearised dynamics transverse
+to the cycle, and with them the oblique projection ``pi(phi)`` onto the
+tangent direction along the fibres.  Products of such circles give the
+torus data for uncoupled oscillator networks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .errors import HyperbolicityError, NumericalError, TransversalityError
-from .fourier import FourierMap, TorusGrid, _sum_on_keys, check_grid, d_omega
+from .fourier import (SATURATION_TOL, FourierMap, TorusGrid, _radius_nodes, _sum_on_keys,
+                      check_grid, d_omega)
 
 __all__ = [
     "LimitCycle",
-    "MonodromyData",
     "TorusBundle",
     "oblique_projection",
-    "floquet_matrix_from_monodromy",
-    "floquet_decompose",
     "cycle_bundle",
     "product_bundle",
     "validate_bundle",
@@ -34,13 +34,14 @@ __all__ = [
     "find_limit_cycle",
 ]
 
-CYCLE_SAMPLES = 2048  # RK4 steps (and stored samples) over one period of a cycle
-PHASE_SAMPLES = 256  # phase-grid samples of the periodic Floquet factor
+CYCLE_SAMPLES = 2048  # RK4 steps (and stored samples) over one period of a sampled orbit
 COND_THRESHOLD = 1e10  # largest admissible condition number of a frame
 CLOSURE_TOL = 1e-8  # relative |X(T) - X(0)| a stored orbit may show
 EXPONENT_GAP = 1e-6  # Floquet exponents closer than this to the axis are neutral
-SV_TOL = 1e-8  # relative singular value below which B is rank-deficient
 PROJ_TOL = 1e-10  # relative error of the projection identities (scaled by 10 on grids)
+NEWTON_STEPS = 12  # Newton steps a cycle solve may take
+NEWTON_TOL = 1e-12  # collocation residual, relative to the field, of a solved cycle
+MAX_CYCLE_NODES = 1025  # phase nodes past which a cycle counts as unresolved
 
 # find_limit_cycle: RK4 step, radius around the landing point in which a
 # section crossing counts as a return, and the longest period searched.
@@ -75,22 +76,17 @@ class LimitCycle:
         scale = max(1.0, float(np.max(np.abs(self.samples))))
         gap = float(np.max(np.abs(self.samples[-1] - self.samples[0])))
         if gap > CLOSURE_TOL * scale:
-            raise NumericalError(
-                f"orbit does not close up: |X(T) - X(0)| = {gap:.3e} exceeds "
-                f"{CLOSURE_TOL:.1e} (relative)"
-            )
+            raise NumericalError(f"orbit does not close up: |X(T) - X(0)| = {gap:.3e} exceeds "
+                                 f"{CLOSURE_TOL:.1e} (relative)")
         if self.period <= 0:
             raise ValueError("period must be positive")
 
     @classmethod
     def from_flow(cls, field, x0, period):
         """Integrate ``field`` over one period with fixed-step RK4."""
-        dt = period / CYCLE_SAMPLES
-        x = np.asarray(x0, dtype=float)
-        samples = [x]
+        dt, samples = period / CYCLE_SAMPLES, [np.asarray(x0, dtype=float)]
         for _ in range(CYCLE_SAMPLES):
-            x = _rk4_step(field.fun, x, dt)
-            samples.append(x)
+            samples.append(_rk4_step(field.fun, samples[-1], dt))
         return cls(period, np.array(samples), field)
 
     @classmethod
@@ -111,16 +107,13 @@ def find_limit_cycle(field, x0, t_transient):
     x = np.asarray(x0, dtype=float)
     for _ in range(int(round(t_transient / dt))):
         x = _rk4_step(field.fun, x, dt)
-    p = x
-    n = field.fun(p)
-    n = n / np.linalg.norm(n)
+    n = field.fun(x)
+    p, n = x, n / np.linalg.norm(n)
 
     def section(y):
         return float(np.dot(n, y - p))
 
-    t, x = 0.0, p
-    prev = 0.0
-    period = None
+    t, x, prev, period = 0.0, p, 0.0, None
     while t < RETURN_MAX_TIME:
         x_new = _rk4_step(field.fun, x, dt)
         t_new = t + dt
@@ -129,10 +122,7 @@ def find_limit_cycle(field, x0, t_transient):
         if crossed and t > dt:
             tau, y = 0.0, x
             for _ in range(8):
-                g = section(y)
-                dg = float(np.dot(n, field.fun(y)))
-                step = -g / dg
-                tau += step
+                tau -= section(y) / float(np.dot(n, field.fun(y)))
                 y = _rk4_step(field.fun, x, tau)
                 if abs(section(y)) < 1e-13:
                     break
@@ -142,99 +132,6 @@ def find_limit_cycle(field, x0, t_transient):
     if period is None:
         raise NumericalError("no return to the section found; not a (stable) cycle?")
     return LimitCycle.from_flow(field, p, period)
-
-
-@dataclass
-class MonodromyData:
-    """Floquet factorisation data of a periodic orbit.
-
-    Holds the constant matrix ``B = log(Phi(T)) / T`` (principal real
-    logarithm) and samples of the periodic factor
-    ``P(t) = Phi(t) exp(-B t)`` together with the orbit itself on a
-    uniform phase grid.  ``floquet_decompose`` checks the factorisation.
-    """
-
-    period: float
-    floquet_matrix: np.ndarray
-    periodic_samples: np.ndarray
-    orbit_samples: np.ndarray
-
-
-def floquet_matrix_from_monodromy(PhiT, period):
-    """Principal real logarithm of the monodromy matrix, divided by the period.
-
-    Rejects monodromy matrices with eigenvalues on the negative real
-    axis (a real logarithm would require passing to a double cover) and
-    orbits whose exponent structure is not that of a normally
-    hyperbolic cycle: exactly one exponent may sit near the imaginary
-    axis, and it has to vanish.
-    """
-    PhiT = np.asarray(PhiT, dtype=float)
-    evals = np.linalg.eigvals(PhiT)
-    scale = float(np.max(np.abs(evals)))
-    for lam in evals:
-        if lam.real < 0 and abs(lam.imag) <= 1e-10 * scale:
-            raise NumericalError(
-                f"monodromy matrix has a negative real eigenvalue {lam.real:.6e}; "
-                "no real logarithm on a single cover"
-            )
-    B = logm(PhiT)
-    if np.max(np.abs(B.imag)) > 1e-10 * max(1.0, np.max(np.abs(B.real))):
-        raise NumericalError("matrix logarithm came out non-real")
-    B = B.real / period
-    exponents = np.linalg.eigvals(B)
-    near_axis = [lam for lam in exponents if abs(lam.real) < EXPONENT_GAP]
-    if len(near_axis) != 1:
-        raise HyperbolicityError(
-            f"{len(near_axis)} Floquet exponents within {EXPONENT_GAP:.1e} of the "
-            "imaginary axis; the cycle is not normally hyperbolic"
-        )
-    if abs(near_axis[0]) > 1e-6:
-        raise HyperbolicityError(
-            f"the near-axis Floquet exponent {near_axis[0]:.3e} does not vanish"
-        )
-    return B
-
-
-def floquet_decompose(cycle):
-    """Integrate the variational equation and factor the fundamental matrix.
-
-    The cycle's field supplies the vector field and its Jacobian.  RK4
-    takes ``CYCLE_SAMPLES`` steps over one period and keeps
-    ``PHASE_SAMPLES`` of them for the periodic factor.
-    """
-    field = cycle.field
-    if field.jac is None:
-        raise ValueError("the cycle's vector field must carry a Jacobian evaluator")
-    M = cycle.dimension
-    n_steps, n_phi = CYCLE_SAMPLES, PHASE_SAMPLES
-    stride = n_steps // n_phi
-    dt = cycle.period / n_steps
-
-    def aug_rhs(state):
-        x, Phi = state[:, 0], state[:, 1:]
-        return np.column_stack([field.fun(x), field.jac(x) @ Phi])
-
-    state = np.column_stack([cycle.samples[0], np.eye(M)])
-    fundamentals = [np.eye(M)]
-    orbit = [cycle.samples[0]]
-    for i in range(n_steps):
-        state = _rk4_step(aug_rhs, state, dt)
-        if (i + 1) % stride == 0:
-            fundamentals.append(state[:, 1:].copy())
-            orbit.append(state[:, 0].copy())
-    PhiT = fundamentals[-1]
-    B = floquet_matrix_from_monodromy(PhiT, cycle.period)
-    times = np.arange(n_phi + 1) * (cycle.period / n_phi)
-    P = np.array([fundamentals[i] @ expm(-B * times[i]) for i in range(n_phi + 1)])
-    eye = np.eye(M)
-    if np.max(np.abs(P[-1] - eye)) > 1e-6:
-        raise NumericalError("periodic factor fails to return to the identity")
-    err = np.max(np.abs(expm(B * cycle.period) - PhiT))
-    if err > 1e-8 * max(1.0, np.max(np.abs(PhiT))):
-        raise NumericalError(f"exp(B T) deviates from the monodromy matrix by {err:.3e}")
-    return MonodromyData(cycle.period, B, periodic_samples=P[:-1],
-                         orbit_samples=np.array(orbit[:-1]))
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +144,7 @@ def _oblique_projection_batch(A, B):
     Uses pi = A (A^T Q A)^{-1} A^T Q with Q the orthogonal projection
     onto the complement of im(B).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     M = A.shape[-2]
     eye = np.broadcast_to(np.eye(M), A.shape[:-2] + (M, M))
     BtB = np.swapaxes(B, -1, -2) @ B
@@ -267,18 +163,13 @@ def oblique_projection(A, B):
 
     Returns the unique M x M matrix with ``pi A = A`` and ``pi B = 0``.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    stacked = np.concatenate([A, B], axis=-1)
-    cond = float(np.linalg.cond(stacked))
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    cond = float(np.linalg.cond(np.concatenate([A, B], axis=-1)))
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise TransversalityError("images of A and B are nearly degenerate", cond)
     pi = _oblique_projection_batch(A, B)
-    err = max(
-        float(np.max(np.abs(pi @ A - A))),
-        float(np.max(np.abs(pi @ B))),
-        float(np.max(np.abs(pi @ pi - pi))),
-    )
+    err = max(float(np.max(np.abs(pi @ A - A))), float(np.max(np.abs(pi @ B))),
+              float(np.max(np.abs(pi @ pi - pi))))
     if err > 1e-10 * max(1.0, float(np.max(np.abs(pi)))):
         raise TransversalityError(f"projection identities violated at {err:.3e}", cond)
     return pi
@@ -375,67 +266,130 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     keep_tangent = float(np.max(np.abs(Pv @ E - E)))
     kill_fibre = float(np.max(np.abs(Pv @ Nv)))
 
-    diag = {
-        "max_condition": max_cond,
-        "spectral_gap": gap,
-        "pde_residual_rel": pde_rel,
-        "pi_idempotent": idem,
-        "pi_tangent": keep_tangent,
-        "pi_fibre": kill_fibre,
-    }
+    diag = {"max_condition": max_cond, "spectral_gap": gap, "pde_residual_rel": pde_rel,
+            "pi_idempotent": idem, "pi_tangent": keep_tangent, "pi_fibre": kill_fibre}
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
     if pde_rel > pde_tol:
-        raise NumericalError(
-            f"fibre invariance equation violated: relative residual {pde_rel:.3e}"
-        )
+        raise NumericalError(f"fibre invariance equation violated: relative residual "
+                             f"{pde_rel:.3e}")
     scale = max(p_scale, n_scale)
     if max(idem, keep_tangent, kill_fibre) > PROJ_TOL * scale * 10:
         raise NumericalError("projection identities violated on the grid")
     return diag
 
 
-def cycle_bundle(cycle, monodromy, K=8.0):
-    """Torus bundle (m = 1) of a hyperbolic limit cycle.
+def _collocation_operator(D, omega, J):
+    """``omega D - F'(X)`` on node values stacked node by node; ``J`` holds ``F'`` per node."""
+    n, M = J.shape[:2]
+    A = omega * np.kron(D, np.eye(M))
+    A.reshape(n, M, n, M)[np.arange(n), :, np.arange(n), :] -= J
+    return A
 
-    The fibre frame is ``N(phi) = P(phi / omega) A`` where the columns
-    of ``A`` are the left singular vectors of the Floquet matrix ``B``
-    belonging to its nonzero part, with a deterministic sign convention
-    (first entry of significant size is positive).  ``L`` is ``B``
-    restricted to the range of ``A``.  The bundle is validated against
-    the cycle's field on the phase grid.
+
+def _solve_cycle(field, X, omega):
+    """Newton on ``omega D X = F(X)``, anchored to the section through ``X[0]``.
+
+    Returns the node values, ``omega``, the spectral derivative ``D`` and the steps taken.
     """
-    B = monodromy.floquet_matrix
-    M = B.shape[0]
-    U, S, _ = np.linalg.svd(B)
-    rank = int(np.sum(S > SV_TOL * S[0]))
-    if rank != M - 1:
-        raise HyperbolicityError(
-            f"Floquet matrix has rank {rank}, expected {M - 1}; cannot span the fibres"
-        )
-    A = U[:, :rank].copy()
-    for j in range(rank):
-        col = A[:, j]
-        lead = col[np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))]
-        if lead < 0:
-            A[:, j] = -col
-    L = A.T @ B @ A
-    frame_err = np.max(np.abs(A @ L - B @ A))
-    if frame_err > 1e-9 * max(1.0, np.max(np.abs(B))):
-        raise NumericalError(f"fibre frame is not invariant under B ({frame_err:.3e})")
+    n, M = X.shape
+    grid = TorusGrid(1, (n,))
+    D = grid.sample(grid.project(np.eye(n), n // 2).jacobian())[..., 0]
+    anchor, normal = X[0].copy(), field.fun(X[0])
+    for steps in range(NEWTON_STEPS + 1):
+        F = field.fun(X)
+        res = omega * (D @ X) - F
+        if np.max(np.abs(res)) <= NEWTON_TOL * max(1.0, float(np.max(np.abs(F)))):
+            return X, omega, D, steps
+        if steps == NEWTON_STEPS or not np.all(np.isfinite(res)):
+            break
+        A = np.zeros((n * M + 1, n * M + 1))
+        A[:-1, :-1] = _collocation_operator(D, omega, field.jac(X))
+        A[:-1, -1], A[-1, :M] = (D @ X).ravel(), normal  # the omega column, the anchor row
+        try:
+            step = np.linalg.solve(A, np.append(res.ravel(), normal @ (X[0] - anchor)))
+        except np.linalg.LinAlgError:
+            break
+        X, omega = X - step[:-1].reshape(n, M), omega - step[-1]
+    raise NumericalError(f"Newton does not converge to a cycle on {n} nodes "
+                         f"(collocation residual {np.max(np.abs(res)):.3e})")
 
-    P = monodromy.periodic_samples
-    n_phi = P.shape[0]
-    grid = TorusGrid(1, (n_phi,))
-    N_vals = P @ A
-    e0 = grid.project(monodromy.orbit_samples, K)
-    N = grid.project(N_vals, K)
-    E_vals = grid.sample(e0.jacobian())
-    pi_vals = _oblique_projection_batch(E_vals, N_vals)
-    pi = grid.project(pi_vals, K)
-    omega = np.array([2.0 * math.pi / monodromy.period])
-    bundle = TorusBundle(e0, omega, N, L, pi)
-    bundle.diagnostics = validate_bundle(bundle, cycle.field, grid=grid)
+
+def _fibre(A, omega, n, M):
+    """Fibre frame on the nodes, ``L`` and the neutral exponent from ``A = omega D - F'(X)``.
+
+    Of each family ``-lambda_j + i omega k`` of eigenvalues of ``A``, the
+    representative has its imaginary part in ``(-omega/2, omega/2]``.
+    """
+    sigma, vecs = np.linalg.eig(A)
+    rep = (sigma.imag > -abs(omega) / 2) & (sigma.imag <= abs(omega) / 2)
+    sigma, vecs = sigma[rep], vecs[:, rep].T.reshape(-1, n, M)
+    if len(sigma) != M:
+        raise NumericalError(f"{len(sigma)} representatives of {M} Floquet exponents: a "
+                             "negative multiplier, or a spectrum the nodes do not resolve")
+    near = np.abs(sigma.real) < EXPONENT_GAP
+    if np.count_nonzero(near) != 1:
+        raise HyperbolicityError(f"{np.count_nonzero(near)} Floquet exponents within "
+                                 f"{EXPONENT_GAP:.1e} of the axis; not normally hyperbolic")
+    neutral = -sigma[near][0]
+    if abs(neutral) > 1e-6:
+        raise HyperbolicityError(f"the near-axis Floquet exponent {neutral:.3e} does not vanish")
+    L, cols = np.zeros((M - 1, M - 1)), []
+    for s, v in zip(sigma[~near], vecs[~near]):
+        i = len(cols)
+        if not np.any(sigma == np.conj(s)):
+            raise NumericalError(f"Floquet exponent {-s:.6e} has no conjugate: a negative "
+                                 "multiplier, no real fibre frame on a single cover")
+        if s.imag == 0:
+            cols.append(v.real)
+            L[i, i] = -s.real
+        elif s.imag > 0:  # a conjugate pair spans two real columns
+            v = v * np.exp(-0.5j * np.angle(v[0] @ v[0]))  # Re v(0) orthogonal to Im v(0)
+            cols += [v.real, v.imag]
+            L[i:i + 2, i:i + 2] = [[-s.real, -s.imag], [s.imag, -s.real]]
+    frame = np.stack(cols, axis=-1)
+    # Unit columns at phase 0, each led by a positive entry; L follows the rescaling.
+    at0 = frame[0]
+    lead = at0[np.argmax(np.abs(at0) > 1e-12 * np.max(np.abs(at0), axis=0), axis=0), range(M - 1)]
+    scale = np.sign(lead) / np.linalg.norm(at0, axis=0)
+    return frame * scale, L * scale[None, :] / scale[:, None], float(neutral.real)
+
+
+def cycle_bundle(cycle, K=8.0):
+    """Torus bundle (m = 1) of a hyperbolic limit cycle, solved in Fourier collocation.
+
+    Newton polishes the cycle's samples on ``n`` phase nodes into a solution
+    of ``omega D X = F(X)``.  The residual cannot see truncation, so ``n``
+    starts at the 3/2-rule count of ``K`` and doubles while the outermost
+    shells carry more than ``SATURATION_TOL`` of the mass.  ``N`` and ``L``
+    come from the spectrum of ``omega D - F'(X)``; the bundle is validated
+    against the cycle's field on the check grid.
+    """
+    field = cycle.field
+    if field.jac is None:
+        raise ValueError("the cycle's vector field must carry a Jacobian evaluator")
+    n = _radius_nodes(K) | 1
+    orbit = TorusGrid(1, (len(cycle.samples) - 1,)).project(cycle.samples[:-1], n // 2)
+    omega = 2.0 * math.pi / cycle.period
+    while True:
+        grid = TorusGrid(1, (n,))
+        X, omega, D, steps = _solve_cycle(field, grid.sample(orbit), omega)
+        orbit = grid.project(X, n // 2)
+        # Two shells: one alone misses a cycle with only odd harmonics.
+        tail = orbit.shell_mass(n // 2 - 2) / orbit.norm()
+        if tail <= SATURATION_TOL:
+            break
+        if 2 * n + 1 > MAX_CYCLE_NODES:
+            raise NumericalError(f"the cycle is not resolved on {n} nodes (tail mass {tail:.2e})")
+        n = 2 * n + 1
+    A = _collocation_operator(D, omega, field.jac(X))
+    N_vals, L, neutral = _fibre(A, omega, n, cycle.dimension)
+    e0, N = grid.project(X, K), grid.project(N_vals, K)
+    pi = grid.project(_oblique_projection_batch(grid.sample(e0.jacobian()), grid.sample(N)), K)
+    bundle = TorusBundle(e0, [omega], N, L, pi)
+    bundle.diagnostics = validate_bundle(bundle, field)
+    bundle.diagnostics.update(neutral_exponent=neutral, newton_iterations=steps, nodes=n,
+                              tail_mass=tail)
     return bundle
 
 
@@ -451,9 +405,8 @@ def product_bundle(bundles):
         raise ValueError("need at least one bundle")
     if len(bundles) == 1:
         return bundles[0]
-    m = sum(b.m for b in bundles)
-    M = sum(b.M for b in bundles)
-    r = sum(b.M - b.m for b in bundles)
+    m, M = sum(b.m for b in bundles), sum(b.M for b in bundles)
+    r = M - m
     K = max(b.K for b in bundles)
     omega = np.concatenate([b.omega for b in bundles])
     L = np.zeros((r, r))
@@ -474,9 +427,7 @@ def product_bundle(bundles):
             v[(slice(None),) + block] = f.values
             keys[name].append(k)
             values[name].append(v)
-        m_off += bm
-        M_off += bM
-        r_off += br
+        m_off, M_off, r_off = m_off + bm, M_off + bM, r_off + br
 
     # Only k = 0 is shared between factors; its blocks add up in factor order.
     e0, N, pi = (

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import TorusGrid, cycle_bundle, floquet_decompose, validate_bundle
+from .bundle import TorusGrid, cycle_bundle, validate_bundle
 from .errors import ConfigError, NumericalError
 from .models import (
     ChainConfig,
@@ -305,12 +305,10 @@ def fibre_angle(a, b):
 
 def check_floquet(params, K):
     """Numeric Floquet data of a Stuart-Landau cycle against its analytic bundle."""
-    cycle = stuart_landau_cycle(params)
-    mono = floquet_decompose(cycle)
-    expos = np.sort(np.linalg.eigvals(mono.floquet_matrix).real)
+    ncyc = cycle_bundle(stuart_landau_cycle(params), K=K)
+    expos = np.sort([ncyc.diagnostics["neutral_exponent"], *np.linalg.eigvals(ncyc.L).real])
     target = np.sort([0.0, params.floquet_exponent])
     dexp = float(np.max(np.abs(expos - target)))
-    ncyc = cycle_bundle(cycle, mono, K=K)
     analytic = sl_bundle(params, K=K)
     grid = TorusGrid(1, (256,))
     angle = fibre_angle(grid.sample(ncyc.N)[..., 0], grid.sample(analytic.N)[..., 0])

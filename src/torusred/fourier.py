@@ -360,6 +360,7 @@ def matmul(f, g, K=None):
 
 
 CIRCLE_CHECK_NODES = 64  # a pointwise check on a circle never runs on fewer nodes
+SATURATION_TOL = 1e-9  # relative mass a series may carry on its outermost shell (or guard shell)
 
 
 def _radius_nodes(K):
@@ -497,7 +498,7 @@ class SmoothMap:
         at ``x`` as a symmetric multilinear form on the directions.
     jac : callable, optional
         Full Jacobian evaluator ``(..., p_in) -> (..., p_out, p_in)``;
-        used by variational integration.
+        used by cycle solves and bundle checks.
     degree : int, optional
         Polynomial degree of ``fun`` in its input, when it is a
         polynomial.  It bounds the frequency support of a reduction's

@@ -23,7 +23,8 @@ from .errors import (
     SmallDivisorError,
     TruncationSaturationError,
 )
-from .fourier import FourierMap, check_grid, d_omega, jet_compose, matmul, spectral_grid
+from .fourier import (SATURATION_TOL, FourierMap, check_grid, d_omega, jet_compose, matmul,
+                      spectral_grid)
 from .models import OUTER_PAIR
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 SMALL_DIVISOR_FLOOR = 1e-6  # nonresonant |<omega, k>| below this aborts the run
-SATURATION_TOL = 1e-9  # relative mass a series may carry on its outermost shell (or guard shell)
 RECON_TOL = 1e-9  # relative error of the tangent/fibre reconstruction
 LINEAR_RESIDUAL_TOL = 1e-8  # relative residual of an order's linearised equation
 NORMAL_RESIDUAL_TOL = 1e-10  # relative residual of the normal homological solve

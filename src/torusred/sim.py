@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .bundle import _rk4_step
 from .errors import ConfigError
@@ -285,7 +284,8 @@ def envelope(record):
     if len(record.t) < 2:
         return absphi
     wn = min(_window_samples(window, record.t[1] - record.t[0]), len(absphi))
-    return maximum_filter1d(absphi, size=wn, origin=-(wn // 2), mode="nearest")
+    padded = np.concatenate([absphi, np.full(wn - 1, absphi[-1])])
+    return np.lib.stride_tricks.sliding_window_view(padded, wn).max(axis=-1)
 
 
 def measure_T01(record, use_envelope=True):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+import torusred.bundle as bundle_module
 from torusred.bundle import (
     LimitCycle,
     cycle_bundle,
     find_limit_cycle,
-    floquet_decompose,
-    floquet_matrix_from_monodromy,
     oblique_projection,
     product_bundle,
     tangent_identity_residual,
@@ -73,32 +72,102 @@ def test_oblique_projection_degenerate_pair():
 
 
 # ----------------------------------------------------------------------
-# Floquet decomposition
+# Floquet data of cycles solved in collocation
+
+
+def exponents(bundle):
+    """The cycle's Floquet exponents, the neutral one included, in ascending order."""
+    return np.sort([bundle.diagnostics["neutral_exponent"], *np.linalg.eigvals(bundle.L).real])
+
+
+def unit_circle(field, dim, w=1.0):
+    """The unit circle in the first two coordinates, run at angular speed ``w``."""
+    return LimitCycle.from_function(
+        lambda t: np.array([np.cos(w * t), np.sin(w * t)] + [0.0] * (dim - 2)), 2 * np.pi / w,
+        field)
+
+
+def twisted_field(s, j):
+    """``theta' = 1``, and ``(r, z)' = (-1.5 I + s S(theta) + j J) (r, z)`` to first order.
+
+    ``r = (x^2 + y^2 - 1) / 2`` measures the distance from the unit circle,
+    ``S(theta)`` is the reflection ``[[cos, sin], [sin, -cos]]`` and ``J``
+    the quarter turn.  The reflection turns the fibres half a turn per
+    period: at ``s = j = 1/2`` the multipliers are ``-e^{-2 pi}`` and
+    ``-e^{-4 pi}``, a Mobius band.  At ``s = 0`` the exponents are
+    ``-1.5 +- i j``.
+    """
+    def parts(x):
+        X, Y, Z = (np.asarray(x, dtype=float)[..., i] for i in range(3))
+        r = 0.5 * (X * X + Y * Y - 1)
+        return X, Y, Z, r, (-1.5 + s * X) * r + (s * Y - j) * Z
+
+    def fun(x):
+        X, Y, Z, r, a = parts(x)
+        return np.stack([-Y + X * a, X + Y * a, (s * Y + j) * r + (-1.5 - s * X) * Z], axis=-1)
+
+    def jac(x):
+        X, Y, Z, r, a = parts(x)
+        ax, ay, az = s * r + (-1.5 + s * X) * X, (-1.5 + s * X) * Y + s * Z, s * Y - j
+        rows = [[a + X * ax, -1 + X * ay, X * az], [1 + Y * ax, a + Y * ay, Y * az],
+                [(s * Y + j) * X - s * Z, s * r + (s * Y + j) * Y, -1.5 - s * X]]
+        return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
+
+    return SmoothMap(fun, jac=jac)
+
+
+def test_twisted_field_jacobian_matches_finite_differences():
+    x, h = np.array([0.7, 0.4, 0.2]), 1e-6
+    for s, j in ((0.5, 0.5), (0.0, 0.3)):
+        field = twisted_field(s, j)
+        fd = np.stack([(field.fun(x + h * e) - field.fun(x - h * e)) / (2 * h)
+                       for e in np.eye(3)], axis=-1)
+        assert np.max(np.abs(fd - field.jac(x))) <= 1e-8
 
 
 def test_floquet_exponents_stuart_landau():
-    cycle = stuart_landau_cycle(SET1)
-    mono = floquet_decompose(cycle)
-    expos = np.sort(np.linalg.eigvals(mono.floquet_matrix).real)
+    expos = exponents(cycle_bundle(stuart_landau_cycle(SET1), K=4.0))
     assert abs(expos[1]) <= 1e-6
     assert abs(expos[0] - (-2.0 * SET1.alpha)) <= 1e-6
 
 
-def test_floquet_periodic_factor_starts_at_the_identity_exactly():
-    # P(0) = Phi(0) exp(-B 0) = I @ I holds bit for bit, so no check is needed.
-    mono = floquet_decompose(stuart_landau_cycle(SET1))
-    assert np.array_equal(mono.periodic_samples[0], np.eye(2))
-
-
 def test_floquet_rejects_double_unit_eigenvalue():
+    # Every circle of the harmonic oscillator is periodic: its monodromy is
+    # the identity, so two exponents vanish.  The start solves the
+    # collocation equations already, so the spectrum is read before any
+    # (singular) Newton step.
+    def jac(x):
+        return np.broadcast_to(np.array([[0.0, -1.0], [1.0, 0.0]]), x.shape + (2,))
+
+    field = SmoothMap(lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1), jac=jac)
     with pytest.raises(HyperbolicityError):
-        floquet_matrix_from_monodromy(np.eye(2), period=2 * np.pi)
+        cycle_bundle(unit_circle(field, 2))
 
 
 def test_floquet_rejects_negative_real_eigenvalue():
-    PhiT = np.diag([1.0, -0.5])
+    # The Mobius band has no real fibre frame on a single cover.
     with pytest.raises(NumericalError):
-        floquet_matrix_from_monodromy(PhiT, period=1.0)
+        cycle_bundle(unit_circle(twisted_field(0.5, 0.5), 3))
+
+
+def test_cycle_bundle_rejects_a_start_far_off_the_cycle():
+    # The phase is anchored on the section through the start's first node,
+    # orthogonal to the flow there; from a circle of radius 3 that section
+    # misses the unit cycle, so Newton cannot converge.
+    def orbit(t):
+        return 3.0 * np.array([np.cos(2.0 * t), np.sin(2.0 * t)])
+
+    start = LimitCycle.from_function(orbit, SET1.period, stuart_landau_field(SET1))
+    with pytest.raises(NumericalError, match="Newton does not converge"):
+        cycle_bundle(start)
+
+
+def test_cycle_bundle_builds_a_real_frame_from_a_conjugate_pair():
+    bundle = cycle_bundle(unit_circle(twisted_field(0.0, 0.3), 3))
+    assert np.allclose(np.sort_complex(np.linalg.eigvals(bundle.L)), [-1.5 - 0.3j, -1.5 + 0.3j],
+                       atol=1e-12)
+    assert abs(bundle.diagnostics["neutral_exponent"]) <= 1e-12
+    assert np.allclose(np.linalg.norm(bundle.N.eval(np.zeros(1)), axis=0), 1.0, atol=1e-12)
 
 
 def vdp_field(mu=1.0):
@@ -117,17 +186,51 @@ def vdp_field(mu=1.0):
     return SmoothMap(fun, jac=jac)
 
 
-def test_floquet_exponent_matches_divergence_average():
+@pytest.fixture(scope="module")
+def vdp_cycle():
+    return find_limit_cycle(vdp_field(1.0), np.array([2.0, 0.0]), t_transient=60.0)
+
+
+def test_floquet_exponent_matches_divergence_average(vdp_cycle):
     # Liouville oracle: the exponent sum equals the time average of div F
     # along the orbit; with one exponent zero, the other is that average.
     mu = 1.0
-    field = vdp_field(mu)
-    cycle = find_limit_cycle(field, np.array([2.0, 0.0]), t_transient=60.0)
-    mono = floquet_decompose(cycle)
-    expos = np.linalg.eigvals(mono.floquet_matrix).real
-    nontrivial = expos[np.argmax(np.abs(expos))]
-    div = mu * (1 - cycle.samples[:-1, 0] ** 2)
+    bundle = cycle_bundle(vdp_cycle, K=48.0)
+    nontrivial = exponents(bundle)[0]
+    div = mu * (1 - vdp_cycle.samples[:-1, 0] ** 2)
     assert abs(nontrivial - div.mean()) <= 1e-4
+
+
+def test_van_der_pol_exponent_matches_the_variational_value(vdp_cycle):
+    # -1.0593769948 is the exponent of the RK4 variational (monodromy) route.
+    bundle = cycle_bundle(vdp_cycle, K=48.0)
+    assert abs(exponents(bundle)[0] - (-1.0593769948)) <= 1e-9
+    assert bundle.diagnostics["nodes"] == 145 and bundle.diagnostics["tail_mass"] <= 1e-9
+
+
+def test_undersized_node_count_is_rejected_by_the_tail_check(vdp_cycle, monkeypatch):
+    # At K = 16 the cycle starts on 49 nodes.  Newton converges there, but
+    # 1.5e-6 of the mass sits on the two outermost shells: the residual
+    # cannot see truncation, the tail can.  The nodes double to 99, where
+    # the tail clears; the K = 16 truncation itself then fails the bundle
+    # check.
+    solve, nodes = bundle_module._solve_cycle, []
+
+    def spy(field, X, omega):
+        nodes.append(len(X))
+        return solve(field, X, omega)
+
+    monkeypatch.setattr(bundle_module, "_solve_cycle", spy)
+    with pytest.raises(NumericalError, match="fibre invariance"):
+        cycle_bundle(vdp_cycle, K=16.0)
+    assert nodes == [49, 99]
+
+
+def test_a_cycle_unresolved_below_the_node_cap_raises(vdp_cycle, monkeypatch):
+    # With the cap at 60 nodes the 49-node solve above may not double.
+    monkeypatch.setattr(bundle_module, "MAX_CYCLE_NODES", 60)
+    with pytest.raises(NumericalError, match="not resolved on 49 nodes"):
+        cycle_bundle(vdp_cycle, K=16.0)
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +239,7 @@ def test_floquet_exponent_matches_divergence_average():
 
 def test_cycle_bundle_matches_analytic_fibres():
     cycle = stuart_landau_cycle(SET1)
-    mono = floquet_decompose(cycle)
-    bundle = cycle_bundle(cycle, mono, K=4.0)
+    bundle = cycle_bundle(cycle, K=4.0)
     assert np.allclose(np.linalg.eigvals(bundle.L).real, [-2.0], atol=1e-6)
 
     analytic = sl_bundle(SET1, K=4.0)
@@ -154,21 +256,26 @@ def test_cycle_bundle_matches_analytic_fibres():
 
 def test_cycle_bundle_pde_residual_on_dense_grid():
     cycle = stuart_landau_cycle(SET1)
-    mono = floquet_decompose(cycle)
-    bundle = cycle_bundle(cycle, mono, K=4.0)
+    bundle = cycle_bundle(cycle, K=4.0)
     diag = validate_bundle(bundle, F0=stuart_landau_field(SET1), grid=TorusGrid(1, (256,)))
     assert diag["pde_residual_rel"] <= 1e-8
     assert diag["spectral_gap"] > 1.9
 
 
 def test_cycle_bundle_requires_full_fibre_rank():
-    cycle = stuart_landau_cycle(SET1)
-    mono = floquet_decompose(cycle)
-    broken = type(mono).__new__(type(mono))
-    broken.__dict__.update(mono.__dict__)
-    broken.floquet_matrix = np.zeros((2, 2))
+    # A neutral direction transverse to the cycle leaves the fibres one short.
+    sl = stuart_landau_field(SET1)
+
+    def fun(x):
+        return np.concatenate([sl.fun(x[..., :2]), np.zeros_like(x[..., 2:])], axis=-1)
+
+    def jac(x):
+        out = np.zeros(x.shape + (3,))
+        out[..., :2, :2] = sl.jac(x[..., :2])
+        return out
+
     with pytest.raises(HyperbolicityError):
-        cycle_bundle(cycle, broken)
+        cycle_bundle(unit_circle(SmoothMap(fun, jac=jac), 3, w=SET1.frequency))
 
 
 # ----------------------------------------------------------------------
@@ -248,3 +355,5 @@ def test_bundle_check_and_cycle_require_their_field():
     cycle = stuart_landau_cycle(SET1)
     with pytest.raises(TypeError):
         LimitCycle(cycle.period, cycle.samples)
+    with pytest.raises(ValueError, match="Jacobian"):
+        cycle_bundle(LimitCycle(cycle.period, cycle.samples, SmoothMap(cycle.field.fun)))

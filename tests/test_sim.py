@@ -19,6 +19,7 @@ from torusred.sim import (
     _march,
     _until_decided,
     embedding_distance,
+    envelope,
     fit_powerlaw,
     integrate_full,
     integrate_reduced,
@@ -248,6 +249,16 @@ def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
         assert np.array_equal(stopped.phi_hat, full.phi_hat[:len(stopped.t)])
         wn = int(np.ceil(full.meta["beat_period"] / (stride * spec.dt)))
         assert len(stopped.t) == np.flatnonzero(full.t == t01)[0] + wn < len(full.t)
+
+
+@pytest.mark.parametrize("n,window", [(50, 0.5), (50, 3.7), (50, 100.0), (1, 3.7)],
+                         ids=["wn=1", "wn=8", "wn=len", "one-sample"])
+def test_envelope_matches_a_running_maximum_oracle(n, window):
+    # Sample i is the maximum over samples [i, i + wn - 1], cut at the end.
+    phi = np.random.default_rng(3).normal(size=n)
+    rec = TrajectoryRecord(0.5 * np.arange(n), None, phi, meta={"beat_period": window})
+    a, wn = np.abs(phi).tolist(), int(np.ceil(window / 0.5))
+    assert envelope(rec).tolist() == [max(a[i:i + wn]) for i in range(n)]
 
 
 def synthetic_lane(signal, stride, stop):
