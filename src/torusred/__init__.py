@@ -9,8 +9,9 @@ Layout:
 
 - ``fourier``: truncated Fourier series on the m-torus, pseudo-spectral
   composition, expansions in the coupling strength.
-- ``bundle``: Floquet decomposition of limit cycles, fast fibre maps,
-  oblique projections, product bundles.
+- ``bundle``: limit cycles solved in collocation, fast fibre maps and
+  the frame ``[e0' | N]`` each order's forcing is split in, product
+  bundles.
 - ``models``: Stuart-Landau oscillators, the three-oscillator chain,
   the generic coupled-oscillator interface.
 - ``reduction``: the iterative homological-equation solver and the

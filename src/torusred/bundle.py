@@ -8,9 +8,9 @@ solution.  The spectrum of ``omega D - F'(X)`` is ``-lambda_j + i omega k``
 over the Floquet exponents ``lambda_j``; one representative of each
 family and its eigenvector give the fast fibre map ``N(phi)`` and the
 constant hyperbolic matrix ``L`` of the linearised dynamics transverse
-to the cycle, and with them the oblique projection ``pi(phi)`` onto the
-tangent direction along the fibres.  Products of such circles give the
-torus data for uncoupled oscillator networks.
+to the cycle.  The tangent vector ``e0'`` and the fibres ``N`` form the
+frame ``[e0' | N]`` in which a reduction splits its forcing.  Products
+of such circles give the torus data for uncoupled oscillator networks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import HyperbolicityError, NumericalError, TransversalityError
+from .errors import (HyperbolicityError, NumericalError, TransversalityError,
+                     TruncationSaturationError)
 from .fourier import (SATURATION_TOL, FourierMap, TorusGrid, _radius_nodes, _sum_on_keys,
                       check_grid, d_omega)
 
@@ -38,10 +39,8 @@ CYCLE_SAMPLES = 2048  # RK4 steps (and stored samples) over one period of a samp
 COND_THRESHOLD = 1e10  # largest admissible condition number of a frame
 CLOSURE_TOL = 1e-8  # relative |X(T) - X(0)| a stored orbit may show
 EXPONENT_GAP = 1e-6  # Floquet exponents closer than this to the axis are neutral
-PROJ_TOL = 1e-10  # relative error of the projection identities (scaled by 10 on grids)
 NEWTON_STEPS = 12  # Newton steps a cycle solve may take
 NEWTON_TOL = 1e-12  # collocation residual, relative to the field, of a solved cycle
-MAX_CYCLE_NODES = 1025  # phase nodes past which a cycle counts as unresolved
 
 # find_limit_cycle: RK4 step, radius around the landing point in which a
 # section crossing counts as a return, and the longest period searched.
@@ -138,28 +137,14 @@ def find_limit_cycle(field, x0, t_transient):
 # projections
 
 
-def _oblique_projection_batch(A, B):
-    """Projection onto im(A) along im(B) for stacked matrices.
-
-    Uses pi = A (A^T Q A)^{-1} A^T Q with Q the orthogonal projection
-    onto the complement of im(B).
-    """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    M = A.shape[-2]
-    eye = np.broadcast_to(np.eye(M), A.shape[:-2] + (M, M))
-    BtB = np.swapaxes(B, -1, -2) @ B
-    Q = eye - B @ np.linalg.solve(BtB, np.swapaxes(B, -1, -2))
-    AtQ = np.swapaxes(A, -1, -2) @ Q
-    core = AtQ @ A
-    return A @ np.linalg.solve(core, AtQ)
-
-
 def oblique_projection(A, B):
     """Projection onto the image of ``A`` along the image of ``B``.
 
     ``A`` (M x m) and ``B`` (M x (M-m)) must be injective with
     complementary images; degeneracy is detected through the condition
-    number of the stacked matrix ``[A | B]``.
+    number of the stacked matrix ``[A | B]``.  With ``Q`` the orthogonal
+    projection onto the complement of im(B), it is
+    ``A (A^T Q A)^{-1} A^T Q``.
 
     Returns the unique M x M matrix with ``pi A = A`` and ``pi B = 0``.
     """
@@ -167,7 +152,8 @@ def oblique_projection(A, B):
     cond = float(np.linalg.cond(np.concatenate([A, B], axis=-1)))
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise TransversalityError("images of A and B are nearly degenerate", cond)
-    pi = _oblique_projection_batch(A, B)
+    Q = np.eye(A.shape[0]) - B @ np.linalg.solve(B.T @ B, B.T)
+    pi = A @ np.linalg.solve(A.T @ Q @ A, A.T @ Q)
     err = max(float(np.max(np.abs(pi @ A - A))), float(np.max(np.abs(pi @ B))),
               float(np.max(np.abs(pi @ pi - pi))))
     if err > 1e-10 * max(1.0, float(np.max(np.abs(pi)))):
@@ -192,19 +178,20 @@ class TorusBundle:
         Fast fibre map, values are M x (M-m) matrices.
     L : ndarray
         Constant hyperbolic Floquet matrix, (M-m) x (M-m).
-    pi : FourierMap
-        Projection onto the tangent bundle along the fibres, M x M.
     """
 
-    def __init__(self, e0, omega, N, L, pi):
+    def __init__(self, e0, omega, N, L):
         self.e0 = e0
         self.omega = np.asarray(omega, dtype=float).reshape(-1)
         self.N = N
         self.L = np.asarray(L, dtype=float)
-        self.pi = pi
         self.diagnostics = {}
         if e0.m != self.omega.size:
             raise ValueError("frequency vector does not match torus dimension")
+        r = self.M - self.m
+        if N.value_shape != (self.M, r) or self.L.shape != (r, r):
+            raise ValueError(f"fibre data of shapes {N.value_shape} and {self.L.shape} do not "
+                             f"span the {r} directions transverse to the torus")
 
     @property
     def m(self):
@@ -216,11 +203,11 @@ class TorusBundle:
 
     @property
     def K(self):
-        return max(self.e0.K, self.N.K, self.pi.K)
+        return max(self.e0.K, self.N.K)
 
     def sample_frames(self, grid):
-        """``(e0', N, pi)`` sampled on ``grid``."""
-        return grid.sample(self.e0.jacobian()), grid.sample(self.N), grid.sample(self.pi)
+        """``(e0', N)`` sampled on ``grid``."""
+        return grid.sample(self.e0.jacobian()), grid.sample(self.N)
 
     def spectral_gap(self):
         return float(np.min(np.abs(np.linalg.eigvals(self.L).real)))
@@ -230,7 +217,6 @@ class TorusBundle:
             "omega": self.omega.tolist(),
             "e0": self.e0.to_json_dict(),
             "N": self.N.to_json_dict(),
-            "pi": self.pi.to_json_dict(),
             "L": [list(map(float, row)) for row in self.L],
             "diagnostics": self.diagnostics,
         }
@@ -239,16 +225,16 @@ class TorusBundle:
 def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     """Check the defining properties of a torus bundle on a dense grid.
 
-    Samples ``e0'``, ``N`` and ``pi`` once and verifies transversality of
-    ``[e0' | N]`` (condition number below ``COND_THRESHOLD`` at every node,
-    which bounds each column block alone too), the invariance equation
-    ``d_omega N + N L = (F0' o e0) N`` of the uncoupled field ``F0``,
-    hyperbolicity of ``L``, and the algebraic identities of ``pi``.
+    Samples ``e0'`` and ``N`` once and verifies transversality of
+    ``[e0' | N]``, the matrix a reduction's split solves (condition number
+    below ``COND_THRESHOLD`` at every node, which bounds each column block
+    alone too), hyperbolicity of ``L`` and the invariance equation
+    ``d_omega N + N L = (F0' o e0) N`` of the uncoupled field ``F0``.
     Returns a diagnostics dict; raises on violation.
     """
     if grid is None:
         grid = check_grid(bundle.m, bundle.K)
-    E, Nv, Pv = bundle.sample_frames(grid)
+    E, Nv = bundle.sample_frames(grid)
     stacked = np.concatenate([E, Nv], axis=-1)
     max_cond = float(np.max(np.linalg.cond(stacked.reshape((-1,) + stacked.shape[-2:]))))
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
@@ -261,21 +247,12 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     J = F0.jac(grid.sample(bundle.e0))
     pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
 
-    p_scale = max(1.0, float(np.max(np.abs(Pv))))
-    idem = float(np.max(np.abs(Pv @ Pv - Pv)))
-    keep_tangent = float(np.max(np.abs(Pv @ E - E)))
-    kill_fibre = float(np.max(np.abs(Pv @ Nv)))
-
-    diag = {"max_condition": max_cond, "spectral_gap": gap, "pde_residual_rel": pde_rel,
-            "pi_idempotent": idem, "pi_tangent": keep_tangent, "pi_fibre": kill_fibre}
+    diag = {"max_condition": max_cond, "spectral_gap": gap, "pde_residual_rel": pde_rel}
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
     if pde_rel > pde_tol:
         raise NumericalError(f"fibre invariance equation violated: relative residual "
                              f"{pde_rel:.3e}")
-    scale = max(p_scale, n_scale)
-    if max(idem, keep_tangent, kill_fibre) > PROJ_TOL * scale * 10:
-        raise NumericalError("projection identities violated on the grid")
     return diag
 
 
@@ -358,10 +335,10 @@ def _fibre(A, omega, n, M):
 def cycle_bundle(cycle, K=8.0):
     """Torus bundle (m = 1) of a hyperbolic limit cycle, solved in Fourier collocation.
 
-    Newton polishes the cycle's samples on ``n`` phase nodes into a solution
-    of ``omega D X = F(X)``.  The residual cannot see truncation, so ``n``
-    starts at the 3/2-rule count of ``K`` and doubles while the outermost
-    shells carry more than ``SATURATION_TOL`` of the mass.  ``N`` and ``L``
+    Newton polishes the cycle's samples on the 3/2-rule node count of ``K``
+    into a solution of ``omega D X = F(X)``.  The residual cannot see
+    truncation, so a solution whose outermost shells carry more than
+    ``SATURATION_TOL`` of the mass is rejected ("raise K").  ``N`` and ``L``
     come from the spectrum of ``omega D - F'(X)``; the bundle is validated
     against the cycle's field on the check grid.
     """
@@ -369,24 +346,17 @@ def cycle_bundle(cycle, K=8.0):
     if field.jac is None:
         raise ValueError("the cycle's vector field must carry a Jacobian evaluator")
     n = _radius_nodes(K) | 1
+    grid = TorusGrid(1, (n,))
     orbit = TorusGrid(1, (len(cycle.samples) - 1,)).project(cycle.samples[:-1], n // 2)
-    omega = 2.0 * math.pi / cycle.period
-    while True:
-        grid = TorusGrid(1, (n,))
-        X, omega, D, steps = _solve_cycle(field, grid.sample(orbit), omega)
-        orbit = grid.project(X, n // 2)
-        # Two shells: one alone misses a cycle with only odd harmonics.
-        tail = orbit.shell_mass(n // 2 - 2) / orbit.norm()
-        if tail <= SATURATION_TOL:
-            break
-        if 2 * n + 1 > MAX_CYCLE_NODES:
-            raise NumericalError(f"the cycle is not resolved on {n} nodes (tail mass {tail:.2e})")
-        n = 2 * n + 1
+    X, omega, D, steps = _solve_cycle(field, grid.sample(orbit), 2.0 * math.pi / cycle.period)
+    orbit = grid.project(X, n // 2)
+    # Two shells: one alone misses a cycle with only odd harmonics.
+    tail = orbit.shell_mass(n // 2 - 2) / orbit.norm()
+    if tail > SATURATION_TOL:
+        raise TruncationSaturationError("cycle", K, tail)
     A = _collocation_operator(D, omega, field.jac(X))
     N_vals, L, neutral = _fibre(A, omega, n, cycle.dimension)
-    e0, N = grid.project(X, K), grid.project(N_vals, K)
-    pi = grid.project(_oblique_projection_batch(grid.sample(e0.jacobian()), grid.sample(N)), K)
-    bundle = TorusBundle(e0, [omega], N, L, pi)
+    bundle = TorusBundle(grid.project(X, K), [omega], grid.project(N_vals, K), L)
     bundle.diagnostics = validate_bundle(bundle, field)
     bundle.diagnostics.update(neutral_exponent=neutral, newton_iterations=steps, nodes=n,
                               tail_mass=tail)
@@ -396,7 +366,7 @@ def cycle_bundle(cycle, K=8.0):
 def product_bundle(bundles):
     """Direct product of torus bundles: block-diagonal fibre data.
 
-    Frequencies concatenate; ``e0``, ``N`` and ``pi`` embed blockwise;
+    Frequencies concatenate; ``e0`` and ``N`` embed blockwise;
     the Floquet matrix is the block diagonal of the factors, so its
     eigenvalue multiset is the union of theirs.
     """
@@ -411,7 +381,7 @@ def product_bundle(bundles):
     omega = np.concatenate([b.omega for b in bundles])
     L = np.zeros((r, r))
 
-    shapes = {"e0": (M,), "N": (M, r), "pi": (M, M)}
+    shapes = {"e0": (M,), "N": (M, r)}
     keys = {name: [] for name in shapes}
     values = {name: [] for name in shapes}
     m_off = M_off = r_off = 0
@@ -419,8 +389,7 @@ def product_bundle(bundles):
         bm, bM, br = b.m, b.M, b.M - b.m
         L[r_off:r_off + br, r_off:r_off + br] = b.L
         rows, cols = slice(M_off, M_off + bM), slice(r_off, r_off + br)
-        for name, f, block in (("e0", b.e0, (rows,)), ("N", b.N, (rows, cols)),
-                               ("pi", b.pi, (rows, rows))):
+        for name, f, block in (("e0", b.e0, (rows,)), ("N", b.N, (rows, cols))):
             k = np.zeros((len(f.keys), m), dtype=np.int64)
             k[:, m_off:m_off + bm] = f.keys
             v = np.zeros((len(f.keys),) + shapes[name], dtype=complex)
@@ -430,12 +399,12 @@ def product_bundle(bundles):
         m_off, M_off, r_off = m_off + bm, M_off + bM, r_off + br
 
     # Only k = 0 is shared between factors; its blocks add up in factor order.
-    e0, N, pi = (
+    e0, N = (
         FourierMap(m, K, _sum_on_keys(np.concatenate(keys[name]), np.concatenate(values[name])),
                    shape)
         for name, shape in shapes.items()
     )
-    return TorusBundle(e0, omega, N, L, pi)
+    return TorusBundle(e0, omega, N, L)
 
 
 def tangent_identity_residual(bundle, F0):

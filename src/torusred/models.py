@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundle import LimitCycle, TorusBundle, product_bundle, validate_bundle
 from .errors import ConfigError
-from .fourier import FourierMap, SmoothMap, spectral_grid
+from .fourier import FourierMap, SmoothMap
 
 __all__ = [
     "StuartLandauParams",
@@ -143,9 +143,8 @@ def stuart_landau_cycle(p: StuartLandauParams) -> LimitCycle:
 def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
     """Analytic torus bundle of the Stuart-Landau cycle.
 
-    The embedding is ``R exp(i phi)``, the fast fibre direction is
-    ``exp(i phi) (gamma + i delta)`` with Floquet matrix ``-2 alpha``,
-    and the projection rotates its value at zero around the circle.
+    The embedding is ``R exp(i phi)`` and the fast fibre direction is
+    ``exp(i phi) (gamma + i delta)`` with Floquet matrix ``-2 alpha``.
     """
     R = p.radius
     g, d = p.gamma, p.delta
@@ -154,16 +153,7 @@ def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
         1, (1,), np.array([[(g + 1j * d) / 2.0], [-1j * (g + 1j * d) / 2.0]]), K=K
     )
     L = np.array([[p.floquet_exponent]])
-
-    grid = spectral_grid(1, K)
-    phis = grid.axes()[0]
-    pi0 = np.array([[0.0, 0.0], [-d / g, 1.0]])
-    cs, sn = np.cos(phis), np.sin(phis)
-    rot = np.moveaxis(np.array([[cs, -sn], [sn, cs]]), -1, 0)
-    pi_vals = rot @ pi0 @ np.swapaxes(rot, -1, -2)
-    pi = grid.project(pi_vals, K)
-
-    bundle = TorusBundle(e0, np.array([p.frequency]), N, L, pi)
+    bundle = TorusBundle(e0, np.array([p.frequency]), N, L)
     bundle.diagnostics = validate_bundle(bundle, stuart_landau_field(p), pde_tol=1e-10)
     return bundle
 

@@ -1,8 +1,8 @@
 """Iterative high-order phase reduction.
 
 Order by order, the conjugacy defect of the current expansion is
-computed as a forcing term, split by the bundle projection into a
-tangential and a normal part, and removed by solving the two
+computed as a forcing term, split in the frame ``[e0' | N]`` of the
+bundle into a tangential and a normal part, and removed by solving the two
 homological equations: divisors ``i <omega, k>`` on the tangential
 side (with resonant terms passed to the reduced phase field, which
 puts it in normal form), and the matrices ``i <omega, k> - L`` on the
@@ -130,28 +130,21 @@ def order_forcing(j, model, e_terms, f_terms, K, grid):
 def split_forcing(Gv, frames):
     """Split a sampled forcing term along the tangent and fibre directions.
 
-    ``Gv`` holds the forcing and ``frames`` the ``(e0', N, pi)``, all
-    sampled on one grid.  Pointwise, ``U = (e0')^+ pi G`` and
-    ``V = N^+ (1 - pi) G`` with Moore-Penrose pseudo-inverses of the
-    frames; the reconstruction ``e0' U + N V = G`` is verified before the
-    samples of ``(U, V)`` are returned.
+    ``Gv`` holds the forcing and ``frames`` the ``(e0', N)``, all sampled
+    on one grid.  Pointwise, ``(U, V)`` solves ``[e0' | N] (U, V) = G``;
+    the reconstruction ``e0' U + N V = G`` is verified before the samples
+    of ``(U, V)`` are returned.
 
-    The pseudo-inverses apply the inverse Gram matrices ``(A^T A)^{-1}``,
-    which are rational in the angles in general.  The split is exact on a
-    grid that holds the support of ``U`` and ``V`` when each Gram matrix
-    is constant, as it is on a product of circles whose frames rotate
-    rigidly; otherwise ``U`` and ``V`` are not trigonometric polynomials,
-    their projections alias, and the guard of ``phase_reduce`` applies.
+    The split is exact on a grid that holds the support of ``U`` and ``V``
+    when ``[e0' | N]^{-1}`` is a trigonometric polynomial, as it is on a
+    product of circles whose frames rotate rigidly; otherwise ``U`` and
+    ``V`` are not trigonometric polynomials, their projections alias, and
+    the guard of ``phase_reduce`` applies.
     """
-    E, Nv, Pv = frames
-
-    def pinv_apply(A, y):
-        gram = np.swapaxes(A, -1, -2) @ A
-        return np.linalg.solve(gram, np.swapaxes(A, -1, -2) @ y[..., None])[..., 0]
-
-    PG = (Pv @ Gv[..., None])[..., 0]
-    U_vals = pinv_apply(E, PG)
-    V_vals = pinv_apply(Nv, Gv - PG)
+    E, Nv = frames
+    m = E.shape[-1]
+    UV = np.linalg.solve(np.concatenate([E, Nv], axis=-1), Gv[..., None])[..., 0]
+    U_vals, V_vals = UV[..., :m], UV[..., m:]
 
     recon = (E @ U_vals[..., None])[..., 0] + (Nv @ V_vals[..., None])[..., 0]
     scale = max(float(np.max(np.abs(Gv))), 1e-300)

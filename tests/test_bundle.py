@@ -4,6 +4,7 @@ import pytest
 import torusred.bundle as bundle_module
 from torusred.bundle import (
     LimitCycle,
+    TorusBundle,
     cycle_bundle,
     find_limit_cycle,
     oblique_projection,
@@ -12,8 +13,9 @@ from torusred.bundle import (
     validate_bundle,
 )
 from torusred.cli import PRESETS
-from torusred.errors import HyperbolicityError, NumericalError, TransversalityError
-from torusred.fourier import FourierMap, SmoothMap, TorusGrid, matmul
+from torusred.errors import (HyperbolicityError, NumericalError, TransversalityError,
+                             TruncationSaturationError)
+from torusred.fourier import FourierMap, SmoothMap, TorusGrid, matmul, spectral_grid
 from torusred.models import (
     ChainConfig,
     StuartLandauParams,
@@ -23,6 +25,7 @@ from torusred.models import (
     stuart_landau_cycle,
     stuart_landau_field,
 )
+from torusred.reduction import order_forcing, split_forcing
 
 SET1 = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
 
@@ -209,11 +212,9 @@ def test_van_der_pol_exponent_matches_the_variational_value(vdp_cycle):
 
 
 def test_undersized_node_count_is_rejected_by_the_tail_check(vdp_cycle, monkeypatch):
-    # At K = 16 the cycle starts on 49 nodes.  Newton converges there, but
+    # At K = 16 the cycle is solved on 49 nodes.  Newton converges there, but
     # 1.5e-6 of the mass sits on the two outermost shells: the residual
-    # cannot see truncation, the tail can.  The nodes double to 99, where
-    # the tail clears; the K = 16 truncation itself then fails the bundle
-    # check.
+    # cannot see truncation, the tail can, and one solve decides.
     solve, nodes = bundle_module._solve_cycle, []
 
     def spy(field, X, omega):
@@ -221,16 +222,10 @@ def test_undersized_node_count_is_rejected_by_the_tail_check(vdp_cycle, monkeypa
         return solve(field, X, omega)
 
     monkeypatch.setattr(bundle_module, "_solve_cycle", spy)
-    with pytest.raises(NumericalError, match="fibre invariance"):
+    with pytest.raises(TruncationSaturationError, match="'cycle'.*raise K") as err:
         cycle_bundle(vdp_cycle, K=16.0)
-    assert nodes == [49, 99]
-
-
-def test_a_cycle_unresolved_below_the_node_cap_raises(vdp_cycle, monkeypatch):
-    # With the cap at 60 nodes the 49-node solve above may not double.
-    monkeypatch.setattr(bundle_module, "MAX_CYCLE_NODES", 60)
-    with pytest.raises(NumericalError, match="not resolved on 49 nodes"):
-        cycle_bundle(vdp_cycle, K=16.0)
+    assert nodes == [49]
+    assert err.value.K == 16.0 and err.value.shell_mass > bundle_module.SATURATION_TOL
 
 
 # ----------------------------------------------------------------------
@@ -315,24 +310,40 @@ def test_product_bundle_eigenvalues_union():
 
 
 def test_gauge_covariance_of_fibre_frame():
-    # Replacing the frame N by N S conjugates L and leaves the projection
-    # and the exponent spectrum untouched.
+    # Replacing the frame N by N S conjugates L, leaves the exponent
+    # spectrum and the tangential part of a split untouched, and maps the
+    # normal part V to S^{-1} V.
     cfg = ChainConfig(1.0, 1.0, -1.0, 1.0, 1.0, 2.0, -1.0, -1.0)
-    bundle = chain_bundle(cfg, K=8.0)
+    model, bundle = chain_model(cfg), chain_bundle(cfg, K=8.0)
     rng = np.random.default_rng(42)
     S = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
-    S_map = FourierMap.constant(3, S.astype(complex))
-    N2 = matmul(bundle.N, S_map)
+    N2 = matmul(bundle.N, FourierMap.constant(3, S.astype(complex)))
     L2 = np.linalg.solve(S, bundle.L @ S)
-    from torusred.bundle import TorusBundle
-
-    gauged = TorusBundle(bundle.e0, bundle.omega, N2, L2, bundle.pi)
-    diag = validate_bundle(gauged, F0=chain_model(cfg).F0, pde_tol=1e-9)
+    gauged = TorusBundle(bundle.e0, bundle.omega, N2, L2)
+    diag = validate_bundle(gauged, F0=model.F0, pde_tol=1e-9)
     assert diag["pde_residual_rel"] <= 1e-9
     assert np.allclose(
         np.sort(np.linalg.eigvals(L2).real), np.sort(np.linalg.eigvals(bundle.L).real),
         atol=1e-9,
     )
+    grid = spectral_grid(3, 8.0)
+    Gv = grid.sample(order_forcing(1, model, [bundle.e0], [], 8.0, grid))
+    U, V = split_forcing(Gv, bundle.sample_frames(grid))
+    U2, V2 = split_forcing(Gv, gauged.sample_frames(grid))
+    assert np.max(np.abs(U2 - U)) <= 1e-13 * np.max(np.abs(U))
+    V_gauged = np.linalg.solve(S, V[..., None])[..., 0]
+    assert np.max(np.abs(V2 - V_gauged)) <= 1e-13 * np.max(np.abs(V))
+
+
+def test_torus_bundle_rejects_fibre_data_of_the_wrong_shape():
+    # One fibre column short, with L cut to match: the frame [e0' | N] is
+    # not square, so no split of the forcing exists.
+    b = chain_bundle(ChainConfig(1.0, 1.0, -1.0, 1.0, 1.0, 2.0, -1.0, -1.0), K=8.0)
+    short = FourierMap(b.m, b.N.K, (b.N.keys, b.N.values[..., :2]), (6, 2))
+    with pytest.raises(ValueError, match="fibre data of shapes"):
+        TorusBundle(b.e0, b.omega, short, b.L[:2, :2])
+    with pytest.raises(ValueError, match="fibre data of shapes"):
+        TorusBundle(b.e0, b.omega, b.N, b.L[:2, :2])
 
 
 def test_tangent_identity_residual():

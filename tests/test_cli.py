@@ -19,7 +19,6 @@ from torusred.cli import (
     run,
 )
 from torusred.errors import HyperbolicityError, NumericalError
-from torusred.fourier import FourierMap
 from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
 from torusred.reduction import phase_reduce
 from torusred.sim import IntegratorSpec, integrate_full
@@ -245,7 +244,7 @@ def test_bundle_command_keeps_the_radius_floor(tmp_path):
            "output_dir": str(tmp_path / "out")}
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_OK
     bundle = json.loads((tmp_path / "out" / "bundle.json").read_text())
-    assert [bundle[name]["K"] for name in ("e0", "N", "pi")] == [4.0, 4.0, 4.0]
+    assert [bundle[name]["K"] for name in ("e0", "N")] == [4.0, 4.0]
 
 
 def test_fibre_angle_resolves_angles_below_the_arccos_floor():
@@ -326,7 +325,7 @@ def test_reduce_with_degenerate_frames_exits_with_numerical_error(tmp_path, caps
                                                                 monkeypatch):
     def degenerate(cfg, K):
         b = chain_bundle(cfg, K=K)
-        return TorusBundle(b.e0, b.omega, b.e0.jacobian(), b.L, b.pi)
+        return TorusBundle(b.e0, b.omega, b.e0.jacobian(), b.L)
 
     monkeypatch.setattr("torusred.cli.chain_bundle", degenerate)
     doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 2},
@@ -338,13 +337,11 @@ def test_reduce_with_degenerate_frames_exits_with_numerical_error(tmp_path, caps
 # The reduction's entry check is the only check of the chain's product
 # bundle on the reduce path; each broken bundle must trip its guard there.
 @pytest.mark.parametrize("tamper,error,message", [
-    (lambda b: TorusBundle(b.e0, b.omega, b.N, 2.0 * b.L, b.pi), NumericalError,
+    (lambda b: TorusBundle(b.e0, b.omega, b.N, 2.0 * b.L), NumericalError,
      "fibre invariance equation violated: relative residual 2.000e+00"),
-    (lambda b: TorusBundle(b.e0, b.omega, b.N, b.L, FourierMap.constant(3, np.eye(6))),
-     NumericalError, "projection identities violated"),
-    (lambda b: TorusBundle(b.e0, b.omega, b.N, 0.0 * b.L, b.pi), HyperbolicityError,
+    (lambda b: TorusBundle(b.e0, b.omega, b.N, 0.0 * b.L), HyperbolicityError,
      "not hyperbolic"),
-], ids=["L_doubled", "pi_identity", "L_zero"])
+], ids=["L_doubled", "L_zero"])
 def test_reduce_with_broken_bundle_exits_with_numerical_error(tmp_path, capsys, monkeypatch,
                                                             tamper, error, message):
     chain = ChainConfig(**SET1_MODEL["chain"])

@@ -165,12 +165,55 @@ def test_fibres_along_the_tangent_trip_the_transversality_guard(chain):
     # N = e0' makes [e0' | N] singular at every node; each block alone is
     # well conditioned, so only the stacked check can see it.
     cfg, model, bundle = chain
-    bad = TorusBundle(bundle.e0, bundle.omega, bundle.e0.jacobian(), bundle.L, bundle.pi)
+    bad = TorusBundle(bundle.e0, bundle.omega, bundle.e0.jacobian(), bundle.L)
     with pytest.raises(TransversalityError):
         phase_reduce(model, bad, order=2, K_nf=6.0)
     G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
     with pytest.raises(TransversalityError):
         split(G1, bad, model.F0)
+
+
+def projection_split(Gv, frames):
+    """Oracle: the split by the oblique projection ``pi`` onto ``e0'`` along ``N``.
+
+    ``U = (e0')^+ pi G`` and ``V = N^+ (1 - pi) G`` with Moore-Penrose
+    pseudo-inverses, and ``pi = A (A^T Q A)^{-1} A^T Q`` for ``A = e0'``,
+    with ``Q`` the orthogonal projection onto the complement of im(N).
+    """
+    E, Nv = frames
+    eye = np.broadcast_to(np.eye(E.shape[-2]), E.shape[:-1] + (E.shape[-2],))
+    Nt, Et = np.swapaxes(Nv, -1, -2), np.swapaxes(E, -1, -2)
+    Q = eye - Nv @ np.linalg.solve(Nt @ Nv, Nt)
+    Pv = E @ np.linalg.solve(Et @ Q @ E, Et @ Q)
+
+    def pinv_apply(A, y):
+        At = np.swapaxes(A, -1, -2)
+        return np.linalg.solve(At @ A, At @ y[..., None])[..., 0]
+
+    PG = (Pv @ Gv[..., None])[..., 0]
+    return pinv_apply(E, PG), pinv_apply(Nv, Gv - PG)
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["analytic", "spectral"])
+@pytest.mark.parametrize("params", [SET1, SET2], ids=["set1", "set2"])
+def test_frame_split_matches_the_projection_split(monkeypatch, params, numeric):
+    # Every order's forcing of a J = 4 reduction, split both ways.
+    cfg = ChainConfig(**params)
+    bundle = numeric_chain_bundle(cfg, 8.0) if numeric else chain_bundle(cfg, K=8.0)
+    split_forcing, calls = reduction.split_forcing, []
+
+    def spy(Gv, frames):
+        U, V = split_forcing(Gv, frames)
+        calls.append((Gv, frames, U, V))
+        return U, V
+
+    monkeypatch.setattr(reduction, "split_forcing", spy)
+    phase_reduce(chain_model(cfg), bundle, order=4, K=8.0, K_nf=6.0)
+    assert [Gv.shape[:3] for Gv, *_ in calls] == [(15, 15, 15)] * 4
+    for Gv, frames, U, V in calls:
+        U_old, V_old = projection_split(Gv, frames)
+        assert np.max(np.abs(U - U_old)) <= 1e-13 * np.max(np.abs(U_old))
+        assert np.max(np.abs(V - V_old)) <= 1e-13 * np.max(np.abs(V_old))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ Artifacts: the first 16 hex digits of the sha256 of every file the CLI
 writes for set-1 ``reduce`` at (J, K) = (2, 8), (3, 8), (4, 8), (4, 12),
 set-2 ``reduce`` at (2, 8), ``bundle`` on both presets, set-1 ``simulate``
 and ``sweep``, and ``verify`` on both presets (its ``report.json`` and its
-stdout).  Every run keeps the rest of its preset's numerics.
+stdout).  Every run keeps the rest of its preset's numerics.  The runs
+write to ``.footprint_out/`` next to ``src/``, cleared first: one config
+and one output directory per run, with a verify run's stdout saved there
+as ``stdout``.  Compare two such trees with ``tools/artifact_diff.py``.
 
 Exits 1 when any command of the matrix exits non-zero.
 """
@@ -25,12 +28,14 @@ import copy
 import hashlib
 import io
 import json
+import re
+import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "torusred"
+OUT = ROOT / ".footprint_out"
 
 # (label, preset, command, numerics overrides)
 MATRIX = [
@@ -76,20 +81,21 @@ def artifact_digests(work):
     from torusred import cli
 
     rows, codes = [], []
-    for i, (label, preset, command, numerics) in enumerate(MATRIX):
+    for label, preset, command, numerics in MATRIX:
         doc = copy.deepcopy(cli.PRESETS[preset])
         doc["command"] = command
         doc["numerics"].update(numerics)
-        config, out = work / f"run{i}.json", work / f"run{i}"
+        name = re.sub(r"\W+", "-", label)
+        config, out = work / f"{name}.json", work / name
         config.write_text(json.dumps(doc))
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             rc = cli.run(str(config), out_override=str(out))
         codes.append(rc)
+        if command == "verify":
+            (out / "stdout").write_text(stdout.getvalue())
         for path in sorted(out.glob("*")):
             rows.append((label, path.name, short_digest(path.read_bytes()), rc))
-        if command == "verify":
-            rows.append((label, "stdout", short_digest(stdout.getvalue().encode()), rc))
     return rows, codes
 
 
@@ -98,8 +104,9 @@ def main():
     print(f"src lines: {src_lines()}")
     print(f"defaulted parameters: {defaulted_parameters()}")
     print(f"public names: {public_names()}")
-    with tempfile.TemporaryDirectory() as tmp:
-        rows, codes = artifact_digests(Path(tmp))
+    shutil.rmtree(OUT, ignore_errors=True)
+    OUT.mkdir()
+    rows, codes = artifact_digests(OUT)
     for label, name, digest, rc in rows:
         print(f"{label:24s} {name:16s} {digest}  exit {rc}")
     return 1 if any(codes) else 0
