@@ -136,6 +136,45 @@ def _array_step(rhs, spec):
     return lambda x: _rk4_step(rhs, x, dt)
 
 
+def _phase_step(omega, series, spec):
+    """The spec's scheme for ``omega + sum_k Re(c_k e^{i<k, phi>})`` on tuples of floats."""
+    dt, base, nan = spec.dt, omega.tolist(), [math.nan] * omega.size
+    keys = [[(a, k) for a, k in enumerate(row) if k] for row in series.keys.astype(float).tolist()]
+    cols = [list(zip(z.real.tolist(), z.imag.tolist())) for z in series.values.T]
+
+    def field(p):
+        cs = []
+        try:
+            for pairs in keys:
+                theta = 0.0  # every sum runs in numpy's order
+                for a, k in pairs:
+                    theta += k * p[a]
+                cs.append((math.cos(theta), math.sin(theta)))
+        except ValueError:  # math.cos of an infinite angle; numpy's exp gives NaN
+            return nan
+        out = []
+        for omega_a, col in zip(base, cols):
+            v = 0.0
+            for (c, s), (r, i) in zip(cs, col):
+                v += c * r - s * i
+            out.append(omega_a + v)
+        return out
+
+    if spec.scheme == "euler":
+        return lambda p: tuple([x + dt * f for x, f in zip(p, field(p))])
+    h, w = 0.5 * dt, dt / 6.0
+
+    def rk4(p):
+        a = field(p)
+        b = field([x + h * k for x, k in zip(p, a)])
+        c = field([x + h * k for x, k in zip(p, b)])
+        d = field([x + dt * k for x, k in zip(p, c)])
+        return tuple([x + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                      for x, k1, k2, k3, k4 in zip(p, a, b, c, d)])
+
+    return rk4
+
+
 def _unwrapped_pair_angle(step, z, pair):
     """``step`` that also unwraps the pair angle, and an observer of it.
 
@@ -241,15 +280,12 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
     difference of the ``OUTER_PAIR`` components, shifted by a multiple
     of 2 pi so that it starts in (-pi, pi] like the full record's pair
     angle.  ``until_t01`` ends the run as in ``integrate_full``.
+
+    The phases step as Python floats in the one ``_march`` loop: bit for bit
+    as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
     """
     omega = result.omega
     phi, beat = _start(phi0, omega.size, "phases", omega, spec)
-    series = result.phase_field(eps)
-    kmat, cmat = series.keys.astype(float), series.values
-
-    def rhs(p):
-        return omega + (np.exp(1j * (kmat @ p)) @ cmat).real
-
     i_idx, j_idx = OUTER_PAIR
     shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))
 
@@ -257,8 +293,8 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
         return (p[i_idx] - p[j_idx]) - shift
 
     stop = _until_decided(observe(phi), beat, spec) if until_t01 else None
-    ts, phis, phi_hat, failed = _march(_array_step(rhs, spec), phi, spec, observe=observe,
-                                       stop=stop)
+    step = _phase_step(omega, result.phase_field(eps), spec)
+    ts, phis, phi_hat, failed = _march(step, tuple(phi.tolist()), spec, observe=observe, stop=stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
         states=np.asarray(phis),
@@ -430,7 +466,6 @@ def trajectory_csv(record, path):
     """Write ``t,re_z1,im_z1,...,phi_hat`` rows (or phases for reduced runs)."""
     with open(path, "w", newline="") as fh:
         cols = ["t"]
-        n_state = 0
         if record.states is not None:
             n_state = record.states.shape[1]
             if record.kind == "full" and record.meta.get("complex_pairs"):

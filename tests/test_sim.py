@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
+from torusred.fourier import FourierMap
 from torusred.models import (
     ChainConfig,
     StuartLandauParams,
@@ -31,6 +35,9 @@ from torusred.sim import (
 
 SET1 = dict(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0, a=1.0, b=2.0, c=-1.0, d=-1.0)
 SET2 = dict(alpha=1.0, beta=0.1, gamma=-1.0, delta=1.0, a=1.0, b=6.0, c=-1.0, d=-1.0)
+PRESETS = {"set1": SET1, "set2": SET2}
+START = {"set1": np.array([-1.0, 0.0, 1.0, 0.4, -1.0, 0.3]),
+         "set2": np.array([1.0, 0.3, 1.0, 0.4, -0.2, 0.9])}
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +318,107 @@ def test_integrate_reduced_rejects_non_finite_phases(reduced1, bad):
     with pytest.raises(ConfigError, match="finite"):
         integrate_reduced(reduced1, 0.1, np.array([bad, 0.2, 0.3]),
                           IntegratorSpec("euler", 0.05, 10.0))
+
+
+def numpy_phase_step(result, eps, spec):
+    """The reduced flow's step on numpy arrays, as ``integrate_reduced`` took it
+    before it stepped float tuples: the oracle of the float step."""
+    omega, series = result.omega, result.phase_field(eps)
+    kmat, cmat = series.keys.astype(float), series.values
+
+    def rhs(p):
+        return omega + (np.exp(1j * (kmat @ p)) @ cmat).real
+
+    if spec.scheme == "euler":
+        return lambda x: x + spec.dt * rhs(x)
+    return lambda x: _rk4_step(rhs, x, spec.dt)
+
+
+def reduced_flow(omega, series):
+    """A stand-in reduction whose phase field is ``series`` at every coupling."""
+    return SimpleNamespace(omega=omega, phase_field=lambda eps: series)
+
+
+@pytest.fixture(scope="module")
+def chain_reductions():
+    made = {}
+
+    def reduction(params, J):
+        if (params, J) not in made:
+            cfg = ChainConfig(**PRESETS[params])
+            made[params, J] = phase_reduce(chain_model(cfg), chain_bundle(cfg, K=8.0),
+                                           order=J, K_nf=6.0)
+        return made[params, J]
+
+    return reduction
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("J,n_keys", [(2, 3), (3, 3), (4, 5)])
+@pytest.mark.parametrize("params", ["set1", "set2"])
+def test_reduced_step_is_bit_identical_to_the_numpy_field(chain_reductions, params, J, n_keys,
+                                                          scheme):
+    # Oracle for the float step: every state of 10^4 steps from the preset
+    # start equals the one stepped on numpy arrays, bit for bit.
+    result = chain_reductions(params, J)
+    assert len(result.phase_field(0.1).keys) == n_keys
+    phi0 = phases_from_state(START[params])
+    spec = IntegratorSpec(scheme, 0.05, 500.0)
+    for eps in (0.0, 0.02, 0.1):
+        rec = integrate_reduced(result, eps, phi0, spec)
+        step, phi = numpy_phase_step(result, eps, spec), phi0.copy()
+        want = [phi]
+        for _ in range(spec.steps()):
+            phi = step(phi)
+            want.append(phi)
+        assert not rec.failed and rec.states.shape == (10_001, 3)
+        assert np.array_equal(rec.states, np.asarray(want))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("m", [2, 4])
+def test_reduced_step_matches_the_numpy_field_on_random_fields(m, scheme):
+    # One float step against one numpy step on random fields with |k| <= 3.
+    # BLAS may sum in another order here, so the two agree to roundoff.
+    rng = np.random.default_rng(11)
+    spec = IntegratorSpec(scheme, 0.05, 0.05)
+    for _ in range(20):
+        keys = rng.integers(-3, 4, size=(12, m))
+        keys = np.unique(keys[np.linalg.norm(keys, axis=1) <= 3.0], axis=0)
+        values = rng.normal(size=(len(keys), m)) + 1j * rng.normal(size=(len(keys), m))
+        result = reduced_flow(rng.uniform(-2.0, 2.0, size=m),
+                              FourierMap(m, 3.0, (keys, values), (m,)))
+        step = sim._phase_step(result.omega, result.phase_field(0.0), spec)
+        oracle = numpy_phase_step(result, 0.0, spec)
+        for phi in rng.uniform(-10.0, 10.0, size=(20, m)):
+            want = oracle(phi)
+            got = np.asarray(step(tuple(phi.tolist())))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+def test_reduced_blowup_stops_where_the_numpy_field_does(reduced1, bad, scheme):
+    # A NaN or infinite coefficient fails the first step.  Constant terms of
+    # +-1e307 push the outer phases apart until their angle overflows, where
+    # math.cos raises and numpy's exp gives NaN, and then the phases too.
+    # The float step must fail at the same step and time as the numpy one.
+    series = reduced1.phase_field(0.1)
+    values = series.values.copy()
+    if bad == "overflow":
+        values[series.keys.tolist().index([0, 0, 0])] += [1e307, 0.0, -1e307]
+    else:
+        values[0, 2] = float(bad)
+    phi0 = np.array([0.1, 0.2, 0.3])
+    spec = IntegratorSpec(scheme, 0.05, 50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = reduced_flow(reduced1.omega, FourierMap(3, series.K, (series.keys, values), (3,)))
+        ts, states, _, failed = _march(numpy_phase_step(result, 0.1, spec), phi0, spec)
+    rec = integrate_reduced(result, 0.1, phi0, spec)
+    assert rec.failed and failed
+    assert (len(rec.t) > 1) == (bad == "overflow")
+    assert np.array_equal(rec.t, ts)
+    assert np.array_equal(rec.states, np.asarray(states))
 
 
 def test_sweep_reduced_start_across_branch_cut(chain1, reduced1):

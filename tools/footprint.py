@@ -12,10 +12,12 @@ Artifacts: the first 16 hex digits of the sha256 of every file the CLI
 writes for set-1 ``reduce`` at (J, K) = (2, 8), (3, 8), (4, 8), (4, 12),
 set-2 ``reduce`` at (2, 8), ``bundle`` on both presets, set-1 ``simulate``
 and ``sweep``, and ``verify`` on both presets (its ``report.json`` and its
-stdout).  Every run keeps the rest of its preset's numerics.  The runs
-write to ``.footprint_out/`` next to ``src/``, cleared first: one config
-and one output directory per run, with a verify run's stdout saved there
-as ``stdout``.  Compare two such trees with ``tools/artifact_diff.py``.
+stdout), plus the ``sweep.csv`` of ``sim.sweep_epsilon`` on the reduced flow
+of a set-1 J = 2 reduction, which no command writes.  Every run keeps the
+rest of its preset's numerics.  The runs write to ``.footprint_out/`` next
+to ``src/``, cleared first: one config and one output directory per run,
+with a verify run's stdout saved there as ``stdout``.  Compare two such
+trees with ``tools/artifact_diff.py``.
 
 Exits 1 when any command of the matrix exits non-zero.
 """
@@ -37,7 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "torusred"
 OUT = ROOT / ".footprint_out"
 
-# (label, preset, command, numerics overrides)
+# (label, preset, command, numerics overrides); "reduced sweep" is not a CLI
+# command but the library call of ``reduced_sweep``.
 MATRIX = [
     *[(f"reduce set1 J={J} K={K}", "set1", "reduce", {"J": J, "K": K})
       for J, K in ((2, 8), (3, 8), (4, 8), (4, 12))],
@@ -46,6 +49,7 @@ MATRIX = [
     ("bundle set2", "set2", "bundle", {}),
     ("simulate set1", "set1", "simulate", {}),
     ("sweep set1", "set1", "sweep", {}),
+    ("reduced sweep set1 J=2", "set1", "reduced sweep", {"J": 2}),
     ("verify set1", "set1", "verify", {}),
     ("verify set2", "set2", "verify", {}),
 ]
@@ -75,6 +79,22 @@ def short_digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def reduced_sweep(doc, out):
+    """Write the ``sweep.csv`` of a sweep of the reduced flow at ``doc``'s order,
+    with the sweep numerics and the reduction the CLI would use; returns 0."""
+    from torusred import cli, models, reduction, sim
+
+    cfg = cli.RunConfig(dict(doc, command="sweep"))
+    model = models.chain_model(cfg.chain)
+    reduced = reduction.phase_reduce(model, models.chain_bundle(cfg.chain, K=cfg.bundle_K),
+                                     order=cfg.J, K=cfg.K, K_nf=cfg.K_nf)
+    sw = sim.sweep_epsilon(model, cfg.sweep_x0, cfg.sweep_eps(), cfg.sweep_spec,
+                           reduction=reduced)
+    out.mkdir()
+    sim.sweep_csv(sw, out / "sweep.csv")
+    return 0
+
+
 def artifact_digests(work):
     """``(label, file, digest, exit code)`` for every artifact of the matrix,
     and the exit code of every command."""
@@ -89,8 +109,11 @@ def artifact_digests(work):
         config, out = work / f"{name}.json", work / name
         config.write_text(json.dumps(doc))
         stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            rc = cli.run(str(config), out_override=str(out))
+        if command == "reduced sweep":
+            rc = reduced_sweep(doc, out)
+        else:
+            with contextlib.redirect_stdout(stdout):
+                rc = cli.run(str(config), out_override=str(out))
         codes.append(rc)
         if command == "verify":
             (out / "stdout").write_text(stdout.getvalue())
