@@ -3,12 +3,13 @@
 A limit cycle of a smooth vector field is solved for in Fourier
 collocation: its values ``X`` at ``n`` equispaced phase nodes and its
 frequency ``omega`` satisfy ``omega D X = F(X)``, with ``D`` the spectral
-derivative, and Newton's method polishes a sampled orbit into that
-solution.  The spectrum of ``omega D - F'(X)`` is ``-lambda_j + i omega k``
-over the Floquet exponents ``lambda_j``; one representative of each
-family and its eigenvector give the fast fibre map ``N(phi)`` and the
-constant hyperbolic matrix ``L`` of the linearised dynamics transverse
-to the cycle.  The tangent vector ``e0'`` and the fibres ``N`` form the
+derivative, and Newton's method polishes a start, a Fourier series
+traversed at a signed frequency, into that solution.  The spectrum of
+``omega D - F'(X)`` is ``-lambda_j + i omega k`` over the Floquet
+exponents ``lambda_j``; one representative of each family and its
+eigenvector give the fast fibre map ``N(phi)`` and the constant
+hyperbolic matrix ``L`` of the linearised dynamics transverse to the
+cycle.  The tangent vector ``e0'`` and the fibres ``N`` form the
 frame ``[e0' | N]`` in which a reduction splits its forcing.  Products
 of such circles give the torus data for uncoupled oscillator networks.
 """
@@ -16,28 +17,26 @@ of such circles give the torus data for uncoupled oscillator networks.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (HyperbolicityError, NumericalError, TransversalityError,
                      TruncationSaturationError)
-from .fourier import (SATURATION_TOL, FourierMap, TorusGrid, _radius_nodes, _sum_on_keys,
-                      check_grid, d_omega)
+from .fourier import (SATURATION_TOL, FourierMap, SmoothMap, TorusGrid, _radius_nodes,
+                      _sum_on_keys, check_grid, d_omega)
 
 __all__ = [
     "LimitCycle",
     "TorusBundle",
-    "oblique_projection",
     "cycle_bundle",
     "product_bundle",
     "validate_bundle",
-    "tangent_identity_residual",
     "find_limit_cycle",
 ]
 
-CYCLE_SAMPLES = 2048  # RK4 steps (and stored samples) over one period of a sampled orbit
+CYCLE_SAMPLES = 2048  # RK4 steps over one period of a cycle found by shooting
 COND_THRESHOLD = 1e10  # largest admissible condition number of a frame
-CLOSURE_TOL = 1e-8  # relative |X(T) - X(0)| a stored orbit may show
 EXPONENT_GAP = 1e-6  # Floquet exponents closer than this to the axis are neutral
 NEWTON_STEPS = 12  # Newton steps a cycle solve may take
 NEWTON_TOL = 1e-12  # collocation residual, relative to the field, of a solved cycle
@@ -57,42 +56,17 @@ def _rk4_step(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class LimitCycle:
-    """A hyperbolic periodic orbit, sampled on a uniform time grid.
+class LimitCycle(NamedTuple):
+    """A start for the collocation solve of a limit cycle of ``field``.
 
-    ``samples[i]`` is the state at ``t_i = i * period / n`` for
-    ``i = 0 .. n`` (both endpoints stored) of an orbit of the vector
-    field ``field``; closure of the orbit is checked on construction.
+    ``orbit`` is a Fourier series on the circle with values in R^M,
+    traversed at the signed angular frequency ``omega``: the state at
+    time ``t`` is ``orbit(omega t)``.
     """
 
-    def __init__(self, period, samples, field):
-        self.period = float(period)
-        self.samples = np.asarray(samples, dtype=float)
-        if self.samples.ndim != 2 or self.samples.shape[0] < 3:
-            raise ValueError("expected samples of shape (n+1, M)")
-        self.dimension = self.samples.shape[1]
-        self.field = field
-        scale = max(1.0, float(np.max(np.abs(self.samples))))
-        gap = float(np.max(np.abs(self.samples[-1] - self.samples[0])))
-        if gap > CLOSURE_TOL * scale:
-            raise NumericalError(f"orbit does not close up: |X(T) - X(0)| = {gap:.3e} exceeds "
-                                 f"{CLOSURE_TOL:.1e} (relative)")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    @classmethod
-    def from_flow(cls, field, x0, period):
-        """Integrate ``field`` over one period with fixed-step RK4."""
-        dt, samples = period / CYCLE_SAMPLES, [np.asarray(x0, dtype=float)]
-        for _ in range(CYCLE_SAMPLES):
-            samples.append(_rk4_step(field.fun, samples[-1], dt))
-        return cls(period, np.array(samples), field)
-
-    @classmethod
-    def from_function(cls, orbit, period, field):
-        """Build from a closed-form orbit ``t -> X(t)``."""
-        t = np.linspace(0.0, period, CYCLE_SAMPLES + 1)
-        return cls(period, np.array([orbit(ti) for ti in t]), field)
+    orbit: FourierMap
+    omega: float
+    field: SmoothMap
 
 
 def find_limit_cycle(field, x0, t_transient):
@@ -100,7 +74,8 @@ def find_limit_cycle(field, x0, t_transient):
 
     Integrates a transient, drops a Poincare section through the landing
     point orthogonal to the flow, and refines the first same-direction
-    return with Newton steps on the crossing time.
+    return with Newton steps on the crossing time.  The start it returns
+    is the projection of ``CYCLE_SAMPLES`` RK4 samples of one period.
     """
     dt = RETURN_DT
     x = np.asarray(x0, dtype=float)
@@ -130,35 +105,12 @@ def find_limit_cycle(field, x0, t_transient):
         prev, x, t = cur, x_new, t_new
     if period is None:
         raise NumericalError("no return to the section found; not a (stable) cycle?")
-    return LimitCycle.from_flow(field, p, period)
-
-
-# ----------------------------------------------------------------------
-# projections
-
-
-def oblique_projection(A, B):
-    """Projection onto the image of ``A`` along the image of ``B``.
-
-    ``A`` (M x m) and ``B`` (M x (M-m)) must be injective with
-    complementary images; degeneracy is detected through the condition
-    number of the stacked matrix ``[A | B]``.  With ``Q`` the orthogonal
-    projection onto the complement of im(B), it is
-    ``A (A^T Q A)^{-1} A^T Q``.
-
-    Returns the unique M x M matrix with ``pi A = A`` and ``pi B = 0``.
-    """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    cond = float(np.linalg.cond(np.concatenate([A, B], axis=-1)))
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise TransversalityError("images of A and B are nearly degenerate", cond)
-    Q = np.eye(A.shape[0]) - B @ np.linalg.solve(B.T @ B, B.T)
-    pi = A @ np.linalg.solve(A.T @ Q @ A, A.T @ Q)
-    err = max(float(np.max(np.abs(pi @ A - A))), float(np.max(np.abs(pi @ B))),
-              float(np.max(np.abs(pi @ pi - pi))))
-    if err > 1e-10 * max(1.0, float(np.max(np.abs(pi)))):
-        raise TransversalityError(f"projection identities violated at {err:.3e}", cond)
-    return pi
+    dt, samples = period / CYCLE_SAMPLES, [p]
+    for _ in range(CYCLE_SAMPLES - 1):
+        samples.append(_rk4_step(field.fun, samples[-1], dt))
+    grid = TorusGrid(1, (CYCLE_SAMPLES,))
+    return LimitCycle(grid.project(np.array(samples), grid.max_freq()[0]), 2.0 * math.pi / period,
+                      field)
 
 
 # ----------------------------------------------------------------------
@@ -228,15 +180,15 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     Samples ``e0'`` and ``N`` once and verifies transversality of
     ``[e0' | N]``, the matrix a reduction's split solves (condition number
     below ``COND_THRESHOLD`` at every node, which bounds each column block
-    alone too), hyperbolicity of ``L`` and the invariance equation
-    ``d_omega N + N L = (F0' o e0) N`` of the uncoupled field ``F0``.
-    Returns a diagnostics dict; raises on violation.
+    alone too), hyperbolicity of ``L``, the invariance ``e0' omega = F0 o e0``
+    of the torus under the uncoupled field ``F0`` and the invariance
+    equation ``d_omega N + N L = (F0' o e0) N`` of its fibres.  Returns a
+    diagnostics dict; raises on violation.
     """
     if grid is None:
         grid = check_grid(bundle.m, bundle.K)
     E, Nv = bundle.sample_frames(grid)
-    stacked = np.concatenate([E, Nv], axis=-1)
-    max_cond = float(np.max(np.linalg.cond(stacked.reshape((-1,) + stacked.shape[-2:]))))
+    max_cond = float(np.max(np.linalg.cond(np.concatenate([E, Nv], axis=-1))))
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
         raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
 
@@ -244,12 +196,18 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
 
     n_scale = max(1.0, float(np.max(np.abs(Nv))))
     lhs = grid.sample(d_omega(bundle.N, bundle.omega)) + Nv @ bundle.L
-    J = F0.jac(grid.sample(bundle.e0))
+    X = grid.sample(bundle.e0)
+    J = F0.jac(X)
     pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
+    F = F0.fun(X)
+    torus_rel = float(np.max(np.abs(E @ bundle.omega - F))) / max(1.0, float(np.max(np.abs(F))))
 
     diag = {"max_condition": max_cond, "spectral_gap": gap, "pde_residual_rel": pde_rel}
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
+    if torus_rel > pde_tol:
+        raise NumericalError(f"torus invariance equation violated: relative residual "
+                             f"{torus_rel:.3e}")
     if pde_rel > pde_tol:
         raise NumericalError(f"fibre invariance equation violated: relative residual "
                              f"{pde_rel:.3e}")
@@ -335,10 +293,11 @@ def _fibre(A, omega, n, M):
 def cycle_bundle(cycle, K=8.0):
     """Torus bundle (m = 1) of a hyperbolic limit cycle, solved in Fourier collocation.
 
-    Newton polishes the cycle's samples on the 3/2-rule node count of ``K``
-    into a solution of ``omega D X = F(X)``.  The residual cannot see
-    truncation, so a solution whose outermost shells carry more than
-    ``SATURATION_TOL`` of the mass is rejected ("raise K").  ``N`` and ``L``
+    Newton polishes the cycle's start, evaluated on the 3/2-rule node
+    count of ``K`` and run at its frequency, into a solution of
+    ``omega D X = F(X)``.  The residual cannot see truncation, so a
+    solution whose outermost shells carry more than ``SATURATION_TOL`` of
+    the mass is rejected ("raise K").  ``N`` and ``L``
     come from the spectrum of ``omega D - F'(X)``; the bundle is validated
     against the cycle's field on the check grid.
     """
@@ -347,15 +306,15 @@ def cycle_bundle(cycle, K=8.0):
         raise ValueError("the cycle's vector field must carry a Jacobian evaluator")
     n = _radius_nodes(K) | 1
     grid = TorusGrid(1, (n,))
-    orbit = TorusGrid(1, (len(cycle.samples) - 1,)).project(cycle.samples[:-1], n // 2)
-    X, omega, D, steps = _solve_cycle(field, grid.sample(orbit), 2.0 * math.pi / cycle.period)
+    nodes = 2.0 * math.pi * np.arange(n)[:, None] / n
+    X, omega, D, steps = _solve_cycle(field, cycle.orbit.eval(nodes), cycle.omega)
     orbit = grid.project(X, n // 2)
     # Two shells: one alone misses a cycle with only odd harmonics.
     tail = orbit.shell_mass(n // 2 - 2) / orbit.norm()
     if tail > SATURATION_TOL:
         raise TruncationSaturationError("cycle", K, tail)
     A = _collocation_operator(D, omega, field.jac(X))
-    N_vals, L, neutral = _fibre(A, omega, n, cycle.dimension)
+    N_vals, L, neutral = _fibre(A, omega, n, X.shape[1])
     bundle = TorusBundle(grid.project(X, K), [omega], grid.project(N_vals, K), L)
     bundle.diagnostics = validate_bundle(bundle, field)
     bundle.diagnostics.update(neutral_exponent=neutral, newton_iterations=steps, nodes=n,
@@ -405,17 +364,3 @@ def product_bundle(bundles):
         for name, shape in shapes.items()
     )
     return TorusBundle(e0, omega, N, L)
-
-
-def tangent_identity_residual(bundle, F0):
-    """Residual of the differentiated conjugacy identity.
-
-    For a valid embedding, the derivative of ``e0`` along the flow
-    satisfies ``d_omega(e0') = (F0' o e0) e0'`` pointwise.
-    """
-    grid = check_grid(bundle.m, bundle.K)
-    E = bundle.e0.jacobian()
-    lhs = grid.sample(d_omega(E, bundle.omega))
-    J = F0.jac(grid.sample(bundle.e0))
-    rhs = J @ grid.sample(E)
-    return float(np.max(np.abs(lhs - rhs)))

@@ -416,9 +416,6 @@ class TorusGrid:
     def size(self):
         return int(np.prod(self.shape))
 
-    def axes(self):
-        return [2.0 * np.pi * np.arange(n) / n for n in self.shape]
-
     def max_freq(self):
         return tuple((n - 1) // 2 for n in self.shape)
 

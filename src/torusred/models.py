@@ -1,7 +1,8 @@
 """Concrete oscillator systems.
 
-The Stuart-Landau oscillator comes with fully analytic cycle and
-bundle data and serves as the building block of the three-oscillator
+The Stuart-Landau oscillator comes with analytic cycle and bundle data
+(its cycle is the single harmonic ``R exp(i phi)`` run at its signed
+frequency) and serves as the building block of the three-oscillator
 chain whose outer members synchronise through the middle one.  A
 generic :class:`OscillatorModel` interface admits user-defined coupled
 systems; complex oscillator states are represented as real pairs
@@ -131,13 +132,10 @@ def stuart_landau_field(p: StuartLandauParams) -> SmoothMap:
 
 
 def stuart_landau_cycle(p: StuartLandauParams) -> LimitCycle:
-    """The circular orbit ``R exp(i omega t)``, sampled analytically."""
-    R, w = p.radius, p.frequency
-
-    def orbit(t):
-        return np.array([R * math.cos(w * t), R * math.sin(w * t)])
-
-    return LimitCycle.from_function(orbit, 2.0 * math.pi / w, stuart_landau_field(p))
+    """The circular orbit ``R exp(i phi)``, run at the signed frequency ``omega``."""
+    R = p.radius
+    orbit = FourierMap.harmonic(1, (1,), np.array([R / 2.0, -1j * R / 2.0]))
+    return LimitCycle(orbit, p.frequency, stuart_landau_field(p))
 
 
 def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:

@@ -285,6 +285,9 @@ def integrate_reduced(result, eps, phi0, spec, until_t01=False):
     as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
     """
     omega = result.omega
+    if omega.size <= max(OUTER_PAIR):
+        raise ConfigError(f"the reduced flow has {omega.size} phases; its observable needs "
+                          f"phases {OUTER_PAIR}")
     phi, beat = _start(phi0, omega.size, "phases", omega, spec)
     i_idx, j_idx = OUTER_PAIR
     shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from torusred.bundle import oblique_projection
 from torusred.cli import (
     TOL_CONSTANTS,
     TOL_LOCK,
@@ -31,6 +30,7 @@ from torusred.reduction import (
     phase_reduce,
     solve_normal,
     solve_tangential,
+    split_forcing,
 )
 from torusred.sim import IntegratorSpec, measure_T01
 
@@ -169,26 +169,27 @@ def test_criterion_09a_normal_solver_oracle():
 
 def test_criterion_09b_oblique_projection_oracle():
     rng = np.random.default_rng(77)
-    worst = 0.0
-    trials = 0
-    while trials < 100:
-        M, m = 5, 2
-        A = rng.normal(size=(M, m))
-        B = rng.normal(size=(M, M - m))
-        # Full-rank, decently transverse draws: both the closed formula and
-        # the least-squares oracle lose digits together on nearly
-        # degenerate frames, which would test roundoff rather than math.
-        if np.linalg.cond(np.concatenate([A, B], axis=1)) > 1e3:
+    M, m = 5, 2
+    A, B = [], []
+    while len(A) < 100:
+        a = rng.normal(size=(M, m))
+        b = rng.normal(size=(M, M - m))
+        # Full-rank, decently transverse draws: the split and the
+        # least-squares oracle lose digits together on nearly degenerate
+        # frames, which would test roundoff rather than math.
+        if np.linalg.cond(np.concatenate([a, b], axis=1)) > 1e3:
             continue
-        trials += 1
-        pi = oblique_projection(A, B)
-        basis = np.concatenate([A, B], axis=1)
-        target = np.concatenate([A, np.zeros((M, M - m))], axis=1)
-        pi_lsq, *_ = np.linalg.lstsq(basis.T, target.T, rcond=None)
-        worst = max(worst, float(np.max(np.abs(pi - pi_lsq.T))))
+        A.append(a)
+        B.append(b)
+    A, B = np.array(A), np.array(B)
+    G = rng.normal(size=(len(A), M))
+    U, V = split_forcing(G, (A, B))
+    worst = 0.0
+    for a, b, g, u, v in zip(A, B, G, U, V):
+        uv, *_ = np.linalg.lstsq(np.concatenate([a, b], axis=1), g, rcond=None)
+        worst = max(worst, float(np.max(np.abs(np.concatenate([u, v]) - uv))))
     assert worst <= 1e-9
-    print(f"\n[acceptance 9b] PASS  oblique projection vs constraint solve: "
-          f"sup error {worst:.2e}")
+    print(f"\n[acceptance 9b] PASS  frame split vs least-squares solve: sup error {worst:.2e}")
 
 
 def test_criterion_09c_jet_composition_oracle():

@@ -3,18 +3,16 @@ import pytest
 
 import torusred.bundle as bundle_module
 from torusred.bundle import (
+    CYCLE_SAMPLES,
     LimitCycle,
     TorusBundle,
     cycle_bundle,
     find_limit_cycle,
-    oblique_projection,
     product_bundle,
-    tangent_identity_residual,
     validate_bundle,
 )
 from torusred.cli import PRESETS
-from torusred.errors import (HyperbolicityError, NumericalError, TransversalityError,
-                             TruncationSaturationError)
+from torusred.errors import HyperbolicityError, NumericalError, TruncationSaturationError
 from torusred.fourier import FourierMap, SmoothMap, TorusGrid, matmul, spectral_grid
 from torusred.models import (
     ChainConfig,
@@ -31,47 +29,51 @@ SET1 = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
 
 
 # ----------------------------------------------------------------------
-# oblique projections
+# the split of a forcing in the frame [e0' | N]
 
 
 def test_oblique_projection_orthogonal_case():
-    A = np.array([[1.0], [0.0]])
-    B = np.array([[0.0], [1.0]])
-    pi = oblique_projection(A, B)
-    assert np.allclose(pi, np.diag([1.0, 0.0]), atol=1e-14)
+    # With the tangent and fibre along the coordinate axes, the split
+    # reads off the two coordinates of the forcing.
+    G = np.array([[0.3, -1.7], [2.0, 0.5]])
+    E = np.broadcast_to(np.array([[1.0], [0.0]]), (2, 2, 1))
+    Nv = np.broadcast_to(np.array([[0.0], [1.0]]), (2, 2, 1))
+    U, V = split_forcing(G, (E, Nv))
+    assert np.allclose(U[:, 0], G[:, 0], atol=1e-14)
+    assert np.allclose(V[:, 0], G[:, 1], atol=1e-14)
 
 
-def test_oblique_projection_stuart_landau_at_zero():
-    # Tangent direction i, fibre direction gamma + i*delta; the projection
-    # sends x + iy to i(y - (delta/gamma) x).
+def test_split_forcing_stuart_landau_at_zero():
+    # Tangent direction i, fibre direction gamma + i*delta: x + iy splits
+    # into U = y - (delta/gamma) x along the tangent and V = x/gamma along
+    # the fibre.
     g, d = SET1.gamma, SET1.delta
-    A = np.array([[0.0], [1.0]])
-    B = np.array([[g], [d]])
-    pi = oblique_projection(A, B)
-    expected = np.array([[0.0, 0.0], [-d / g, 1.0]])
-    assert np.allclose(pi, expected, atol=1e-12)
+    rng = np.random.default_rng(11)
+    G = rng.normal(size=(16, 2))
+    E = np.broadcast_to(np.array([[0.0], [1.0]]), (16, 2, 1))
+    Nv = np.broadcast_to(np.array([[g], [d]]), (16, 2, 1))
+    U, V = split_forcing(G, (E, Nv))
+    x, y = G[:, 0], G[:, 1]
+    assert np.allclose(U[:, 0], y - (d / g) * x, atol=1e-12)
+    assert np.allclose(V[:, 0], x / g, atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(10))
 def test_oblique_projection_matches_constraint_solve(trial):
-    # Oracle: solve the linear constraint system pi*A = A, pi*B = 0 directly.
+    # Oracle: the oblique projection pi onto span A along span B, solved
+    # from the constraints pi*A = A, pi*B = 0; the split must give
+    # A U = pi G and B V = (I - pi) G.
     rng = np.random.default_rng(500 + trial)
     M, m = 5, 2
     A = rng.normal(size=(M, m))
     B = rng.normal(size=(M, M - m))
-    pi = oblique_projection(A, B)
     basis = np.concatenate([A, B], axis=1)
     target = np.concatenate([A, np.zeros((M, M - m))], axis=1)
     pi_oracle = np.linalg.solve(basis.T, target.T).T
-    assert np.max(np.abs(pi - pi_oracle)) <= 1e-9
-
-
-def test_oblique_projection_degenerate_pair():
-    A = np.array([[1.0], [0.0]])
-    B = np.array([[1.0], [1e-13]])
-    with pytest.raises(TransversalityError) as err:
-        oblique_projection(A, B)
-    assert err.value.condition > 1e10
+    G = rng.normal(size=(8, M))
+    U, V = split_forcing(G, (np.broadcast_to(A, (8, M, m)), np.broadcast_to(B, (8, M, M - m))))
+    assert np.max(np.abs(U @ A.T - G @ pi_oracle.T)) <= 1e-9
+    assert np.max(np.abs(V @ B.T - G @ (np.eye(M) - pi_oracle).T)) <= 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -85,9 +87,9 @@ def exponents(bundle):
 
 def unit_circle(field, dim, w=1.0):
     """The unit circle in the first two coordinates, run at angular speed ``w``."""
-    return LimitCycle.from_function(
-        lambda t: np.array([np.cos(w * t), np.sin(w * t)] + [0.0] * (dim - 2)), 2 * np.pi / w,
-        field)
+    value = np.zeros(dim, dtype=complex)
+    value[:2] = 0.5, -0.5j
+    return LimitCycle(FourierMap.harmonic(1, (1,), value), w, field)
 
 
 def twisted_field(s, j):
@@ -134,6 +136,13 @@ def test_floquet_exponents_stuart_landau():
     assert abs(expos[0] - (-2.0 * SET1.alpha)) <= 1e-6
 
 
+def test_cycle_bundle_keeps_the_sign_of_a_clockwise_frequency():
+    p = StuartLandauParams(1.0, -3.0, -1.0, 1.0)
+    bundle = cycle_bundle(stuart_landau_cycle(p))
+    assert p.frequency == -2.0
+    assert np.allclose(bundle.omega, [p.frequency], rtol=0.0, atol=1e-12)
+
+
 def test_floquet_rejects_double_unit_eigenvalue():
     # Every circle of the harmonic oscillator is periodic: its monodromy is
     # the identity, so two exponents vanish.  The start solves the
@@ -157,10 +166,8 @@ def test_cycle_bundle_rejects_a_start_far_off_the_cycle():
     # The phase is anchored on the section through the start's first node,
     # orthogonal to the flow there; from a circle of radius 3 that section
     # misses the unit cycle, so Newton cannot converge.
-    def orbit(t):
-        return 3.0 * np.array([np.cos(2.0 * t), np.sin(2.0 * t)])
-
-    start = LimitCycle.from_function(orbit, SET1.period, stuart_landau_field(SET1))
+    orbit = FourierMap.harmonic(1, (1,), np.array([1.5, -1.5j]))
+    start = LimitCycle(orbit, SET1.frequency, stuart_landau_field(SET1))
     with pytest.raises(NumericalError, match="Newton does not converge"):
         cycle_bundle(start)
 
@@ -200,7 +207,7 @@ def test_floquet_exponent_matches_divergence_average(vdp_cycle):
     mu = 1.0
     bundle = cycle_bundle(vdp_cycle, K=48.0)
     nontrivial = exponents(bundle)[0]
-    div = mu * (1 - vdp_cycle.samples[:-1, 0] ** 2)
+    div = mu * (1 - TorusGrid(1, (CYCLE_SAMPLES,)).sample(vdp_cycle.orbit)[:, 0] ** 2)
     assert abs(nontrivial - div.mean()) <= 1e-4
 
 
@@ -346,25 +353,11 @@ def test_torus_bundle_rejects_fibre_data_of_the_wrong_shape():
         TorusBundle(b.e0, b.omega, b.N, b.L[:2, :2])
 
 
-def test_tangent_identity_residual():
-    cfg = ChainConfig(1.0, 1.0, -1.0, 1.0, 1.0, 2.0, -1.0, -1.0)
-    bundle = chain_bundle(cfg, K=8.0)
-    res = tangent_identity_residual(bundle, chain_model(cfg).F0)
-    assert res <= 1e-8
-
-
-def test_limit_cycle_closure_guard():
-    samples = np.zeros((16, 2))
-    samples[:, 0] = np.linspace(0.0, 1.0, 16)
-    with pytest.raises(NumericalError):
-        LimitCycle(1.0, samples, stuart_landau_field(SET1))
-
-
 def test_bundle_check_and_cycle_require_their_field():
     with pytest.raises(TypeError):
         validate_bundle(sl_bundle(SET1))
     cycle = stuart_landau_cycle(SET1)
     with pytest.raises(TypeError):
-        LimitCycle(cycle.period, cycle.samples)
+        LimitCycle(cycle.orbit, cycle.omega)
     with pytest.raises(ValueError, match="Jacobian"):
-        cycle_bundle(LimitCycle(cycle.period, cycle.samples, SmoothMap(cycle.field.fun)))
+        cycle_bundle(cycle._replace(field=SmoothMap(cycle.field.fun)))

@@ -12,6 +12,7 @@ from torusred.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     PRESETS,
+    check_floquet,
     check_normal_form,
     check_phase_lock,
     fibre_angle,
@@ -341,7 +342,9 @@ def test_reduce_with_degenerate_frames_exits_with_numerical_error(tmp_path, caps
      "fibre invariance equation violated: relative residual 2.000e+00"),
     (lambda b: TorusBundle(b.e0, b.omega, b.N, 0.0 * b.L), HyperbolicityError,
      "not hyperbolic"),
-], ids=["L_doubled", "L_zero"])
+    (lambda b: TorusBundle(b.e0.scale(1.01), b.omega, b.N, b.L), NumericalError,
+     "torus invariance equation violated: relative residual 1.406e-02"),
+], ids=["L_doubled", "L_zero", "e0_scaled"])
 def test_reduce_with_broken_bundle_exits_with_numerical_error(tmp_path, capsys, monkeypatch,
                                                             tamper, error, message):
     chain = ChainConfig(**SET1_MODEL["chain"])
@@ -352,6 +355,14 @@ def test_reduce_with_broken_bundle_exits_with_numerical_error(tmp_path, capsys, 
            "output_dir": str(tmp_path / "out")}
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
     assert message in capsys.readouterr().err
+
+
+def test_floquet_check_passes_on_a_clockwise_oscillator():
+    # beta = -3 turns the outer oscillator clockwise, at frequency -2.
+    outer = ChainConfig(**{**SET1_MODEL["chain"], "beta": -3.0}).outer
+    assert outer.frequency == -2.0
+    name, passed, detail, _ = check_floquet(outer, K=8.0)
+    assert name == "floquet cross-check" and passed, detail
 
 
 def test_verify_with_diverging_sync_run_fails_its_criterion(tmp_path, capsys):

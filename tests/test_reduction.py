@@ -7,7 +7,6 @@ from torusred.bundle import (
     TorusBundle,
     cycle_bundle,
     product_bundle,
-    tangent_identity_residual,
     validate_bundle,
 )
 from torusred.cli import check_residual_scaling, check_slow_law
@@ -515,12 +514,11 @@ def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, monkeypatch, K
     monkeypatch.setattr(reduction, "validate_bundle", bundle_check)
     result = phase_reduce(model, bundle, order=2, K=K, K_nf=6.0)
     for name, check in (("validate_bundle", lambda: validate_bundle(bundle, F0=model.F0)),
-                        ("tangent_identity", lambda: tangent_identity_residual(bundle, model.F0)),
                         ("conjugacy", lambda: conjugacy_residual(model, result, 1e-2))):
         sampled_shapes.clear()
         check()
         shapes[name] = list(sampled_shapes)
-    assert len(shapes) == 4
+    assert len(shapes) == 3
     for name, sampled in shapes.items():
         assert sampled and min(min(s) for s in sampled) >= PARENT_CHECK_NODES[K], name
 

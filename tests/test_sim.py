@@ -320,6 +320,13 @@ def test_integrate_reduced_rejects_non_finite_phases(reduced1, bad):
                           IntegratorSpec("euler", 0.05, 10.0))
 
 
+def test_integrate_reduced_needs_the_outer_pair_of_phases():
+    # The observable is the angle between phases OUTER_PAIR = (0, 2).
+    flow = reduced_flow(np.array([1.0, 2.0]), FourierMap.zero(2, (2,), 1.0))
+    with pytest.raises(ConfigError, match="2 phases"):
+        integrate_reduced(flow, 0.1, np.array([0.1, 0.2]), IntegratorSpec("euler", 0.05, 10.0))
+
+
 def numpy_phase_step(result, eps, spec):
     """The reduced flow's step on numpy arrays, as ``integrate_reduced`` took it
     before it stepped float tuples: the oracle of the float step."""
