@@ -12,12 +12,12 @@ Layout:
 - ``bundle``: limit cycles solved in collocation, fast fibre maps and
   the frame ``[e0' | N]`` each order's forcing is split in, product
   bundles.
-- ``models``: Stuart-Landau oscillators, the three-oscillator chain,
-  the generic coupled-oscillator interface.
-- ``reduction``: the iterative homological-equation solver and the
-  slow phase-difference law.
-- ``sim``: fixed-step integration of full and reduced dynamics,
-  synchronisation metrics, coupling sweeps.
+- ``models``: Stuart-Landau oscillators, the three-oscillator chain and
+  its slow phase-difference law, the generic coupled-oscillator
+  interface, which names the pair of oscillators whose angle is observed.
+- ``reduction``: the iterative homological-equation solver.
+- ``sim``: fixed-step integration of full and reduced dynamics, the
+  angle of a model's pair and its decay, coupling sweeps.
 - ``cli``: the ``torusred`` batch command.
 """
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (HyperbolicityError, NumericalError, TransversalityError,
+from .errors import (HyperbolicityError, InvarianceError, NumericalError, TransversalityError,
                      TruncationSaturationError)
 from .fourier import (SATURATION_TOL, FourierMap, SmoothMap, TorusGrid, _radius_nodes,
                       _sum_on_keys, check_grid, d_omega)
@@ -206,11 +206,9 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     if gap <= 1e-9:
         raise HyperbolicityError(f"Floquet matrix is not hyperbolic (gap {gap:.3e})")
     if torus_rel > pde_tol:
-        raise NumericalError(f"torus invariance equation violated: relative residual "
-                             f"{torus_rel:.3e}")
+        raise InvarianceError("torus", torus_rel)
     if pde_rel > pde_tol:
-        raise NumericalError(f"fibre invariance equation violated: relative residual "
-                             f"{pde_rel:.3e}")
+        raise InvarianceError("fibre", pde_rel)
     return diag
 
 
@@ -299,7 +297,9 @@ def cycle_bundle(cycle, K=8.0):
     solution whose outermost shells carry more than ``SATURATION_TOL`` of
     the mass is rejected ("raise K").  ``N`` and ``L``
     come from the spectrum of ``omega D - F'(X)``; the bundle is validated
-    against the cycle's field on the check grid.
+    against the cycle's field on the check grid.  The node values solve both
+    invariance equations, so the bundle fails one only through the harmonics
+    between ``K`` and ``n // 2`` that it drops ("raise K").
     """
     field = cycle.field
     if field.jac is None:
@@ -316,7 +316,10 @@ def cycle_bundle(cycle, K=8.0):
     A = _collocation_operator(D, omega, field.jac(X))
     N_vals, L, neutral = _fibre(A, omega, n, X.shape[1])
     bundle = TorusBundle(grid.project(X, K), [omega], grid.project(N_vals, K), L)
-    bundle.diagnostics = validate_bundle(bundle, field)
+    try:
+        bundle.diagnostics = validate_bundle(bundle, field)
+    except InvarianceError as exc:
+        raise TruncationSaturationError("cycle", K, exc.residual) from None
     bundle.diagnostics.update(neutral_exponent=neutral, newton_iterations=steps, nodes=n,
                               tail_mass=tail)
     return bundle

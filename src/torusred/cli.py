@@ -24,10 +24,11 @@ from .models import (
     chain_bundle,
     chain_model,
     chain_phase_constants,
+    chain_slow_law,
     sl_bundle,
     stuart_landau_cycle,
 )
-from .reduction import chain_slow_law, conjugacy_residual, phase_reduce
+from .reduction import conjugacy_residual, phase_reduce
 from .sim import (
     IntegratorSpec,
     integrate_full,

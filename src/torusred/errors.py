@@ -12,6 +12,7 @@ __all__ = [
     "TransversalityError",
     "SmallDivisorError",
     "TruncationSaturationError",
+    "InvarianceError",
     "AliasingError",
     "HyperbolicityError",
 ]
@@ -60,6 +61,14 @@ class TruncationSaturationError(NumericalError):
         self.label = label
         self.K = K
         self.shell_mass = shell_mass
+
+
+class InvarianceError(NumericalError):
+    """A torus or its fibres fail their invariance equation; carries the relative residual."""
+
+    def __init__(self, what, residual):
+        super().__init__(f"{what} invariance equation violated: relative residual {residual:.3e}")
+        self.residual = residual
 
 
 class AliasingError(NumericalError):

@@ -30,8 +30,7 @@ __all__ = [
     "chain_model",
     "chain_bundle",
     "chain_phase_constants",
-    "phases_from_state",
-    "OUTER_PAIR",
+    "chain_slow_law",
 ]
 
 
@@ -166,7 +165,10 @@ class OscillatorModel:
 
     ``dims[j]`` is the state dimension of oscillator ``j``; the
     uncoupled field ``F0`` is block-diagonal over the oscillators.
-    Evaluators must be pure and accept batched states.  ``fast_step``,
+    Evaluators must be pure and accept batched states.  ``pair``, when
+    given, names the two oscillators ``(i, j)`` whose angle
+    ``arg(z_i conj z_j)`` is the synchronisation observable; such a model is
+    made of complex pairs, each oscillator's ``(Re z, Im z)``.  ``fast_step``,
     when given, is ``fast_step(eps, scheme, dt)``: one integrator step of
     ``rhs`` on the tuple of the oscillators' complex values, with the
     arithmetic of stepping ``rhs`` on the real state.
@@ -176,13 +178,19 @@ class OscillatorModel:
     F0: SmoothMap
     perturbations: list
     omega: np.ndarray
-    complex_pairs: bool = False
+    pair: tuple | None = None
     fast_step: object = None
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float).reshape(-1)
         if len(self.dims) != self.omega.size:
             raise ConfigError("one frequency per oscillator required")
+        if self.pair is not None:
+            self.pair = tuple(self.pair)
+            if len(set(self.pair) & set(range(self.m))) != 2 or len(self.pair) != 2:
+                raise ConfigError(f"pair {self.pair} must name two distinct oscillators")
+            if any(d != 2 for d in self.dims):
+                raise ConfigError("a model with a pair is made of complex pairs (dims of 2)")
 
     @property
     def m(self):
@@ -207,18 +215,11 @@ class OscillatorModel:
         return out
 
 
-def phases_from_state(x):
-    """Oscillator phases ``arg(z_j)`` of a state of complex pairs."""
-    x = np.asarray(x, dtype=float)
-    z = _to_complex(x, x.shape[-1] // 2)
-    return np.angle(z)
-
-
 # ----------------------------------------------------------------------
 # the three-oscillator chain
 
 # The chain's outer oscillators, whose phase difference synchronises.
-OUTER_PAIR = (0, 2)
+_OUTER = (0, 2)
 
 
 @dataclass
@@ -250,11 +251,6 @@ class ChainConfig:
                 f"(omega1 = omega2 = {self.outer.frequency}); the first "
                 "tangential equation would be unsolvable"
             )
-
-    @property
-    def frequencies(self):
-        w1 = self.outer.frequency
-        return np.array([w1, self.middle.frequency, w1])
 
 
 def chain_model(cfg: ChainConfig) -> OscillatorModel:
@@ -308,8 +304,8 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
         dims=[2, 2, 2],
         F0=F0,
         perturbations=[F1],
-        omega=cfg.frequencies,
-        complex_pairs=True,
+        omega=[p.frequency, q.frequency, p.frequency],
+        pair=_OUTER,
         fast_step=fast_step,
     )
 
@@ -342,3 +338,20 @@ def chain_phase_constants(cfg: ChainConfig):
     A = (dg * dw + a * (1.0 + dc * dg) + 2.0 * a * a * (dc + dg) / dw) / denom
     B = (dw + a * (dc - dg) + 2.0 * a * a * (1.0 - dc * dg) / dw) / denom
     return A, B
+
+
+def chain_slow_law(result):
+    """Constants (A, B) of the second-order law, read off a chain reduction.
+
+    Reads the order-2 coefficients of the outer phases' difference field,
+    assuming the form ``-A sin(Phi) - B cos(Phi) + B`` in ``Phi = phi_1 - phi_3``.
+    Returns ``A``, the value of ``B`` read off the harmonic, and the constant
+    coefficient (which equals ``B`` when the law has the expected shape).
+    """
+    if result.order < 2:
+        raise ValueError("the slow law lives at order 2")
+    i, j = _OUTER
+    term2 = result.phase_terms[1].component(i) - result.phase_terms[1].component(j)
+    c = complex(np.asarray(term2.coeffs.get((1, 0, -1), 0.0 + 0.0j)))  # e^{i Phi}
+    c0 = complex(np.asarray(term2.coeffs.get((0, 0, 0), 0.0 + 0.0j)))
+    return 2.0 * c.imag, -2.0 * c.real, c0.real

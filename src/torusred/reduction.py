@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fourier import (SATURATION_TOL, FourierMap, check_grid, d_omega, jet_compose, matmul,
                       spectral_grid)
-from .models import OUTER_PAIR
 
 __all__ = [
     "ReductionResult",
@@ -36,7 +35,6 @@ __all__ = [
     "phase_reduce",
     "reduction_grid",
     "phase_difference_field",
-    "chain_slow_law",
     "conjugacy_residual",
 ]
 
@@ -363,28 +361,6 @@ def phase_difference_field(result, i, j):
     w = result.omega
     return [FourierMap.constant(m, complex(w[i] - w[j]))] + [
         f.component(i) - f.component(j) for f in result.phase_terms]
-
-
-def chain_slow_law(result):
-    """Constants (A, B) of the second-order law for the chain's outer pair.
-
-    Reads the order-2 coefficients of the phase difference field
-    assuming the form ``-A sin(Phi) - B cos(Phi) + B`` in the
-    combination angle ``Phi = phi_i - phi_j`` of ``(i, j) = OUTER_PAIR``.  Returns ``A``, the
-    value of ``B`` read off the harmonic, and the constant coefficient
-    (which equals ``B`` when the law has the expected shape).
-    """
-    if result.order < 2:
-        raise ValueError("the slow law lives at order 2")
-    i, j = OUTER_PAIR
-    term2 = phase_difference_field(result, i, j)[2]
-    m = result.bundle.m
-    key = tuple(1 if idx == i else (-1 if idx == j else 0) for idx in range(m))
-    c = complex(np.asarray(term2.coeffs.get(key, 0.0 + 0.0j)))
-    c0 = complex(np.asarray(term2.coeffs.get((0,) * m, 0.0 + 0.0j)))
-    A = 2.0 * c.imag
-    B_harmonic = -2.0 * c.real
-    return A, B_harmonic, c0.real
 
 
 def conjugacy_residual(model, result, eps):

@@ -1,11 +1,12 @@
 """Full-system and reduced-system integration and synchronisation metrics.
 
 Fixed-step Euler and RK4 drive both the coupled oscillator ODE and the
-reduced phase flow.  The synchronisation observable of the chain is the
-unwrapped angle of ``z_1 conj(z_3)``; its decay is summarised by the
-time needed to fall to a tenth of the initial value, measured on a
-running-maximum envelope so the fast beating does not trigger early
-crossings.
+reduced phase flow.  The synchronisation observable is the unwrapped
+angle of ``z_i conj(z_j)`` for the pair ``(i, j)`` of oscillators a model
+names (the phase difference ``phi_i - phi_j`` on the reduced flow); its
+decay is summarised by the time needed to fall to a tenth of the initial
+value, measured on a running-maximum envelope so the fast beating does
+not trigger early crossings.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .bundle import _rk4_step
 from .errors import ConfigError
-from .models import OUTER_PAIR, phases_from_state
 
 __all__ = [
     "IntegratorSpec",
@@ -33,6 +33,7 @@ __all__ = [
     "envelope",
     "trajectory_csv",
     "sweep_csv",
+    "phases_from_state",
 ]
 
 _SCHEMES = ("euler", "rk4")
@@ -88,6 +89,12 @@ def _pair_angle(z, pair):
     zi, zj = z[pair[0]], z[pair[1]]
     a, b, c, d = zi.real, zi.imag, zj.real, zj.imag
     return math.atan2(b * c - a * d, a * c + b * d)
+
+
+def phases_from_state(x):
+    """Oscillator phases ``arg(z_j)`` of a state of complex pairs."""
+    xr = np.asarray(x, dtype=float).reshape(np.shape(x)[:-1] + (-1, 2))
+    return np.angle(xr[..., 0] + 1j * xr[..., 1])
 
 
 def _beat_period(omega):
@@ -240,25 +247,25 @@ def _start(x0, size, what, omega, spec):
 def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     """Integrate the coupled system at coupling strength ``eps``.
 
-    For models made of complex pairs the unwrapped angle between the
-    ``OUTER_PAIR`` oscillators is recorded alongside the trajectory.  A
-    non-finite state stops the run early and flags the record.  With
-    ``until_t01`` the run also ends once ``measure_T01`` of the record can
-    no longer change (see ``_until_decided``).
+    When the model names a ``pair``, the unwrapped angle between its two
+    oscillators is recorded alongside the trajectory.  A non-finite state
+    stops the run early and flags the record.  With ``until_t01`` the run
+    also ends once ``measure_T01`` of the record can no longer change (see
+    ``_until_decided``).
     """
     x, beat = _start(x0, model.M, "state", model.omega, spec)
-    track_angle = bool(model.complex_pairs) and 2 * max(OUTER_PAIR) + 1 < model.M
+    pair = model.pair
     rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
     # Complex-pair states step as the oscillators' complex values.
     if model.fast_step is not None:
         step, state = model.fast_step(eps, spec.scheme, spec.dt), tuple(x.view(complex).tolist())
-    elif model.complex_pairs:
+    elif pair is not None:
         step, state = (lambda z: rhs_step(z.view(float)).view(complex)), x.view(complex)
     else:
         step, state = rhs_step, x
     observe = stop = None
-    if track_angle:
-        step, observe = _unwrapped_pair_angle(step, state, OUTER_PAIR)
+    if pair is not None:
+        step, observe = _unwrapped_pair_angle(step, state, pair)
         if until_t01:
             stop = _until_decided(observe(state), beat, spec)
     ts, states, angles, failed = _march(step, state, spec, record_state=record_state,
@@ -266,30 +273,30 @@ def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     return TrajectoryRecord(
         t=np.asarray(ts),
         states=np.asarray(states).view(float) if record_state else None,
-        phi_hat=np.asarray(angles) if track_angle else None,
+        phi_hat=np.asarray(angles) if pair is not None else None,
         failed=failed,
-        meta={"beat_period": beat, "complex_pairs": bool(model.complex_pairs)},
+        meta={"beat_period": beat, "pair": pair},
     )
 
 
-def integrate_reduced(result, eps, phi0, spec, until_t01=False):
+def integrate_reduced(result, eps, phi0, spec, pair, until_t01=False):
     """Integrate the reduced phase flow ``dphi/dt = omega + sum eps^j f_j``.
 
     Angles are stored unwrapped (the phase fields are 2 pi periodic, so
     real-line phases are fine).  The recorded observable is the phase
-    difference of the ``OUTER_PAIR`` components, shifted by a multiple
-    of 2 pi so that it starts in (-pi, pi] like the full record's pair
-    angle.  ``until_t01`` ends the run as in ``integrate_full``.
+    difference ``phi_i - phi_j`` of the ``pair`` ``(i, j)``, shifted by a
+    multiple of 2 pi so that it starts in (-pi, pi] like the full record's
+    pair angle.  ``until_t01`` ends the run as in ``integrate_full``.
 
     The phases step as Python floats in the one ``_march`` loop: bit for bit
     as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
     """
     omega = result.omega
-    if omega.size <= max(OUTER_PAIR):
+    if not set(pair) <= set(range(omega.size)):
         raise ConfigError(f"the reduced flow has {omega.size} phases; its observable needs "
-                          f"phases {OUTER_PAIR}")
+                          f"phases {pair}")
     phi, beat = _start(phi0, omega.size, "phases", omega, spec)
-    i_idx, j_idx = OUTER_PAIR
+    i_idx, j_idx = pair
     shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))
 
     def observe(p):
@@ -425,9 +432,11 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     equal those of the full horizon (see ``measure_T01``).  A lane that
     never closes such a stretch steps its whole horizon; one that would
     blow up only after its stop reports its T01 instead of NaN.  Lanes
-    run in list order, and an in-phase outer pair raises ``ConfigError``
-    before any stepping.  Passing a :class:`ReductionResult` sweeps the
-    reduced flow instead of the full system.
+    run in list order.  A model without a ``pair``, an ``x0`` that is not
+    a state of the model and an in-phase pair raise ``ConfigError`` before
+    any stepping.  Passing a :class:`ReductionResult` sweeps the reduced
+    flow of the model's pair, from the phases of ``x0``, instead of the
+    full system.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
@@ -435,13 +444,16 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     d = np.diff(eps_arr)
     if eps_arr.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
         raise ConfigError("couplings must be strictly increasing or decreasing")
+    if model.pair is None:
+        raise ConfigError("the model names no pair of oscillators whose angle a sweep observes")
+    x0 = _start(x0, model.M, "state", model.omega, spec)[0]
     eps_ref = float(np.max(eps_arr))
     phi0 = phases_from_state(x0) if reduction is not None else None
 
     def run(eps):
         run_spec = spec.with_horizon(spec.t_end * (eps_ref / eps) ** 2)
         if reduction is not None:
-            rec = integrate_reduced(reduction, eps, phi0, run_spec, until_t01=True)
+            rec = integrate_reduced(reduction, eps, phi0, run_spec, model.pair, until_t01=True)
         else:
             rec = integrate_full(model, eps, x0, run_spec, record_state=False, until_t01=True)
         if rec.failed:
@@ -471,7 +483,7 @@ def trajectory_csv(record, path):
         cols = ["t"]
         if record.states is not None:
             n_state = record.states.shape[1]
-            if record.kind == "full" and record.meta.get("complex_pairs"):
+            if record.kind == "full" and record.meta.get("pair") is not None:
                 for j in range(n_state // 2):
                     cols += [f"re_z{j + 1}", f"im_z{j + 1}"]
             elif record.kind == "reduced":

@@ -23,9 +23,14 @@ from torusred.cli import (
     check_sync,
 )
 from torusred.fourier import FourierMap, jet_compose, spectral_grid
-from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
-from torusred.reduction import (
+from torusred.models import (
+    ChainConfig,
+    chain_bundle,
+    chain_model,
+    chain_phase_constants,
     chain_slow_law,
+)
+from torusred.reduction import (
     phase_difference_field,
     phase_reduce,
     solve_normal,

@@ -235,6 +235,27 @@ def test_undersized_node_count_is_rejected_by_the_tail_check(vdp_cycle, monkeypa
     assert err.value.K == 16.0 and err.value.shell_mass > bundle_module.SATURATION_TOL
 
 
+def vdp_start(mu):
+    """The harmonic start ``x = 2 cos(phi)``, ``y = x'``, at frequency 1."""
+    return LimitCycle(FourierMap.harmonic(1, (1,), np.array([1.0, 1.0j])), 1.0, vdp_field(mu))
+
+
+@pytest.mark.parametrize("mu,K", [(1.0, 24.0), (1.0, 32.0), (1.0, 40.0), (0.3, 16.0),
+                                  (0.3, 20.0)])
+def test_cycle_truncated_below_its_harmonics_asks_to_raise_K(mu, K):
+    # The node values solve both invariance equations; the series cut to K
+    # does not, and the harmonics it drops are the one cause.
+    with pytest.raises(TruncationSaturationError, match="'cycle'.*raise K") as err:
+        cycle_bundle(vdp_start(mu), K=K)
+    assert err.value.K == K and err.value.shell_mass > 1e-8
+
+
+@pytest.mark.parametrize("mu,K", [(1.0, 44.0), (0.3, 24.0)])
+def test_cycle_truncated_past_its_harmonics_passes(mu, K):
+    bundle = cycle_bundle(vdp_start(mu), K=K)
+    assert bundle.diagnostics["pde_residual_rel"] <= 1e-8
+
+
 # ----------------------------------------------------------------------
 # cycle bundles
 

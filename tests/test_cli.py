@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from test_bundle import vdp_start
 from test_reduction import understated_degree
 
-from torusred.bundle import TorusBundle
+from torusred.bundle import TorusBundle, cycle_bundle
 from torusred.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -134,6 +135,16 @@ def test_aliasing_exits_with_numerical_error(tmp_path, capsys, monkeypatch):
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
     assert "guard shell of grid (7, 7, 7), so it may alias; raise the grid" in \
         capsys.readouterr().err
+
+
+def test_truncated_cycle_exits_with_numerical_error(tmp_path, capsys, monkeypatch):
+    # A van der Pol cycle cut at K = 24 drops harmonics its invariance needs.
+    monkeypatch.setattr("torusred.cli.chain_bundle",
+                        lambda cfg, K: cycle_bundle(vdp_start(1.0), K=24.0))
+    doc = {"command": "bundle", "model": SET1_MODEL, "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
+    assert "series 'cycle' has mass 7.433e-06 on the truncation boundary |k| ~ 24.0; raise K" \
+        in capsys.readouterr().err
 
 
 def test_invalid_json_is_config_error(tmp_path):

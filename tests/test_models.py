@@ -5,13 +5,14 @@ from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
 from torusred.models import (
     ChainConfig,
+    OscillatorModel,
     StuartLandauParams,
     chain_bundle,
     chain_model,
     chain_phase_constants,
-    phases_from_state,
     sl_bundle,
 )
+from torusred.sim import phases_from_state
 
 SET1 = dict(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0, a=1.0, b=2.0, c=-1.0, d=-1.0)
 SET2 = dict(alpha=1.0, beta=0.1, gamma=-1.0, delta=1.0, a=1.0, b=6.0, c=-1.0, d=-1.0)
@@ -73,6 +74,23 @@ def test_chain_model_frequencies_and_coupling():
             ]
         )
         assert np.allclose(coupled, expected, atol=1e-12)
+
+
+def test_chain_observes_its_outer_pair():
+    assert chain_model(ChainConfig(**SET1)).pair == (0, 2)
+
+
+@pytest.mark.parametrize("dims,pair,match", [
+    ([2, 2], (0, 0), "two distinct"),
+    ([2, 2], (0, 2), "two distinct"),
+    ([2, 2], (-1, 0), "two distinct"),
+    ([2, 2], (0, 1, 1), "two distinct"),
+    ([2, 3], (0, 1), "complex pairs"),
+])
+def test_model_pair_names_two_oscillators_of_complex_pairs(dims, pair, match):
+    with pytest.raises(ConfigError, match=match):
+        OscillatorModel(dims=dims, F0=None, perturbations=[], omega=np.ones(len(dims)),
+                        pair=pair)
 
 
 def test_chain_resonance_guard():

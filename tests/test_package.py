@@ -1,5 +1,6 @@
 """The package namespace: each module's ``__all__`` is the one list of its public names."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -41,3 +42,19 @@ def test_importing_the_package_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_generic_layers_import_nothing_from_models():
+    # The observed pair is data of a model: the integrators and the solver
+    # read it from their arguments, never from the chain's module.
+    src = Path(torusred.__file__).resolve().parent
+    for name in ("sim.py", "reduction.py"):
+        imported = set()  # modules, and the names ``from`` imports take
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert "models" not in {dotted.rpartition(".")[2] for dotted in imported}, name
+    text = "".join(p.read_text() for p in sorted(src.glob("*.py")))
+    assert "OUTER_PAIR" not in text and "complex_pairs" not in text

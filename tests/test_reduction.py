@@ -31,10 +31,10 @@ from torusred.models import (
     chain_bundle,
     chain_model,
     chain_phase_constants,
+    chain_slow_law,
     stuart_landau_cycle,
 )
 from torusred.reduction import (
-    chain_slow_law,
     conjugacy_residual,
     order_forcing,
     phase_difference_field,
@@ -87,7 +87,7 @@ def test_first_order_forcing_is_coupling_on_torus(chain):
 def test_unperturbed_model_reduces_to_zero(chain):
     cfg, model, bundle = chain
     bare = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=[],
-                           omega=model.omega, complex_pairs=True)
+                           omega=model.omega)
     res = phase_reduce(bare, bundle, order=2, K_nf=6.0)
     for j in range(2):
         assert res.phase_terms[j].norm() == 0.0
@@ -471,8 +471,7 @@ def understated_degree(model):
     """The model with its cubic field declared linear, which undersizes the grid."""
     F0 = model.F0
     return OscillatorModel(dims=model.dims, F0=SmoothMap(F0.fun, F0.derivs, F0.jac, degree=1),
-                           perturbations=model.perturbations, omega=model.omega,
-                           complex_pairs=True)
+                           perturbations=model.perturbations, omega=model.omega)
 
 
 def test_undersized_grid_trips_the_alias_guard(chain):

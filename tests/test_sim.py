@@ -5,14 +5,14 @@ import pytest
 
 from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
-from torusred.fourier import FourierMap
+from torusred.fourier import FourierMap, SmoothMap
 from torusred.models import (
     ChainConfig,
+    OscillatorModel,
     StuartLandauParams,
     chain_bundle,
     chain_model,
     chain_phase_constants,
-    phases_from_state,
     stuart_landau_field,
 )
 from torusred.reduction import phase_reduce
@@ -28,6 +28,7 @@ from torusred.sim import (
     integrate_full,
     integrate_reduced,
     measure_T01,
+    phases_from_state,
     sweep_csv,
     sweep_epsilon,
     trajectory_csv,
@@ -55,8 +56,6 @@ def reduced1(chain1):
 
 def single_oscillator_model():
     """One Stuart-Landau oscillator wrapped as a model (no coupling)."""
-    from torusred.models import OscillatorModel
-
     p = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
     return p, OscillatorModel(dims=[2], F0=stuart_landau_field(p), perturbations=[],
                               omega=np.array([p.frequency]))
@@ -88,17 +87,31 @@ def test_integrator_order(scheme, expected, tol):
 def test_generic_complex_pair_model_runs_like_the_fused_chain(chain1, scheme):
     # The chain without its fused step goes through the generic array path;
     # its record, pair angle included, matches the fused one to roundoff.
-    from torusred.models import OscillatorModel
-
     cfg, model = chain1
     generic = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
-                              omega=model.omega, complex_pairs=True)
+                              omega=model.omega, pair=(0, 2))
     x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.5])
     spec = IntegratorSpec(scheme, 0.01, 20.0, record_stride=7)
     fused, plain = (integrate_full(m, 0.1, x0, spec) for m in (model, generic))
     assert np.array_equal(fused.t, plain.t)
     assert np.max(np.abs(fused.states - plain.states)) <= 1e-12
     assert np.max(np.abs(fused.phi_hat - plain.phi_hat)) <= 1e-12
+
+
+def test_full_record_tracks_the_angle_of_the_model_pair():
+    # Two uncoupled oscillators on their circles: the angle of z_1 conj(z_2)
+    # turns at omega_1 - omega_2 from theta_0, unwrapped across many turns.
+    p1, p2 = StuartLandauParams(1.0, 1.0, -1.0, 1.0), StuartLandauParams(1.0, 0.1, -1.0, 1.0)
+    f1, f2 = stuart_landau_field(p1), stuart_landau_field(p2)
+    F0 = SmoothMap(lambda x: np.concatenate([f1.fun(x[..., :2]), f2.fun(x[..., 2:])], axis=-1))
+    model = OscillatorModel(dims=[2, 2], F0=F0, perturbations=[],
+                            omega=[p1.frequency, p2.frequency], pair=(0, 1))
+    theta1, theta2 = 0.4, -1.1
+    x0 = np.array([np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)])
+    rec = integrate_full(model, 0.0, x0, IntegratorSpec("rk4", 0.01, 50.0, record_stride=10))
+    expected = (p1.frequency - p2.frequency) * rec.t + (theta1 - theta2)
+    assert expected[-1] > 40.0
+    assert np.max(np.abs(rec.phi_hat - expected)) <= 1e-6  # RK4's phase error: 1.3e-7
 
 
 def test_uncoupled_chain_preserves_radii(chain1):
@@ -116,22 +129,18 @@ def test_uncoupled_chain_preserves_radii(chain1):
 def test_reduced_linear_flow_is_exact(reduced1):
     phi0 = np.array([0.1, 0.2, 0.3])
     spec = IntegratorSpec("rk4", 0.01, 10.0, record_stride=10)
-    rec = integrate_reduced(reduced1, 0.0, phi0, spec)
+    rec = integrate_reduced(reduced1, 0.0, phi0, spec, (0, 2))
     expected = phi0[None, :] + rec.t[:, None] * reduced1.omega[None, :]
     assert np.max(np.abs(rec.states - expected)) <= 1e-10
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_gives_partial_record():
-    from torusred.fourier import SmoothMap
-    from torusred.models import OscillatorModel
-
     grow = OscillatorModel(
         dims=[2],
         F0=SmoothMap(lambda x: x ** 3),
         perturbations=[],
         omega=np.array([1.0]),
-        complex_pairs=True,
     )
     spec = IntegratorSpec("euler", 0.5, 50.0)
     rec = integrate_full(grow, 0.0, np.array([2.0, 0.0]), spec)
@@ -248,7 +257,8 @@ def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
                 return integrate_full(model, float(e), x0, lane, record_state=False, **kw)
         else:
             def run(**kw):
-                return integrate_reduced(reduction, float(e), phases_from_state(x0), lane, **kw)
+                return integrate_reduced(reduction, float(e), phases_from_state(x0), lane,
+                                         model.pair, **kw)
         full, stopped = run(), run(until_t01=True)
         assert t01 == measure_T01(full)
         assert t01_raw == measure_T01(full, use_envelope=False)
@@ -313,18 +323,53 @@ def test_sweep_from_in_phase_outer_pair_fails_before_stepping(monkeypatch, chain
                       reduction=reduced1 if kind == "reduced" else None)
 
 
+@pytest.mark.parametrize("paired,size,kind,match", [
+    (False, 6, "full", "names no pair"),
+    (False, 6, "reduced", "names no pair"),
+    (True, 5, "reduced", "initial state must be finite with 6 components"),
+    (True, 8, "reduced", "initial state must be finite with 6 components"),
+])
+def test_sweep_rejects_a_model_without_a_pair_or_a_bad_start_before_stepping(
+        monkeypatch, chain1, reduced1, paired, size, kind, match):
+    # A reduced sweep reads its start as a state of the model too.
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a lane of a rejected sweep was stepped")
+
+    monkeypatch.setattr(sim, "_march", no_stepping)
+    cfg, model = chain1
+    if not paired:
+        model = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
+                                omega=model.omega)
+    x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.5, 0.2, 0.1])[:size]
+    with pytest.raises(ConfigError, match=match):
+        sweep_epsilon(model, x0, [0.08, 0.1], IntegratorSpec("euler", 0.05, 1500.0),
+                      reduction=reduced1 if kind == "reduced" else None)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_integrate_reduced_rejects_non_finite_phases(reduced1, bad):
     with pytest.raises(ConfigError, match="finite"):
         integrate_reduced(reduced1, 0.1, np.array([bad, 0.2, 0.3]),
-                          IntegratorSpec("euler", 0.05, 10.0))
+                          IntegratorSpec("euler", 0.05, 10.0), (0, 2))
 
 
 def test_integrate_reduced_needs_the_outer_pair_of_phases():
-    # The observable is the angle between phases OUTER_PAIR = (0, 2).
+    # The observable is the angle between the phases of the pair it is given.
     flow = reduced_flow(np.array([1.0, 2.0]), FourierMap.zero(2, (2,), 1.0))
     with pytest.raises(ConfigError, match="2 phases"):
-        integrate_reduced(flow, 0.1, np.array([0.1, 0.2]), IntegratorSpec("euler", 0.05, 10.0))
+        integrate_reduced(flow, 0.1, np.array([0.1, 0.2]), IntegratorSpec("euler", 0.05, 10.0),
+                          (0, 2))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+def test_reduced_record_tracks_the_phase_difference_of_the_pair(pair):
+    flow = reduced_flow(np.array([1.0, 2.5]), FourierMap.zero(2, (2,), 1.0))
+    phi0 = np.array([0.3, 0.1])
+    rec = integrate_reduced(flow, 0.1, phi0, IntegratorSpec("euler", 0.05, 10.0), pair)
+    i, j = pair
+    assert np.array_equal(rec.phi_hat, rec.states[:, i] - rec.states[:, j])
+    expected = phi0[i] - phi0[j] + (flow.omega[i] - flow.omega[j]) * rec.t
+    assert np.max(np.abs(rec.phi_hat - expected)) <= 1e-12
 
 
 def numpy_phase_step(result, eps, spec):
@@ -372,7 +417,7 @@ def test_reduced_step_is_bit_identical_to_the_numpy_field(chain_reductions, para
     phi0 = phases_from_state(START[params])
     spec = IntegratorSpec(scheme, 0.05, 500.0)
     for eps in (0.0, 0.02, 0.1):
-        rec = integrate_reduced(result, eps, phi0, spec)
+        rec = integrate_reduced(result, eps, phi0, spec, (0, 2))
         step, phi = numpy_phase_step(result, eps, spec), phi0.copy()
         want = [phi]
         for _ in range(spec.steps()):
@@ -421,7 +466,7 @@ def test_reduced_blowup_stops_where_the_numpy_field_does(reduced1, bad, scheme):
     with np.errstate(over="ignore", invalid="ignore"):
         result = reduced_flow(reduced1.omega, FourierMap(3, series.K, (series.keys, values), (3,)))
         ts, states, _, failed = _march(numpy_phase_step(result, 0.1, spec), phi0, spec)
-    rec = integrate_reduced(result, 0.1, phi0, spec)
+    rec = integrate_reduced(result, 0.1, phi0, spec, (0, 2))
     assert rec.failed and failed
     assert (len(rec.t) > 1) == (bad == "overflow")
     assert np.array_equal(rec.t, ts)
@@ -466,7 +511,7 @@ def test_reduced_tracks_full_system(chain1, reduced1):
     x0 = np.array([-1.0, 0.0, 1.0, 0.4, -1.0, 0.3])
     spec = IntegratorSpec("rk4", 0.01, 500.0, record_stride=10)
     full = integrate_full(model, eps, x0, spec, record_state=False)
-    red = integrate_reduced(reduced1, eps, phases_from_state(x0), spec)
+    red = integrate_reduced(reduced1, eps, phases_from_state(x0), spec, model.pair)
     assert np.allclose(full.t, red.t)
     gap = np.abs(full.phi_hat - red.phi_hat)
     assert np.max(gap) <= 0.15
@@ -497,7 +542,7 @@ def test_reduced_set2_locks_at_predicted_angle():
     t_settle = 5.0 / (abs(A) * eps ** 2)
     phi0 = phases_from_state(np.array([1.0, 0.3, 1.0, 0.4, -0.2, 0.9]))
     spec = IntegratorSpec("rk4", 0.05, t_settle, record_stride=100)
-    rec = integrate_reduced(res, eps, phi0, spec)
+    rec = integrate_reduced(res, eps, phi0, spec, model.pair)
     assert abs(rec.phi_hat[-1] - 2.0 * np.arctan(A / B)) <= 0.05
 
 
