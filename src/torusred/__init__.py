@@ -17,7 +17,8 @@ Layout:
   interface, which names the pair of oscillators whose angle is observed.
 - ``reduction``: the iterative homological-equation solver.
 - ``sim``: fixed-step integration of full and reduced dynamics, the
-  angle of a model's pair and its decay, coupling sweeps.
+  angle of a model's pair and its decay, coupling sweeps, the phases of
+  full states on an embedded torus.
 - ``cli``: the ``torusred`` batch command.
 """
 

@@ -281,16 +281,16 @@ def check_residual_scaling(model, result):
             f"slope={slope:.3f}, expected {expected} +/- {TOL_RESIDUAL_SLOPE:g}", metrics)
 
 
-def check_normal_form(result, K_nf):
+def check_normal_form(result):
     """Largest nonresonant phase coefficient with ``|k| <= K_nf``.
 
-    Resonance is judged as the reduction judged it: ``|<omega, k>|`` at
-    most the run's ``tol_res``.
+    Radius and resonance are the reduction's own: ``result.K_nf``, and
+    ``|<omega, k>|`` at most ``result.tol_res``.
     """
     worst = 0.0
     for f in result.phase_terms:
         nonresonant = np.abs(np.vecdot(f.keys, result.omega)) > result.tol_res
-        inside = nonresonant & (np.linalg.norm(f.keys, axis=1) <= K_nf)
+        inside = nonresonant & (np.linalg.norm(f.keys, axis=1) <= result.K_nf)
         worst = max(worst, float(np.max(np.abs(f.values[inside]), initial=0.0)))
     return ("normal form", worst <= TOL_NORMAL_FORM,
             f"largest nonresonant phase coefficient {worst:.2e}", {"worst": worst})
@@ -376,7 +376,7 @@ def verify_battery(cfg):
                           tol_res=cfg.tol_res)
     yield check_slow_law(chain, result)
     yield check_residual_scaling(model, result)
-    yield check_normal_form(result, cfg.K_nf)
+    yield check_normal_form(result)
     yield check_floquet(chain.outer, K=cfg.bundle_K)
     A, B = chain_phase_constants(chain)
     if A <= 0:

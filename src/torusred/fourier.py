@@ -265,7 +265,7 @@ class FourierMap:
         phi = np.asarray(phi, dtype=float)
         single = phi.ndim == 1
         pts = np.atleast_2d(phi)
-        phases = np.exp(1j * pts @ self.keys.astype(float).T)
+        phases = np.exp(1j * (pts @ self.keys.astype(float).T))
         vals = np.tensordot(phases, self.values, axes=(-1, 0)).real
         return vals[0] if single else vals
 

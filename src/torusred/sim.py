@@ -6,7 +6,8 @@ angle of ``z_i conj(z_j)`` for the pair ``(i, j)`` of oscillators a model
 names (the phase difference ``phi_i - phi_j`` on the reduced flow); its
 decay is summarised by the time needed to fall to a tenth of the initial
 value, measured on a running-maximum envelope so the fast beating does
-not trigger early crossings.
+not trigger early crossings.  ``torus_phases`` reads the phases of
+full states off an embedded torus.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ __all__ = [
     "measure_T01",
     "sweep_epsilon",
     "fit_powerlaw",
-    "embedding_distance",
+    "torus_phases",
     "envelope",
     "trajectory_csv",
     "sweep_csv",
@@ -38,8 +39,8 @@ __all__ = [
 
 _SCHEMES = ("euler", "rk4")
 T01_FRACTION = 0.1  # T01: the envelope falls to this fraction of |phi_hat[0]|
-DISTANCE_GRID = 16  # angle-grid nodes per axis seeding embedding_distance
-DISTANCE_REFINE = 6  # Gauss-Newton steps of embedding_distance
+DISTANCE_GRID = 16  # angle-grid nodes per axis seeding torus_phases
+DISTANCE_REFINE = 6  # Gauss-Newton steps of torus_phases
 
 
 @dataclass
@@ -251,10 +252,12 @@ def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     oscillators is recorded alongside the trajectory.  A non-finite state
     stops the run early and flags the record.  With ``until_t01`` the run
     also ends once ``measure_T01`` of the record can no longer change (see
-    ``_until_decided``).
+    ``_until_decided``); it needs a model with a pair (``ConfigError``).
     """
-    x, beat = _start(x0, model.M, "state", model.omega, spec)
     pair = model.pair
+    if until_t01 and pair is None:
+        raise ConfigError("until_t01 needs a model that names the pair whose angle T01 times")
+    x, beat = _start(x0, model.M, "state", model.omega, spec)
     rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
     # Complex-pair states step as the oscillators' complex values.
     if model.fast_step is not None:
@@ -359,36 +362,27 @@ def measure_T01(record, use_envelope=True):
     return float(record.t[hits[0]])
 
 
-def embedding_distance(record, result, eps, t_min=None):
-    """Distance of a trajectory tail from the expanded invariant torus.
+def torus_phases(e, states):
+    """Closest points of ``states`` on the embedded torus ``e``.
 
-    Seeds with the nearest node of an angle grid, then Gauss-Newton
-    steps refine the closest point on the embedded torus.  Reported as
-    a diagnostic: after transients the distance should sit in a band of
-    size proportional to the first neglected expansion order; the band
-    constant is unknown, so nothing asserts against it.
+    Each state of the ``(n, M)`` array is seeded with the nearest node of
+    an angle grid, then Gauss-Newton steps refine its closest point on
+    ``e``, all states at once.  Returns ``(phases, distances)``: the angles
+    of the closest points, shape ``(n, m)`` and not reduced mod 2 pi, and
+    the states' distances from them, shape ``(n,)``.
     """
-    if record.states is None:
-        raise ValueError("record carries no states")
-    if t_min is None:
-        t_min = 0.5 * float(record.t[-1])
-    e = result.embedding(eps)
-    ejac = e.jacobian()
-    m = result.bundle.m
+    states = np.asarray(states, dtype=float)
+    ejac, m = e.jacobian(), e.m
     axes = [np.linspace(0.0, 2.0 * np.pi, DISTANCE_GRID, endpoint=False) for _ in range(m)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
     torus_points = e.eval(mesh)
-    tail = record.states[record.t >= t_min]
-    worst = 0.0
-    for x in tail:
-        idx = int(np.argmin(np.sum((torus_points - x) ** 2, axis=-1)))
-        phi = mesh[idx].copy()
-        for _ in range(DISTANCE_REFINE):
-            r = x - e.eval(phi)
-            E = ejac.eval(phi)
-            phi = phi + np.linalg.solve(E.T @ E, E.T @ r)
-        worst = max(worst, float(np.linalg.norm(x - e.eval(phi))))
-    return worst
+    phases = mesh[[np.argmin(np.sum((torus_points - x) ** 2, axis=-1)) for x in states]]
+    for _ in range(DISTANCE_REFINE):
+        r = states - e.eval(phases)
+        E = ejac.eval(phases)
+        ET = np.swapaxes(E, -1, -2)
+        phases = phases + np.linalg.solve(ET @ E, ET @ r[..., None])[..., 0]
+    return phases, np.linalg.norm(states - e.eval(phases), axis=-1)
 
 
 def fit_powerlaw(eps, t01):

@@ -88,7 +88,7 @@ def test_criterion_03_residual_scaling(set1_reduction):
 
 def test_criterion_04_normal_form(set1_reduction):
     cfg, model, bundle, result, _ = set1_reduction
-    _, passed, detail, m = check_normal_form(result, 6.0)
+    _, passed, detail, m = check_normal_form(result)
     assert passed, detail
     print(f"\n[acceptance 4] PASS  {detail} inside K_nf=6")
 

@@ -181,6 +181,7 @@ def test_cycle_bundle_builds_a_real_frame_from_a_conjugate_pair():
 
 
 def vdp_field(mu=1.0):
+    """``x' = y, y' = mu (1 - x^2) y - x``, with derivatives to order 4 (``d4`` vanishes)."""
     def fun(x):
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 1], mu * (1 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]], axis=-1)
@@ -193,7 +194,24 @@ def vdp_field(mu=1.0):
         out[..., 1, 1] = mu * (1 - x[..., 0] ** 2)
         return out
 
-    return SmoothMap(fun, jac=jac)
+    def d1(x, v):
+        return (jac(x) @ v[..., None])[..., 0]
+
+    def in_y(s):
+        return np.stack([np.zeros_like(s), s], axis=-1)
+
+    def d2(x, u, v):
+        return in_y(-2 * mu * (x[..., 1] * u[..., 0] * v[..., 0]
+                               + x[..., 0] * (u[..., 0] * v[..., 1] + u[..., 1] * v[..., 0])))
+
+    def d3(x, u, v, w):
+        return in_y(-2 * mu * (u[..., 0] * v[..., 0] * w[..., 1] + u[..., 0] * v[..., 1] * w[..., 0]
+                               + u[..., 1] * v[..., 0] * w[..., 0]))
+
+    def d4(x, *vs):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    return SmoothMap(fun, derivs=(d1, d2, d3, d4), jac=jac)
 
 
 @pytest.fixture(scope="module")

@@ -426,7 +426,7 @@ def test_normal_form_check_judges_resonance_by_the_runs_tol_res():
     near = np.abs(np.vecdot(f1.keys, result.omega))
     assert np.any((near > 0) & (near <= 1e-3))
     assert f1.norm() > 0.1
-    name, passed, detail, metrics = check_normal_form(result, 6.0)
+    name, passed, detail, metrics = check_normal_form(result)
     assert passed, detail
     assert metrics["worst"] == 0.0
 

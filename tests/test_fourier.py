@@ -388,6 +388,20 @@ def test_reality_enforced_bitwise_on_construction():
     assert np.array_equal(f.coeffs[(-1, 0)], np.conj(f.coeffs[(1, 0)]))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_eval_matches_the_grid_samples_and_the_per_key_sum(m):
+    rng = np.random.default_rng(40 + m)
+    f = random_real_map(rng, m, 2, K=3.0, n_harmonics=40)
+    grid = TorusGrid(m, (7,) * m)
+    axes = [2.0 * np.pi * np.arange(n) / n for n in grid.shape]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert np.max(np.abs(f.eval(nodes) - grid.sample(f))) <= 1e-12
+    pts = rng.uniform(-10.0, 10.0, size=(50, m))
+    by_key = sum(np.exp(1j * (pts @ k))[:, None] * c for k, c in zip(f.keys, f.values))
+    assert np.max(np.abs(f.eval(pts) - by_key)) <= 1e-12
+    assert np.max(np.abs(by_key.imag)) <= 1e-12
+
+
 def test_jacobian_single_harmonic():
     f = FourierMap.harmonic(2, (1, -1), np.array([2.0 + 0j]), K=2.0)
     J = f.jacobian()

@@ -22,7 +22,6 @@ from torusred.sim import (
     TrajectoryRecord,
     _march,
     _until_decided,
-    embedding_distance,
     envelope,
     fit_powerlaw,
     integrate_full,
@@ -31,6 +30,7 @@ from torusred.sim import (
     phases_from_state,
     sweep_csv,
     sweep_epsilon,
+    torus_phases,
     trajectory_csv,
 )
 
@@ -346,6 +346,19 @@ def test_sweep_rejects_a_model_without_a_pair_or_a_bad_start_before_stepping(
                       reduction=reduced1 if kind == "reduced" else None)
 
 
+def test_integrate_full_until_t01_needs_a_pair_before_stepping(monkeypatch, chain1):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("a run without an observable to time was stepped")
+
+    monkeypatch.setattr(sim, "_march", no_stepping)
+    _, model = chain1
+    unpaired = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
+                               omega=model.omega)
+    with pytest.raises(ConfigError, match="names the pair"):
+        integrate_full(unpaired, 0.1, START["set1"], IntegratorSpec("euler", 0.05, 1500.0),
+                       record_state=False, until_t01=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_integrate_reduced_rejects_non_finite_phases(reduced1, bad):
     with pytest.raises(ConfigError, match="finite"):
@@ -519,7 +532,7 @@ def test_reduced_tracks_full_system(chain1, reduced1):
     assert abs(full.phi_hat[-1]) < abs(full.phi_hat[0])
 
 
-def test_embedding_distance_diagnostic(chain1, reduced1):
+def test_torus_phases_diagnostic(chain1, reduced1):
     # Reported, not asserted against a band: the tail of a converged run
     # has to sit near the expanded torus, far closer than the O(1) torus
     # size itself.
@@ -527,9 +540,29 @@ def test_embedding_distance_diagnostic(chain1, reduced1):
     x0 = np.array([-1.0, 0.0, 1.0, 0.4, -1.0, 0.3])
     spec = IntegratorSpec("rk4", 0.01, 60.0, record_stride=50)
     rec = integrate_full(model, 0.1, x0, spec)
-    dist = embedding_distance(rec, reduced1, 0.1, t_min=30.0)
-    assert np.isfinite(dist)
-    assert dist < 0.05
+    tail = rec.states[rec.t >= 30.0]
+    phases, dist = torus_phases(reduced1.embedding(0.1), tail)
+    assert phases.shape == (len(tail), 3) and dist.shape == (len(tail),)
+    assert np.all(np.isfinite(dist))
+    assert np.max(dist) < 0.05
+
+
+def test_torus_phases_reads_angles_and_radial_offsets_off_the_chain_circles(chain1):
+    # On a product of circles the closest point of (R_j + s_j) e^{i phi_j}
+    # is R_j e^{i phi_j}: its phases are the states' own, its distance the
+    # norm of the radial offsets s.
+    cfg, _ = chain1
+    e0 = chain_bundle(cfg, K=8.0).e0
+    rng = np.random.default_rng(17)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(200, 3))
+    offsets = rng.normal(size=(200, 3))
+    offsets *= rng.uniform(0.0, 0.01, size=(200, 1)) / np.linalg.norm(offsets, axis=1, keepdims=True)
+    z = np.ascontiguousarray(e0.eval(angles)).view(complex)
+    states = (z + offsets * z / np.abs(z)).view(float)
+    phases, dist = torus_phases(e0, states)
+    gap = np.angle(np.exp(1j * (phases - phases_from_state(states))))
+    assert np.max(np.abs(gap)) <= 1e-12
+    assert np.max(np.abs(dist - np.linalg.norm(offsets, axis=1))) <= 1e-12
 
 
 def test_reduced_set2_locks_at_predicted_angle():
