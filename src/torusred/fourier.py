@@ -17,6 +17,7 @@ is the plain list of its Taylor coefficients, one map per order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from types import MappingProxyType
 
@@ -44,10 +45,6 @@ def _as_omega(omega, m):
     if w.size != m:
         raise ValueError(f"dimension mismatch: torus dimension {m}, frequency vector has {w.size}")
     return w
-
-
-def _knorms(keys):
-    return np.sqrt(np.sum(keys * keys, axis=1))
 
 
 def _find(keys, queries):
@@ -139,7 +136,7 @@ class FourierMap:
         n = len(keys)
         keys = np.asarray(keys, dtype=np.int64).reshape(n, self.m)
         values = np.asarray(values, dtype=complex).reshape((n,) + self.value_shape)
-        outside = _knorms(keys) > self.K + 1e-12
+        outside = np.linalg.norm(keys, axis=1) > self.K + 1e-12
         if outside.any():
             k = tuple(keys[outside][0].tolist())
             raise ValueError(f"frequency {k} outside truncation radius {self.K}")
@@ -208,7 +205,7 @@ class FourierMap:
 
     def shell_mass(self, inner_radius):
         """Coefficient mass carried by frequencies with ``|k| > inner_radius``."""
-        shell = self.values[_knorms(self.keys) > inner_radius + 1e-12]
+        shell = self.values[np.linalg.norm(self.keys, axis=1) > inner_radius + 1e-12]
         masses = np.sum(np.abs(shell.reshape(len(shell), self.p)) ** 2, axis=1)
         # Summed over keys in key order: reported norms keep their last bits.
         return math.sqrt(sum(masses.tolist()))
@@ -267,7 +264,8 @@ class FourierMap:
         pts = np.atleast_2d(phi)
         phases = np.exp(1j * (pts @ self.keys.astype(float).T))
         vals = np.tensordot(phases, self.values, axes=(-1, 0)).real
-        return vals[0] if single else vals
+        # A contiguous copy of the real part, so no complex buffer stays alive.
+        return (vals[0] if single else vals).copy()
 
     # ------------------------------------------------------------------
     # serialisation
@@ -321,7 +319,7 @@ def _convolve(f, g, combine, out_shape, K):
     i = np.repeat(np.arange(len(f.keys)), len(g.keys))
     j = np.tile(np.arange(len(g.keys)), len(f.keys))
     keys = f.keys[i] + g.keys[j]
-    kept = _knorms(keys) <= K + 1e-12
+    kept = np.linalg.norm(keys, axis=1) <= K + 1e-12
     i, j, keys = i[kept], j[kept], keys[kept]
     values = combine(f.values[i], g.values[j]).reshape((len(keys),) + tuple(out_shape))
     return FourierMap(f.m, K, _sum_on_keys(keys, values), out_shape)
@@ -472,7 +470,7 @@ class TorusGrid:
         # The frequencies of the Nyquist box that lie in the ball |k| <= K.
         box = np.meshgrid(*[np.arange(-c, c + 1) for c in self.max_freq()], indexing="ij")
         ks = np.stack(box, axis=-1).reshape(-1, self.m)
-        ks = ks[_knorms(ks) <= K + 1e-12]
+        ks = ks[np.linalg.norm(ks, axis=1) <= K + 1e-12]
         vals = spec[tuple((ks % self.shape).T)]
         mags = np.abs(vals).max(axis=tuple(range(1, vals.ndim)), initial=0.0)
         keep = mags > prune * mags.max(initial=0.0)
@@ -516,39 +514,28 @@ class SmoothMap:
         return self.derivs[q - 1](x, *vs)
 
 
-def _compositions(total, parts):
-    """Ordered tuples of positive integers of length ``parts`` summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def jet_compose(F_list, terms, order, K, grid):
     """Taylor coefficient of order ``order`` of ``F(e(phi; eps); eps)``.
 
-    ``F_list[i]`` is the coefficient of ``eps^i`` in the map (entries
-    may be None), and ``terms[r]`` that of ``eps^r`` in the inner map
-    ``e``.  The coefficient collects, for every ``i <= order``, the
-    order ``order - i`` part of ``F_i`` composed with the expansion,
-    assembled from the supplied directional derivatives on ``grid`` and
-    projected to radius ``K``.
+    ``F_list[i]`` is the :class:`SmoothMap` coefficient of ``eps^i`` in the
+    map, and ``terms[r]`` that of ``eps^r`` in the inner map ``e``.  The
+    coefficient collects, for every ``i <= order``, the order ``order - i``
+    part of ``F_i`` composed with the expansion, assembled from the supplied
+    directional derivatives on ``grid`` and projected to radius ``K``.
     """
     samples = [grid.sample(t) for t in terms]
     base = samples[0]
     acc = None
-    for i, Fi in enumerate(F_list):
-        if Fi is None or i > order:
-            continue
+    for i, Fi in enumerate(F_list[:order + 1]):
         s = order - i
         if s == 0:
             term = np.asarray(Fi.fun(base), dtype=float)
         else:
             term = None
             for q in range(1, s + 1):
-                for comp in _compositions(s, q):
+                # The ordered tuples of q positive orders summing to s, from their cut points.
+                for cuts in itertools.combinations(range(1, s), q - 1):
+                    comp = [b - a for a, b in zip((0,) + cuts, cuts + (s,))]
                     if any(r >= len(terms) for r in comp):
                         continue
                     contrib = np.asarray(

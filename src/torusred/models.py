@@ -19,6 +19,8 @@ import numpy as np
 from .bundle import LimitCycle, TorusBundle, product_bundle, validate_bundle
 from .errors import ConfigError
 from .fourier import FourierMap, SmoothMap
+from .reduction import phase_difference_field
+from .sim import _check_pair
 
 __all__ = [
     "StuartLandauParams",
@@ -77,8 +79,7 @@ def _to_complex(x, n_osc):
 
 
 def _to_real(z):
-    out = np.stack([z.real, z.imag], axis=-1)
-    return out.reshape(z.shape[:-1] + (2 * z.shape[-1],))
+    return np.ascontiguousarray(z).view(float)
 
 
 def _vanishing(x, *vs):
@@ -164,11 +165,13 @@ class OscillatorModel:
     """A weakly coupled oscillator network ``dx/dt = F0(x) + sum_i eps^i F_i(x)``.
 
     ``dims[j]`` is the state dimension of oscillator ``j``; the
-    uncoupled field ``F0`` is block-diagonal over the oscillators.
-    Evaluators must be pure and accept batched states.  ``pair``, when
-    given, names the two oscillators ``(i, j)`` whose angle
-    ``arg(z_i conj z_j)`` is the synchronisation observable; such a model is
-    made of complex pairs, each oscillator's ``(Re z, Im z)``.  ``fast_step``,
+    uncoupled field ``F0`` is block-diagonal over the oscillators, and
+    ``perturbations[i - 1]`` is the :class:`SmoothMap` ``F_i``.  Evaluators
+    must be pure and accept batched states.  ``pair``, when given, names two
+    distinct oscillators ``(i, j)``, by the rule ``integrate_reduced`` applies
+    to phases; their angle ``arg(z_i conj z_j)`` is the synchronisation
+    observable, and the model is made of complex pairs, each oscillator's
+    ``(Re z, Im z)``.  ``fast_step``,
     when given, is ``fast_step(eps, scheme, dt)``: one integrator step of
     ``rhs`` on the tuple of the oscillators' complex values, with the
     arithmetic of stepping ``rhs`` on the real state.
@@ -186,9 +189,7 @@ class OscillatorModel:
         if len(self.dims) != self.omega.size:
             raise ConfigError("one frequency per oscillator required")
         if self.pair is not None:
-            self.pair = tuple(self.pair)
-            if len(set(self.pair) & set(range(self.m))) != 2 or len(self.pair) != 2:
-                raise ConfigError(f"pair {self.pair} must name two distinct oscillators")
+            self.pair = _check_pair(self.pair, self.m)
             if any(d != 2 for d in self.dims):
                 raise ConfigError("a model with a pair is made of complex pairs (dims of 2)")
 
@@ -210,8 +211,7 @@ class OscillatorModel:
         w = 1.0
         for Fi in self.perturbations:
             w *= eps
-            if Fi is not None:
-                out = out + w * Fi.fun(x)
+            out = out + w * Fi.fun(x)
         return out
 
 
@@ -350,8 +350,7 @@ def chain_slow_law(result):
     """
     if result.order < 2:
         raise ValueError("the slow law lives at order 2")
-    i, j = _OUTER
-    term2 = result.phase_terms[1].component(i) - result.phase_terms[1].component(j)
+    term2 = phase_difference_field(result, *_OUTER)[2]
     c = complex(np.asarray(term2.coeffs.get((1, 0, -1), 0.0 + 0.0j)))  # e^{i Phi}
     c0 = complex(np.asarray(term2.coeffs.get((0, 0, 0), 0.0 + 0.0j)))
     return 2.0 * c.imag, -2.0 * c.real, c0.real

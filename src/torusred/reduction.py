@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundle import validate_bundle
+from .bundle import _hyperbolic_gap, validate_bundle
 from .errors import (
     AliasingError,
     ConfigError,
-    HyperbolicityError,
     NumericalError,
     SmallDivisorError,
     TruncationSaturationError,
@@ -103,12 +102,6 @@ def _eps_sum(terms, eps, scale):
     return total
 
 
-def _apply_matrix(mat, f):
-    """Constant matrix acting on a vector-valued map, coefficient-wise."""
-    mat = np.asarray(mat)
-    return f._like(np.matmul(mat, f.values[..., None])[..., 0], (mat.shape[0],))
-
-
 def order_forcing(j, model, e_terms, f_terms, K, grid):
     """Inhomogeneous forcing of reduction order ``j``.
 
@@ -183,9 +176,7 @@ def solve_normal(V, omega, L):
     conjugate-pair symmetry of the result.
     """
     L = np.asarray(L, dtype=float)
-    gap = float(np.min(np.abs(np.linalg.eigvals(L).real)))
-    if gap <= 1e-9:
-        raise HyperbolicityError(f"Floquet matrix not hyperbolic (gap {gap:.3e})")
+    _hyperbolic_gap(L)
     s = np.vecdot(V.keys, np.asarray(omega, dtype=float).reshape(-1))
     A = (1j * s)[:, None, None] * np.eye(L.shape[0]) - L
     c = V.values[..., None]
@@ -223,7 +214,7 @@ def reduction_grid(model, bundle, order, K):
     parts of its split on the guard shell.  A field without a declared
     degree gets the 3/2-rule grid of the truncation radius.
     """
-    degrees = [F.degree for F in model.F_list if F is not None]
+    degrees = [F.degree for F in model.F_list]
     support = None
     if None not in degrees:
         support = (max(degrees) * bundle.e0.support
@@ -282,7 +273,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     grid = reduction_grid(model, bundle, order, K)
     frames = bundle.sample_frames(grid)
 
-    E_map = bundle.e0.jacobian()
+    E_map, L_map = bundle.e0.jacobian(), FourierMap.constant(bundle.m, bundle.L)
     e_terms = [bundle.e0]
     f_terms, g_terms, h_terms = [], [], []
     residuals = []
@@ -310,7 +301,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         # Linearised-operator identity: applying the expansion operator to
         # (e_j, f_j) has to reproduce the forcing on the grid.
         lhs = matmul(E_map, d_omega(g_j, w) + f_j, K=K) + matmul(
-            bundle.N, d_omega(h_j, w) - _apply_matrix(bundle.L, h_j), K=K
+            bundle.N, d_omega(h_j, w) - matmul(L_map, h_j, K=K), K=K
         )
         scale = max(float(np.max(np.abs(Gv))), 1e-300)
         lin_res = float(np.max(np.abs(grid.sample(lhs) - Gv))) / scale

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,16 +55,13 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"unknown scheme '{self.scheme}'; pick one of {_SCHEMES}")
-        if not (self.dt > 0 and self.t_end > 0):
-            raise ConfigError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ConfigError("dt and t_end must be positive and finite")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
 
     def steps(self):
         return int(round(self.t_end / self.dt))
-
-    def with_horizon(self, t_end):
-        return IntegratorSpec(self.scheme, self.dt, t_end, self.record_stride)
 
 
 @dataclass
@@ -85,11 +82,12 @@ class TrajectoryRecord:
     meta: dict = field(default_factory=dict)
 
 
-def _pair_angle(z, pair):
-    """Angle of ``z_i conj(z_j)`` for the pair ``(i, j)`` of complex oscillator values."""
-    zi, zj = z[pair[0]], z[pair[1]]
-    a, b, c, d = zi.real, zi.imag, zj.real, zj.imag
-    return math.atan2(b * c - a * d, a * c + b * d)
+def _check_pair(pair, m):
+    """``pair`` as a tuple, once it names two distinct of the ``m`` oscillators (or phases)."""
+    pair = tuple(pair)
+    if len(pair) != 2 or len(set(pair) & set(range(m))) != 2:
+        raise ConfigError(f"pair {pair} must name two distinct oscillators of the {m} phases")
+    return pair
 
 
 def phases_from_state(x):
@@ -189,12 +187,16 @@ def _unwrapped_pair_angle(step, z, pair):
     Unwrapping after every step, from the state ``z`` on, keeps the angle
     continuous however sparsely the observer's latest value is recorded.
     """
-    unwrapped = raw = _pair_angle(z, pair)
+    # The angle of z_i conj(z_j) by math.atan2: cmath.phase raises where the angle underflows.
+    i, j = pair
+    w = z[i] * z[j].conjugate()
+    unwrapped = raw = math.atan2(w.imag, w.real)
 
     def tracked(z):
         nonlocal unwrapped, raw
         z = step(z)
-        new = _pair_angle(z, pair)
+        w = z[i] * z[j].conjugate()
+        new = math.atan2(w.imag, w.real)
         unwrapped += (new - raw + math.pi) % (2.0 * math.pi) - math.pi
         raw = new
         return z
@@ -295,11 +297,8 @@ def integrate_reduced(result, eps, phi0, spec, pair, until_t01=False):
     as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
     """
     omega = result.omega
-    if not set(pair) <= set(range(omega.size)):
-        raise ConfigError(f"the reduced flow has {omega.size} phases; its observable needs "
-                          f"phases {pair}")
+    i_idx, j_idx = _check_pair(pair, omega.size)
     phi, beat = _start(phi0, omega.size, "phases", omega, spec)
-    i_idx, j_idx = pair
     shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))
 
     def observe(p):
@@ -445,7 +444,7 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     phi0 = phases_from_state(x0) if reduction is not None else None
 
     def run(eps):
-        run_spec = spec.with_horizon(spec.t_end * (eps_ref / eps) ** 2)
+        run_spec = replace(spec, t_end=spec.t_end * (eps_ref / eps) ** 2)
         if reduction is not None:
             rec = integrate_reduced(reduction, eps, phi0, run_spec, model.pair, until_t01=True)
         else:

@@ -12,10 +12,12 @@ from torusred.bundle import (
     validate_bundle,
 )
 from torusred.cli import PRESETS
-from torusred.errors import HyperbolicityError, NumericalError, TruncationSaturationError
+from torusred.errors import (HyperbolicityError, InvarianceError, NumericalError,
+                             TruncationSaturationError)
 from torusred.fourier import FourierMap, SmoothMap, TorusGrid, matmul, spectral_grid
 from torusred.models import (
     ChainConfig,
+    OscillatorModel,
     StuartLandauParams,
     chain_bundle,
     chain_model,
@@ -23,7 +25,7 @@ from torusred.models import (
     stuart_landau_cycle,
     stuart_landau_field,
 )
-from torusred.reduction import order_forcing, split_forcing
+from torusred.reduction import order_forcing, phase_reduce, solve_normal, split_forcing
 
 SET1 = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
 
@@ -400,3 +402,31 @@ def test_bundle_check_and_cycle_require_their_field():
         LimitCycle(cycle.orbit, cycle.omega)
     with pytest.raises(ValueError, match="Jacobian"):
         cycle_bundle(cycle._replace(field=SmoothMap(cycle.field.fun)))
+    # A field without a Jacobian is named, by the check and by a reduction it starts.
+    bare = SmoothMap(cycle.field.fun, cycle.field.derivs, degree=cycle.field.degree)
+    with pytest.raises(ValueError, match="must carry a Jacobian evaluator"):
+        validate_bundle(sl_bundle(SET1), bare)
+    model = OscillatorModel(dims=[2], F0=bare, perturbations=[], omega=[SET1.frequency])
+    with pytest.raises(ValueError, match="must carry a Jacobian evaluator"):
+        phase_reduce(model, sl_bundle(SET1), order=1)
+
+
+@pytest.mark.parametrize("broken,what", [("fun", "torus"), ("jac", "fibre")])
+def test_bundle_check_fails_closed_on_a_nan_field(broken, what):
+    # A NaN residual compares false against any tolerance; it must still fail.
+    field = stuart_landau_field(SET1)
+    parts = {"fun": field.fun, "jac": field.jac}
+    good = parts[broken]
+    parts[broken] = lambda x: np.full_like(good(x), np.nan)
+    nan_field = SmoothMap(parts["fun"], field.derivs, jac=parts["jac"], degree=field.degree)
+    with pytest.raises(InvarianceError, match=f"{what} invariance"):
+        validate_bundle(sl_bundle(SET1), nan_field)
+
+
+def test_a_nan_floquet_matrix_is_not_hyperbolic():
+    b = sl_bundle(SET1)
+    nan_L = TorusBundle(b.e0, b.omega, b.N, np.full_like(b.L, np.nan))
+    with pytest.raises(HyperbolicityError, match="not hyperbolic"):
+        validate_bundle(nan_L, stuart_landau_field(SET1))
+    with pytest.raises(HyperbolicityError, match="not hyperbolic"):
+        solve_normal(FourierMap.constant(1, np.array([1.0 + 0j])), b.omega, nan_L.L)

@@ -402,6 +402,20 @@ def test_eval_matches_the_grid_samples_and_the_per_key_sum(m):
     assert np.max(np.abs(by_key.imag)) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_eval_returns_a_contiguous_real_array_of_its_own(m):
+    # The real part is copied out: no strided view keeps the complex sums alive.
+    f = random_real_map(np.random.default_rng(50 + m), m, 2, K=3.0, n_harmonics=40)
+    pts = np.random.default_rng(60 + m).uniform(-10.0, 10.0, size=(30, m))
+    vals = f.eval(pts)
+    assert vals.flags.c_contiguous and vals.flags.owndata and vals.base is None
+    sums = np.tensordot(np.exp(1j * (pts @ f.keys.astype(float).T)), f.values, axes=(-1, 0))
+    assert np.array_equal(vals, sums.real)
+    assert vals.view(complex).shape == (30, 1)
+    one = f.eval(pts[0])
+    assert one.shape == (2,) and one.flags.c_contiguous and one.flags.owndata
+
+
 def test_jacobian_single_harmonic():
     f = FourierMap.harmonic(2, (1, -1), np.array([2.0 + 0j]), K=2.0)
     J = f.jacobian()

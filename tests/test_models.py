@@ -86,6 +86,7 @@ def test_chain_observes_its_outer_pair():
     ([2, 2], (-1, 0), "two distinct"),
     ([2, 2], (0, 1, 1), "two distinct"),
     ([2, 3], (0, 1), "complex pairs"),
+    ([2, 2], (0,), "two distinct"),
 ])
 def test_model_pair_names_two_oscillators_of_complex_pairs(dims, pair, match):
     with pytest.raises(ConfigError, match=match):

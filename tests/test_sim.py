@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -251,7 +252,7 @@ def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
     sw = sweep_epsilon(model, x0, eps, spec, reduction=reduction)
     assert np.all(sw.converged)
     for e, t01, t01_raw in zip(eps, sw.t01, sw.t01_raw):
-        lane = spec.with_horizon(spec.t_end * (float(np.max(eps)) / float(e)) ** 2)
+        lane = replace(spec, t_end=spec.t_end * (float(np.max(eps)) / float(e)) ** 2)
         if reduction is None:
             def run(**kw):
                 return integrate_full(model, float(e), x0, lane, record_state=False, **kw)
@@ -372,6 +373,28 @@ def test_integrate_reduced_needs_the_outer_pair_of_phases():
     with pytest.raises(ConfigError, match="2 phases"):
         integrate_reduced(flow, 0.1, np.array([0.1, 0.2]), IntegratorSpec("euler", 0.05, 10.0),
                           (0, 2))
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0,), (0, 1, 2), (0, 3)])
+def test_integrate_reduced_applies_the_pair_rule_of_models(pair):
+    # The rule OscillatorModel applies to its pair: two distinct phases in range.
+    flow = reduced_flow(np.array([1.0, 2.0, 3.0]), FourierMap.zero(3, (3,), 1.0))
+    with pytest.raises(ConfigError, match="must name two distinct oscillators of the 3 phases"):
+        integrate_reduced(flow, 0.1, np.zeros(3), IntegratorSpec("euler", 0.05, 10.0), pair)
+
+
+def test_a_pair_angle_that_underflows_reads_as_zero():
+    # z_1 conj(z_2) = 1e300 - 1e-300 i: its angle underflows, where cmath.phase raises.
+    z = (-1j, 1e-300 - 1e300j)
+    step, observe = sim._unwrapped_pair_angle(lambda z: z, z, (0, 1))
+    assert observe(step(z)) == 0.0
+
+
+@pytest.mark.parametrize("dt,t_end", [(np.inf, 10.0), (0.05, np.inf), (np.nan, 10.0),
+                                      (0.05, np.nan)])
+def test_integrator_spec_rejects_a_non_finite_step_or_horizon(dt, t_end):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        IntegratorSpec("euler", dt, t_end)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
@@ -557,7 +580,7 @@ def test_torus_phases_reads_angles_and_radial_offsets_off_the_chain_circles(chai
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(200, 3))
     offsets = rng.normal(size=(200, 3))
     offsets *= rng.uniform(0.0, 0.01, size=(200, 1)) / np.linalg.norm(offsets, axis=1, keepdims=True)
-    z = np.ascontiguousarray(e0.eval(angles)).view(complex)
+    z = e0.eval(angles).view(complex)
     states = (z + offsets * z / np.abs(z)).view(float)
     phases, dist = torus_phases(e0, states)
     gap = np.angle(np.exp(1j * (phases - phases_from_state(states))))
