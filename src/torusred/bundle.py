@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (HyperbolicityError, InvarianceError, NumericalError, TransversalityError,
                      TruncationSaturationError)
 from .fourier import (SATURATION_TOL, FourierMap, SmoothMap, TorusGrid, _radius_nodes,
-                      _sum_on_keys, check_grid, d_omega)
+                      _sum_on_keys, d_omega, spectral_grid)
 
 __all__ = [
     "LimitCycle",
@@ -157,10 +157,6 @@ class TorusBundle:
     def K(self):
         return max(self.e0.K, self.N.K)
 
-    def sample_frames(self, grid):
-        """``(e0', N)`` sampled on ``grid``."""
-        return grid.sample(self.e0.jacobian()), grid.sample(self.N)
-
     def to_json_dict(self):
         return {
             "omega": self.omega.tolist(),
@@ -193,8 +189,8 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     if F0.jac is None:
         raise ValueError("the bundle's vector field must carry a Jacobian evaluator")
     if grid is None:
-        grid = check_grid(bundle.m, bundle.K)
-    E, Nv = bundle.sample_frames(grid)
+        grid = spectral_grid(bundle.m, bundle.K)
+    E, Nv = grid.sample(bundle.e0.jacobian()), grid.sample(bundle.N)
     max_cond = float(np.max(np.linalg.cond(np.concatenate([E, Nv], axis=-1))))
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
         raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)

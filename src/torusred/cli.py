@@ -45,43 +45,34 @@ EXIT_ACCEPTANCE = 4
 
 COMMANDS = ("bundle", "reduce", "simulate", "sweep", "verify")
 
-PRESETS = {
-    "set1": {
-        "command": "verify",
-        "model": {
-            "chain": {
-                "alpha": 1.0, "beta": 1.0, "gamma": -1.0, "delta": 1.0,
-                "a": 1.0, "b": 2.0, "c": -1.0, "d": -1.0, "epsilon": 0.1,
-            }
-        },
-        "numerics": {
-            "K": 8, "K_nf": 6, "J": 2,
-            "integrator": {"scheme": "euler", "dt": 0.05, "t_end": 4000.0},
-            "x0": [[-1.0, 0.0], [1.0, 0.4], [-1.0, 0.3]],
-            "sweep": {
-                "eps_min": 0.02, "eps_max": 0.1, "n": 20, "t_end_ref": 2500.0,
-                "x0": [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]],
-            },
-        },
-        "output_dir": "out-set1",
+_SET1 = {
+    "command": "verify",
+    "model": {
+        "chain": {
+            "alpha": 1.0, "beta": 1.0, "gamma": -1.0, "delta": 1.0,
+            "a": 1.0, "b": 2.0, "c": -1.0, "d": -1.0, "epsilon": 0.1,
+        }
     },
+    "numerics": {
+        "K": 8, "K_nf": 6, "J": 2,
+        "integrator": {"scheme": "euler", "dt": 0.05, "t_end": 4000.0},
+        "x0": [[-1.0, 0.0], [1.0, 0.4], [-1.0, 0.3]],
+        "sweep": {
+            "eps_min": 0.02, "eps_max": 0.1, "n": 20, "t_end_ref": 2500.0,
+            "x0": [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]],
+        },
+    },
+    "output_dir": "out-set1",
+}
+
+# Set 2 (locking) is set 1 with another beta, b, x0 and output_dir.  It shares set 1's
+# "integrator" and "sweep" dicts: every reader copies a preset, none writes into one.
+PRESETS = {
+    "set1": _SET1,
     "set2": {
-        "command": "verify",
-        "model": {
-            "chain": {
-                "alpha": 1.0, "beta": 0.1, "gamma": -1.0, "delta": 1.0,
-                "a": 1.0, "b": 6.0, "c": -1.0, "d": -1.0, "epsilon": 0.1,
-            }
-        },
-        "numerics": {
-            "K": 8, "K_nf": 6, "J": 2,
-            "integrator": {"scheme": "euler", "dt": 0.05, "t_end": 4000.0},
-            "x0": [[1.0, 0.3], [1.0, 0.4], [-0.2, 0.9]],
-            "sweep": {
-                "eps_min": 0.02, "eps_max": 0.1, "n": 20, "t_end_ref": 2500.0,
-                "x0": [[-1.0, 0.3], [1.0, 0.4], [-1.0, 0.5]],
-            },
-        },
+        **_SET1,
+        "model": {"chain": {**_SET1["model"]["chain"], "beta": 0.1, "b": 6.0}},
+        "numerics": {**_SET1["numerics"], "x0": [[1.0, 0.3], [1.0, 0.4], [-0.2, 0.9]]},
         "output_dir": "out-set2",
     },
 }

@@ -9,10 +9,9 @@ complex value array.  Every coefficient-wise operation is an array
 operation on that pair.  Products are true coefficient convolutions,
 summed on equal keys by one helper; composition with nonlinear maps is
 pseudo-spectral (sample on a grid, apply the map pointwise, project
-back).  One rule, :func:`spectral_grid`, sizes every computation grid
-from the frequency support of the result; :func:`check_grid` states the
-node floor of every pointwise check.  An expansion in a small parameter
-is the plain list of its Taylor coefficients, one map per order.
+back).  One rule, :func:`spectral_grid`, sizes every computation and
+check grid.  An expansion in a small parameter is the plain list of its
+Taylor coefficients, one map per order.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "matmul",
     "jet_compose",
     "spectral_grid",
-    "check_grid",
 ]
 
 
@@ -262,8 +260,10 @@ class FourierMap:
         phi = np.asarray(phi, dtype=float)
         single = phi.ndim == 1
         pts = np.atleast_2d(phi)
-        phases = np.exp(1j * (pts @ self.keys.astype(float).T))
-        vals = np.tensordot(phases, self.values, axes=(-1, 0)).real
+        # Off BLAS, whose rounding varies with the batch: a point's value is one set of bits.
+        phases = np.exp(1j * np.vecdot(pts[..., None, :], self.keys.astype(float)))
+        vals = np.einsum("...k,kp->...p", phases, self.values.reshape(len(self.keys), self.p))
+        vals = vals.real.reshape(pts.shape[:-1] + self.value_shape)
         # A contiguous copy of the real part, so no complex buffer stays alive.
         return (vals[0] if single else vals).copy()
 
@@ -314,8 +314,6 @@ def _convolve(f, g, combine, out_shape, K):
     """Coefficient convolution: ``combine`` every key pair, stacked, and sum on equal keys."""
     if f.m != g.m:
         raise ValueError("torus dimensions differ")
-    if K is None:
-        K = max(f.K, g.K)
     i = np.repeat(np.arange(len(f.keys)), len(g.keys))
     j = np.tile(np.arange(len(g.keys)), len(f.keys))
     keys = f.keys[i] + g.keys[j]
@@ -325,11 +323,11 @@ def _convolve(f, g, combine, out_shape, K):
     return FourierMap(f.m, K, _sum_on_keys(keys, values), out_shape)
 
 
-def multiply(f, g, K=None):
+def multiply(f, g, K):
     """Product of a scalar-valued map with another map.
 
     Implemented as the convolution of the coefficient sets, truncated
-    back to radius ``K`` (default: the larger operand radius).
+    back to radius ``K``.
     """
     if f.value_shape != ():
         raise ValueError("multiply() expects a scalar-valued first factor")
@@ -337,7 +335,7 @@ def multiply(f, g, K=None):
                      g.value_shape, K=K)
 
 
-def matmul(f, g, K=None):
+def matmul(f, g, K):
     """Pointwise matrix product of two maps, as a coefficient convolution.
 
     Value shapes follow ``numpy.matmul`` for vectors and matrices:
@@ -376,22 +374,13 @@ def spectral_grid(m, K, support=None):
     nodes per axis: the support plus one guard shell, on which any mass
     means the bound was wrong (see :meth:`TorusGrid.guard_mass`).  With no
     bound, or one that needs more nodes, the grid is the 3/2-rule grid of
-    the truncation radius ``K``.
+    the truncation radius ``K``; with no bound, as for a pointwise check,
+    a circle gets at least ``CIRCLE_CHECK_NODES``.
     """
     n = _radius_nodes(K)
     if support is not None:
         n = min(n, 2 * int(support) + 3)
-    return TorusGrid(m, (n,) * m)
-
-
-def check_grid(m, K):
-    """The grid of a pointwise check on series of truncation radius ``K``.
-
-    This is the floor of every check: the 3/2-rule node count of ``K`` on
-    each axis, and at least ``CIRCLE_CHECK_NODES`` on a circle.
-    """
-    n = _radius_nodes(K)
-    if m == 1:
+    elif m == 1:
         n = max(n, CIRCLE_CHECK_NODES)
     return TorusGrid(m, (n,) * m)
 

@@ -71,11 +71,9 @@ class StuartLandauParams:
         return 2.0 * math.pi / abs(self.frequency)
 
 
-def _to_complex(x, n_osc):
-    x = np.asarray(x, dtype=float)
-    shape = x.shape[:-1] + (n_osc, 2)
-    xr = x.reshape(shape)
-    return xr[..., 0] + 1j * xr[..., 1]
+def _to_complex(x):
+    """The complex values of a state of ``(Re z, Im z)`` pairs, as a view; never written to."""
+    return np.ascontiguousarray(x, dtype=float).view(complex)
 
 
 def _to_real(z):
@@ -94,24 +92,23 @@ def _cubic_oscillator_maps(lin, cub):
     n = lin.size
 
     def fun(x):
-        z = _to_complex(x, n)
+        z = _to_complex(x)
         return _to_real(lin * z + cub * np.abs(z) ** 2 * z)
 
     def d1(x, v):
-        z, u = _to_complex(x, n), _to_complex(v, n)
+        z, u = _to_complex(x), _to_complex(v)
         return _to_real(lin * u + cub * (2.0 * np.abs(z) ** 2 * u + z * z * np.conj(u)))
 
     def d2(x, u_, v_):
-        z = _to_complex(x, n)
-        u, v = _to_complex(u_, n), _to_complex(v_, n)
+        z, u, v = (_to_complex(a) for a in (x, u_, v_))
         return _to_real(2.0 * cub * (np.conj(z) * u * v + z * (u * np.conj(v) + np.conj(u) * v)))
 
     def d3(x, u_, v_, w_):
-        u, v, w = (_to_complex(a, n) for a in (u_, v_, w_))
+        u, v, w = (_to_complex(a) for a in (u_, v_, w_))
         return _to_real(2.0 * cub * (u * v * np.conj(w) + u * np.conj(v) * w + np.conj(u) * v * w))
 
     def jac(x):
-        z = _to_complex(x, n)
+        z = _to_complex(x)
         p = lin + 2.0 * cub * np.abs(z) ** 2
         q = cub * z * z
         out = np.zeros(z.shape[:-1] + (2 * n, 2 * n))
@@ -170,11 +167,10 @@ class OscillatorModel:
     must be pure and accept batched states.  ``pair``, when given, names two
     distinct oscillators ``(i, j)``, by the rule ``integrate_reduced`` applies
     to phases; their angle ``arg(z_i conj z_j)`` is the synchronisation
-    observable, and the model is made of complex pairs, each oscillator's
-    ``(Re z, Im z)``.  ``fast_step``,
-    when given, is ``fast_step(eps, scheme, dt)``: one integrator step of
-    ``rhs`` on the tuple of the oscillators' complex values, with the
-    arithmetic of stepping ``rhs`` on the real state.
+    observable.  ``fast_step``, when given, is ``fast_step(eps, scheme, dt)``:
+    one integrator step of ``rhs`` on the tuple of the oscillators' complex
+    values, with the arithmetic of stepping ``rhs`` on the real state.  A
+    model with either is made of complex pairs, each oscillator's ``(Re z, Im z)``.
     """
 
     dims: list
@@ -190,8 +186,8 @@ class OscillatorModel:
             raise ConfigError("one frequency per oscillator required")
         if self.pair is not None:
             self.pair = _check_pair(self.pair, self.m)
-            if any(d != 2 for d in self.dims):
-                raise ConfigError("a model with a pair is made of complex pairs (dims of 2)")
+        if (self.pair or self.fast_step) and any(d != 2 for d in self.dims):
+            raise ConfigError("a model with a pair or a fast_step needs complex pairs (dims of 2)")
 
     @property
     def m(self):
@@ -263,7 +259,7 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
     C = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def f1(x):
-        return _to_real(_to_complex(x, 3) @ C.T)
+        return _to_real(_to_complex(x) @ C.T)
 
     def f1_d1(x, v):
         return f1(v)

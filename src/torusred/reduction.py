@@ -22,8 +22,7 @@ from .errors import (
     SmallDivisorError,
     TruncationSaturationError,
 )
-from .fourier import (SATURATION_TOL, FourierMap, check_grid, d_omega, jet_compose, matmul,
-                      spectral_grid)
+from .fourier import SATURATION_TOL, FourierMap, d_omega, jet_compose, matmul, spectral_grid
 
 __all__ = [
     "ReductionResult",
@@ -232,8 +231,8 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         derivatives up to the requested order.
     bundle : TorusBundle
         Fast fibre data of the unperturbed torus; checked against the
-        model's uncoupled field on the check grid of the truncation
-        radius (:func:`check_grid`) before the iteration starts.
+        model's uncoupled field on the :func:`spectral_grid` of the
+        truncation radius before the iteration starts.
     order : int
         Number of expansion orders to solve.
     K : float
@@ -269,11 +268,10 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     w = bundle.omega
     if tol_res is None:
         tol_res = 1e-9 * float(np.linalg.norm(w))
-    validate_bundle(bundle, F0=model.F0, grid=check_grid(bundle.m, max(K, bundle.K)))
+    validate_bundle(bundle, F0=model.F0, grid=spectral_grid(bundle.m, max(K, bundle.K)))
     grid = reduction_grid(model, bundle, order, K)
-    frames = bundle.sample_frames(grid)
-
     E_map, L_map = bundle.e0.jacobian(), FourierMap.constant(bundle.m, bundle.L)
+    frames = grid.sample(E_map), grid.sample(bundle.N)
     e_terms = [bundle.e0]
     f_terms, g_terms, h_terms = [], [], []
     residuals = []
@@ -362,7 +360,7 @@ def conjugacy_residual(model, result, eps):
     defect shrinks like ``eps^(J+1)``.
     """
     bundle = result.bundle
-    grid = check_grid(bundle.m, max(result.K, bundle.K))
+    grid = spectral_grid(bundle.m, max(result.K, bundle.K))
     e = result.embedding(eps)
     # Summed from the samples of its terms: the residual's last digits depend on that order.
     w = FourierMap.constant(bundle.m, bundle.omega.astype(complex))

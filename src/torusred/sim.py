@@ -57,6 +57,8 @@ class IntegratorSpec:
             raise ConfigError(f"unknown scheme '{self.scheme}'; pick one of {_SCHEMES}")
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ConfigError("dt and t_end must be positive and finite")
+        if not (self.t_end / self.dt < math.inf and self.steps() >= 1):
+            raise ConfigError("t_end / dt must round to a finite number of steps, at least one")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
 
@@ -371,6 +373,8 @@ def torus_phases(e, states):
     the states' distances from them, shape ``(n,)``.
     """
     states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != e.p:
+        raise ValueError(f"states of shape {states.shape} are not rows of {e.p} values")
     ejac, m = e.jacobian(), e.m
     axes = [np.linspace(0.0, 2.0 * np.pi, DISTANCE_GRID, endpoint=False) for _ in range(m)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
@@ -485,14 +489,9 @@ def trajectory_csv(record, path):
                 cols += [f"x{j + 1}" for j in range(n_state)]
         if record.phi_hat is not None:
             cols.append("phi_hat")
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(record.t)):
-            row = [_fmt(record.t[i])]
-            if record.states is not None:
-                row += [_fmt(v) for v in record.states[i]]
-            if record.phi_hat is not None:
-                row.append(_fmt(record.phi_hat[i]))
-            fh.write(",".join(row) + "\n")
+        columns = [c for c in (record.t, record.states, record.phi_hat) if c is not None]
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(cols), comments="")
 
 
 def sweep_csv(sweep, path):

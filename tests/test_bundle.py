@@ -365,7 +365,7 @@ def test_gauge_covariance_of_fibre_frame():
     model, bundle = chain_model(cfg), chain_bundle(cfg, K=8.0)
     rng = np.random.default_rng(42)
     S = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
-    N2 = matmul(bundle.N, FourierMap.constant(3, S.astype(complex)))
+    N2 = matmul(bundle.N, FourierMap.constant(3, S.astype(complex)), K=8.0)
     L2 = np.linalg.solve(S, bundle.L @ S)
     gauged = TorusBundle(bundle.e0, bundle.omega, N2, L2)
     diag = validate_bundle(gauged, F0=model.F0, pde_tol=1e-9)
@@ -376,8 +376,9 @@ def test_gauge_covariance_of_fibre_frame():
     )
     grid = spectral_grid(3, 8.0)
     Gv = grid.sample(order_forcing(1, model, [bundle.e0], [], 8.0, grid))
-    U, V = split_forcing(Gv, bundle.sample_frames(grid))
-    U2, V2 = split_forcing(Gv, gauged.sample_frames(grid))
+    E = grid.sample(bundle.e0.jacobian())
+    U, V = split_forcing(Gv, (E, grid.sample(bundle.N)))
+    U2, V2 = split_forcing(Gv, (E, grid.sample(N2)))
     assert np.max(np.abs(U2 - U)) <= 1e-13 * np.max(np.abs(U))
     V_gauged = np.linalg.solve(S, V[..., None])[..., 0]
     assert np.max(np.abs(V2 - V_gauged)) <= 1e-13 * np.max(np.abs(V))

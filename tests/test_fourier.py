@@ -95,7 +95,7 @@ def test_multiply_identity():
     rng = np.random.default_rng(11)
     f = random_real_map(rng, 2, 2, K=3)
     one = FourierMap.constant(2, np.asarray(1.0 + 0j))
-    g = multiply(one, f)
+    g = multiply(one, f, K=3.0)
     assert (g - f).norm() <= 1e-15
 
 
@@ -126,7 +126,7 @@ def test_multiply_reality_closure_is_exact():
 def test_matmul_matrix_vector():
     A = FourierMap.constant(1, np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
     x = FourierMap.harmonic(1, (1,), np.array([0.5, -0.5j]))
-    y = matmul(A, x)
+    y = matmul(A, x, K=1.0)
     expected = FourierMap.harmonic(1, (1,), np.array([-0.5j, -0.5]))
     assert (y - expected).norm() <= 1e-15
 
@@ -409,11 +409,28 @@ def test_eval_returns_a_contiguous_real_array_of_its_own(m):
     pts = np.random.default_rng(60 + m).uniform(-10.0, 10.0, size=(30, m))
     vals = f.eval(pts)
     assert vals.flags.c_contiguous and vals.flags.owndata and vals.base is None
-    sums = np.tensordot(np.exp(1j * (pts @ f.keys.astype(float).T)), f.values, axes=(-1, 0))
+    phases = np.exp(1j * np.vecdot(pts[..., None, :], f.keys.astype(float)))
+    sums = np.einsum("...k,kp->...p", phases, f.values)
     assert np.array_equal(vals, sums.real)
     assert vals.view(complex).shape == (30, 1)
     one = f.eval(pts[0])
     assert one.shape == (2,) and one.flags.c_contiguous and one.flags.owndata
+
+
+@pytest.mark.parametrize("m,value_shape", [(1, ()), (2, (3,)), (3, (2, 3))])
+def test_eval_gives_each_point_the_same_bits_in_any_batch(m, value_shape):
+    rng = np.random.default_rng(70 + m)
+    coeffs = {tuple(k): rng.normal(size=value_shape) + 1j * rng.normal(size=value_shape)
+              for k in rng.integers(-3, 4, size=(12, m)).tolist()}
+    f = FourierMap(m, 6.0, coeffs, value_shape)
+    pts = rng.uniform(-10.0, 10.0, size=(50, m))
+    batch = f.eval(pts)
+    assert batch.shape == (50,) + value_shape
+    for x, row in zip(pts, batch):
+        assert f.eval(x).tobytes() == row.tobytes()
+    assert f.eval(pts.reshape(5, 10, m)).tobytes() == batch.tobytes()
+    # A map with no stored coefficient evaluates to zeros.
+    assert np.array_equal(FourierMap.zero(m, value_shape, 1.0).eval(pts), np.zeros_like(batch))
 
 
 def test_jacobian_single_harmonic():
@@ -655,3 +672,17 @@ def test_property_sample_rejects_a_key_beyond_the_grid(case):
     assume(np.any(np.abs(f.keys) > grid.max_freq()))  # the closure may zero the key
     with pytest.raises(ValueError, match="does not fit on grid"):
         grid.sample(f)
+
+
+# ----------------------------------------------------------------------
+# grid sizing
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 8.0, 20.0, 21.0, 30.0])
+def test_spectral_grid_floors_a_circle_only_without_a_support_bound(K):
+    n = 3 * math.ceil(K) + 1
+    assert spectral_grid(1, K).shape == (max(n, 64),)
+    for s in (0, 2, 40):
+        assert spectral_grid(1, K, support=s).shape == (min(n, 2 * s + 3),)
+    assert spectral_grid(2, K).shape == (n, n)
+    assert spectral_grid(3, 8.0).shape == (25, 25, 25)

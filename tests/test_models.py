@@ -94,6 +94,12 @@ def test_model_pair_names_two_oscillators_of_complex_pairs(dims, pair, match):
                         pair=pair)
 
 
+def test_a_model_with_a_fast_step_is_made_of_complex_pairs():
+    with pytest.raises(ConfigError, match="complex pairs"):
+        OscillatorModel(dims=[3], F0=None, perturbations=[], omega=np.ones(1),
+                        fast_step=lambda eps, scheme, dt: None)
+
+
 def test_chain_resonance_guard():
     with pytest.raises(ConfigError):
         ChainConfig(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0,

@@ -20,7 +20,6 @@ from torusred.fourier import (
     FourierMap,
     SmoothMap,
     TorusGrid,
-    check_grid,
     d_omega,
     matmul,
     spectral_grid,
@@ -127,7 +126,8 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
 def split(G, bundle, F0):
     grid = spectral_grid(G.m, G.K)
     validate_bundle(bundle, F0, grid=grid)
-    U_vals, V_vals = split_forcing(grid.sample(G), bundle.sample_frames(grid))
+    frames = grid.sample(bundle.e0.jacobian()), grid.sample(bundle.N)
+    U_vals, V_vals = split_forcing(grid.sample(G), frames)
     return grid.project(U_vals, G.K), grid.project(V_vals, G.K)
 
 
@@ -376,7 +376,7 @@ def test_eps_sums_match_the_inline_loops_bit_for_bit(chain, eps):
         assert np.array_equal(got.keys, ref.keys) and got.K == ref.K
         assert got.values.tobytes() == ref.values.tobytes()
 
-    grid = check_grid(3, max(result.K, bundle.K))
+    grid = spectral_grid(3, max(result.K, bundle.K))
     f_vals = grid.sample(FourierMap.constant(3, bundle.omega.astype(complex)))
     for l, term in enumerate(result.phase_terms, start=1):
         f_vals = f_vals + eps ** l * grid.sample(term)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -397,6 +398,13 @@ def test_integrator_spec_rejects_a_non_finite_step_or_horizon(dt, t_end):
         IntegratorSpec("euler", dt, t_end)
 
 
+@pytest.mark.parametrize("dt,t_end", [(1e-300, 1e10), (0.05, 0.01)])
+def test_integrator_spec_needs_a_finite_step_count_of_at_least_one(dt, t_end):
+    with pytest.raises(ConfigError, match="number of steps"):
+        IntegratorSpec("euler", dt, t_end)
+    assert IntegratorSpec("euler", 0.05, 0.05).steps() == 1
+
+
 @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
 def test_reduced_record_tracks_the_phase_difference_of_the_pair(pair):
     flow = reduced_flow(np.array([1.0, 2.5]), FourierMap.zero(2, (2,), 1.0))
@@ -588,6 +596,13 @@ def test_torus_phases_reads_angles_and_radial_offsets_off_the_chain_circles(chai
     assert np.max(np.abs(dist - np.linalg.norm(offsets, axis=1))) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (6,)])
+def test_torus_phases_names_states_it_cannot_read(chain1, shape):
+    e0 = chain_bundle(chain1[0], K=8.0).e0
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+        torus_phases(e0, np.zeros(shape))
+
+
 def test_reduced_set2_locks_at_predicted_angle():
     cfg = ChainConfig(**SET2)
     model = chain_model(cfg)
@@ -620,6 +635,47 @@ def test_trajectory_csv_format(tmp_path, chain1):
     assert float(first[1]) == -1.0
     # 17 significant digits survive a round trip
     assert float(lines[2].split(",")[1]) == rec.states[1][0]
+
+
+def per_row_csv(record):
+    """The data rows of a trajectory CSV, formatted one value at a time."""
+    out = ""
+    for i in range(len(record.t)):
+        row = [record.t[i]]
+        if record.states is not None:
+            row += list(record.states[i])
+        if record.phi_hat is not None:
+            row.append(record.phi_hat[i])
+        out += ",".join(format(float(x), ".17g") for x in row) + "\n"
+    return out
+
+
+@pytest.mark.parametrize("case,header", [
+    ("chain", "t,re_z1,im_z1,re_z2,im_z2,re_z3,im_z3,phi_hat"),
+    ("chain without states", "t,phi_hat"),
+    ("reduced", "t,phi1,phi2,phi3,phi_hat"),
+    ("special values", "t,x1,x2"),
+    ("one sample", "t,phi_hat"),
+])
+def test_trajectory_csv_writes_the_bytes_of_a_per_row_writer(tmp_path, chain1, reduced1, case,
+                                                             header):
+    _, model = chain1
+    spec = IntegratorSpec("euler", 0.05, 1.0)
+    record = {
+        "chain": lambda: integrate_full(model, 0.1, START["set1"], spec),
+        "chain without states": lambda: integrate_full(model, 0.1, START["set1"], spec,
+                                                       record_state=False),
+        "reduced": lambda: integrate_reduced(reduced1, 0.1, phases_from_state(START["set1"]),
+                                             spec, model.pair),
+        "special values": lambda: TrajectoryRecord(
+            t=np.array([0.0, 1.0]), states=np.array([[-0.0, 1e-300], [1e300, np.nan]]),
+            phi_hat=None),
+        "one sample": lambda: TrajectoryRecord(t=np.array([0.0]), states=None,
+                                               phi_hat=np.array([0.25])),
+    }[case]()
+    path = tmp_path / "traj.csv"
+    trajectory_csv(record, path)
+    assert path.read_bytes() == (header + "\n" + per_row_csv(record)).encode()
 
 
 def test_sweep_csv_format(tmp_path):
