@@ -39,8 +39,8 @@ print("  decay time to 10%:", measure_T01(rec))
 # reduced flow tracks the full system
 bundle = chain_bundle(cfg, K=8.0)
 result = phase_reduce(model, bundle, order=2, K_nf=6.0)
-spec = IntegratorSpec("rk4", 0.01, 300.0, record_stride=10)
-full = integrate_full(model, 0.1, x0, spec, record_state=False)
+spec = IntegratorSpec("rk4", 0.01, 300.0, record_stride=10, record_state=False)
+full = integrate_full(model, 0.1, x0, spec)
 red = integrate_reduced(result, 0.1, phases_from_state(x0), spec, model.pair)
 print("  max |full - reduced| phase difference over [0, 300]:",
       float(np.max(np.abs(full.phi_hat - red.phi_hat))))

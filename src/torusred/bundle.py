@@ -287,7 +287,7 @@ def _fibre(A, omega, n, M):
     return frame * scale, L * scale[None, :] / scale[:, None], float(neutral.real)
 
 
-def cycle_bundle(cycle, K=8.0):
+def cycle_bundle(cycle, K):
     """Torus bundle (m = 1) of a hyperbolic limit cycle, solved in Fourier collocation.
 
     Newton polishes the cycle's start, evaluated on the 3/2-rule node

@@ -318,7 +318,7 @@ def _diverged(name, rec):
 def check_sync(model, eps, x0):
     """Tail of the synchronisation angle of a figure-faithful Euler run."""
     lo, hi = 2500.0, 4000.0
-    rec = integrate_full(model, eps, x0, IntegratorSpec("euler", 0.05, hi), record_state=False)
+    rec = integrate_full(model, eps, x0, IntegratorSpec("euler", 0.05, hi, record_state=False))
     if rec.failed:
         return _diverged("synchronisation figure", rec)
     tail = float(np.max(np.abs(rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)])))
@@ -330,8 +330,8 @@ def check_sync(model, eps, x0):
 def check_phase_lock(model, eps, x0, A, B):
     """Locked synchronisation angle of an RK4 run against ``2 atan2(A, B)``."""
     lo, hi = 3000.0, 4000.0
-    rec = integrate_full(model, eps, x0, IntegratorSpec("rk4", 0.01, hi, record_stride=5),
-                         record_state=False)
+    rec = integrate_full(model, eps, x0, IntegratorSpec("rk4", 0.01, hi, record_stride=5,
+                                                        record_state=False))
     if rec.failed:
         return _diverged("phase-locking figure", rec)
     seg = rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)]

@@ -135,7 +135,7 @@ def stuart_landau_cycle(p: StuartLandauParams) -> LimitCycle:
     return LimitCycle(orbit, p.frequency, stuart_landau_field(p))
 
 
-def sl_bundle(p: StuartLandauParams, K=4.0) -> TorusBundle:
+def sl_bundle(p: StuartLandauParams, K) -> TorusBundle:
     """Analytic torus bundle of the Stuart-Landau cycle.
 
     The embedding is ``R exp(i phi)`` and the fast fibre direction is
@@ -306,7 +306,7 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
     )
 
 
-def chain_bundle(cfg: ChainConfig, K=8.0) -> TorusBundle:
+def chain_bundle(cfg: ChainConfig, K) -> TorusBundle:
     """Analytic product bundle of the chain's three circular orbits.
 
     ``sl_bundle`` checks each circle; a reduction checks the conditioning of

@@ -45,12 +45,14 @@ DISTANCE_REFINE = 6  # Gauss-Newton steps of torus_phases
 
 @dataclass
 class IntegratorSpec:
-    """Fixed-step integrator configuration."""
+    """Fixed-step integrator configuration: the whole policy of one run."""
 
     scheme: str = "rk4"
     dt: float = 0.01
     t_end: float = 100.0
-    record_stride: int = 1
+    record_stride: int = 1  # record every record_stride-th step and the last
+    record_state: bool = True  # record the states, not only t and the observable
+    until_t01: bool = False  # end once T01 can no longer change (see _until_decided)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -59,8 +61,8 @@ class IntegratorSpec:
             raise ConfigError("dt and t_end must be positive and finite")
         if not (self.t_end / self.dt < math.inf and self.steps() >= 1):
             raise ConfigError("t_end / dt must round to a finite number of steps, at least one")
-        if self.record_stride < 1:
-            raise ConfigError("record_stride must be >= 1")
+        if not (self.record_stride >= 1 and self.record_stride % 1 == 0):
+            raise ConfigError("record_stride must be a whole number >= 1")
 
     def steps(self):
         return int(round(self.t_end / self.dt))
@@ -94,8 +96,7 @@ def _check_pair(pair, m):
 
 def phases_from_state(x):
     """Oscillator phases ``arg(z_j)`` of a state of complex pairs."""
-    xr = np.asarray(x, dtype=float).reshape(np.shape(x)[:-1] + (-1, 2))
-    return np.angle(xr[..., 0] + 1j * xr[..., 1])
+    return np.angle(np.ascontiguousarray(x, dtype=float).view(complex))
 
 
 def _beat_period(omega):
@@ -104,17 +105,17 @@ def _beat_period(omega):
     return 2.0 * math.pi / min(diffs) if diffs else 2.0 * math.pi
 
 
-def _march(step, x, spec, record_state=True, observe=None, stop=None):
+def _march(step, x, spec, observe, stop):
     """Fixed-step loop shared by both integrators.
 
     Advances the state ``x``, a sequence of scalars, with ``step`` and stops
     at the first state with a non-finite entry.  Every ``record_stride``
-    steps and at the last one, the time, the state (with ``record_state``)
-    and ``observe(x)``, when given, are recorded; ``stop(value)``, when
-    given, then sees the observed value and ends the run there by
-    returning true.  Returns ``(t, states, observed, failed)``.
+    steps and at the last one, the time, the state (with the spec's
+    ``record_state``) and ``observe(x)``, when given, are recorded;
+    ``stop(value)``, when given, then sees the observed value and ends the
+    run there by returning true.  Returns ``(t, states, observed, failed)``.
     """
-    n, stride, dt = spec.steps(), spec.record_stride, spec.dt
+    n, stride, dt, record_state = spec.steps(), spec.record_stride, spec.dt, spec.record_state
     ts = [0.0]
     states = [x] if record_state else None
     seen = [observe(x)] if observe else None
@@ -249,17 +250,17 @@ def _start(x0, size, what, omega, spec):
     return x, _beat_period(omega)
 
 
-def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
+def integrate_full(model, eps, x0, spec):
     """Integrate the coupled system at coupling strength ``eps``.
 
     When the model names a ``pair``, the unwrapped angle between its two
     oscillators is recorded alongside the trajectory.  A non-finite state
-    stops the run early and flags the record.  With ``until_t01`` the run
-    also ends once ``measure_T01`` of the record can no longer change (see
-    ``_until_decided``); it needs a model with a pair (``ConfigError``).
+    stops the run early and flags the record.  The spec says what is
+    recorded and whether the run ends at T01; ``until_t01`` needs a model
+    with a pair (``ConfigError``).
     """
     pair = model.pair
-    if until_t01 and pair is None:
+    if spec.until_t01 and pair is None:
         raise ConfigError("until_t01 needs a model that names the pair whose angle T01 times")
     x, beat = _start(x0, model.M, "state", model.omega, spec)
     rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
@@ -273,27 +274,26 @@ def integrate_full(model, eps, x0, spec, record_state=True, until_t01=False):
     observe = stop = None
     if pair is not None:
         step, observe = _unwrapped_pair_angle(step, state, pair)
-        if until_t01:
+        if spec.until_t01:
             stop = _until_decided(observe(state), beat, spec)
-    ts, states, angles, failed = _march(step, state, spec, record_state=record_state,
-                                        observe=observe, stop=stop)
+    ts, states, angles, failed = _march(step, state, spec, observe, stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
-        states=np.asarray(states).view(float) if record_state else None,
+        states=np.asarray(states).view(float) if spec.record_state else None,
         phi_hat=np.asarray(angles) if pair is not None else None,
         failed=failed,
         meta={"beat_period": beat, "pair": pair},
     )
 
 
-def integrate_reduced(result, eps, phi0, spec, pair, until_t01=False):
+def integrate_reduced(result, eps, phi0, spec, pair):
     """Integrate the reduced phase flow ``dphi/dt = omega + sum eps^j f_j``.
 
     Angles are stored unwrapped (the phase fields are 2 pi periodic, so
     real-line phases are fine).  The recorded observable is the phase
     difference ``phi_i - phi_j`` of the ``pair`` ``(i, j)``, shifted by a
     multiple of 2 pi so that it starts in (-pi, pi] like the full record's
-    pair angle.  ``until_t01`` ends the run as in ``integrate_full``.
+    pair angle.  The spec's policy acts as in ``integrate_full``.
 
     The phases step as Python floats in the one ``_march`` loop: bit for bit
     as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
@@ -306,12 +306,12 @@ def integrate_reduced(result, eps, phi0, spec, pair, until_t01=False):
     def observe(p):
         return (p[i_idx] - p[j_idx]) - shift
 
-    stop = _until_decided(observe(phi), beat, spec) if until_t01 else None
+    stop = _until_decided(observe(phi), beat, spec) if spec.until_t01 else None
     step = _phase_step(omega, result.phase_field(eps), spec)
-    ts, phis, phi_hat, failed = _march(step, tuple(phi.tolist()), spec, observe=observe, stop=stop)
+    ts, phis, phi_hat, failed = _march(step, tuple(phi.tolist()), spec, observe, stop)
     return TrajectoryRecord(
         t=np.asarray(ts),
-        states=np.asarray(phis),
+        states=np.asarray(phis) if spec.record_state else None,
         phi_hat=np.asarray(phi_hat),
         kind="reduced",
         failed=failed,
@@ -421,19 +421,19 @@ class SweepResult:
 def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     """Measure the decay time across coupling strengths.
 
-    Every run starts from the same initial state.  The horizon grows
-    like ``eps^-2`` away from the largest coupling, matching the slow
-    timescale.  Each lane stops at the recorded sample that closes its
-    first stretch of ``wn`` samples at or below the T01 threshold, where
-    T01's forward window ``[i, i + wn - 1]`` ends, so T01 and raw T01
-    equal those of the full horizon (see ``measure_T01``).  A lane that
-    never closes such a stretch steps its whole horizon; one that would
-    blow up only after its stop reports its T01 instead of NaN.  Lanes
-    run in list order.  A model without a ``pair``, an ``x0`` that is not
-    a state of the model and an in-phase pair raise ``ConfigError`` before
-    any stepping.  Passing a :class:`ReductionResult` sweeps the reduced
-    flow of the model's pair, from the phases of ``x0``, instead of the
-    full system.
+    Every lane starts from the same initial state, records no states and
+    runs ``until_t01``; its horizon grows like ``eps^-2`` away from the
+    largest coupling, matching the slow timescale.  Each lane stops at the
+    recorded sample that closes its first stretch of ``wn`` samples at or
+    below the T01 threshold, where T01's forward window ``[i, i + wn - 1]``
+    ends, so T01 and raw T01 equal those of the full horizon (see
+    ``measure_T01``).  A lane that never closes such a stretch steps its
+    whole horizon; one that would blow up only after its stop reports its
+    T01 instead of NaN.  Lanes run in list order.  A model without a ``pair``,
+    an ``x0`` that is not a state of the model and an in-phase pair raise
+    ``ConfigError`` before any stepping.  Passing a :class:`ReductionResult`
+    sweeps the reduced flow of the model's pair, from the phases of ``x0``,
+    instead of the full system.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
@@ -448,11 +448,12 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
     phi0 = phases_from_state(x0) if reduction is not None else None
 
     def run(eps):
-        run_spec = replace(spec, t_end=spec.t_end * (eps_ref / eps) ** 2)
+        run_spec = replace(spec, t_end=spec.t_end * (eps_ref / eps) ** 2,
+                           record_state=False, until_t01=True)
         if reduction is not None:
-            rec = integrate_reduced(reduction, eps, phi0, run_spec, model.pair, until_t01=True)
+            rec = integrate_reduced(reduction, eps, phi0, run_spec, model.pair)
         else:
-            rec = integrate_full(model, eps, x0, run_spec, record_state=False, until_t01=True)
+            rec = integrate_full(model, eps, x0, run_spec)
         if rec.failed:
             return float("nan"), float("nan")
         return measure_T01(rec), measure_T01(rec, use_envelope=False)

@@ -140,7 +140,7 @@ def test_floquet_exponents_stuart_landau():
 
 def test_cycle_bundle_keeps_the_sign_of_a_clockwise_frequency():
     p = StuartLandauParams(1.0, -3.0, -1.0, 1.0)
-    bundle = cycle_bundle(stuart_landau_cycle(p))
+    bundle = cycle_bundle(stuart_landau_cycle(p), K=8.0)
     assert p.frequency == -2.0
     assert np.allclose(bundle.omega, [p.frequency], rtol=0.0, atol=1e-12)
 
@@ -155,13 +155,13 @@ def test_floquet_rejects_double_unit_eigenvalue():
 
     field = SmoothMap(lambda x: np.stack([-x[..., 1], x[..., 0]], axis=-1), jac=jac)
     with pytest.raises(HyperbolicityError):
-        cycle_bundle(unit_circle(field, 2))
+        cycle_bundle(unit_circle(field, 2), K=8.0)
 
 
 def test_floquet_rejects_negative_real_eigenvalue():
     # The Mobius band has no real fibre frame on a single cover.
     with pytest.raises(NumericalError):
-        cycle_bundle(unit_circle(twisted_field(0.5, 0.5), 3))
+        cycle_bundle(unit_circle(twisted_field(0.5, 0.5), 3), K=8.0)
 
 
 def test_cycle_bundle_rejects_a_start_far_off_the_cycle():
@@ -171,11 +171,11 @@ def test_cycle_bundle_rejects_a_start_far_off_the_cycle():
     orbit = FourierMap.harmonic(1, (1,), np.array([1.5, -1.5j]))
     start = LimitCycle(orbit, SET1.frequency, stuart_landau_field(SET1))
     with pytest.raises(NumericalError, match="Newton does not converge"):
-        cycle_bundle(start)
+        cycle_bundle(start, K=8.0)
 
 
 def test_cycle_bundle_builds_a_real_frame_from_a_conjugate_pair():
-    bundle = cycle_bundle(unit_circle(twisted_field(0.0, 0.3), 3))
+    bundle = cycle_bundle(unit_circle(twisted_field(0.0, 0.3), 3), K=8.0)
     assert np.allclose(np.sort_complex(np.linalg.eigvals(bundle.L)), [-1.5 - 0.3j, -1.5 + 0.3j],
                        atol=1e-12)
     assert abs(bundle.diagnostics["neutral_exponent"]) <= 1e-12
@@ -318,7 +318,7 @@ def test_cycle_bundle_requires_full_fibre_rank():
         return out
 
     with pytest.raises(HyperbolicityError):
-        cycle_bundle(unit_circle(SmoothMap(fun, jac=jac), 3, w=SET1.frequency))
+        cycle_bundle(unit_circle(SmoothMap(fun, jac=jac), 3, w=SET1.frequency), K=8.0)
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +326,7 @@ def test_cycle_bundle_requires_full_fibre_rank():
 
 
 def test_product_bundle_single_is_identity():
-    b = sl_bundle(SET1)
+    b = sl_bundle(SET1, K=4.0)
     assert product_bundle([b]) is b
 
 
@@ -351,7 +351,7 @@ def test_chain_product_passes_the_strict_bundle_check(preset, K):
 def test_product_bundle_eigenvalues_union():
     p = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
     q = StuartLandauParams(0.5, 2.0, -2.0, 1.0)
-    prod = product_bundle([sl_bundle(p), sl_bundle(q)])
+    prod = product_bundle([sl_bundle(p, K=4.0), sl_bundle(q, K=4.0)])
     eigs = np.sort(np.linalg.eigvals(prod.L).real)
     expected = np.sort([p.floquet_exponent, q.floquet_exponent])
     assert np.allclose(eigs, expected, atol=1e-12)
@@ -397,19 +397,19 @@ def test_torus_bundle_rejects_fibre_data_of_the_wrong_shape():
 
 def test_bundle_check_and_cycle_require_their_field():
     with pytest.raises(TypeError):
-        validate_bundle(sl_bundle(SET1))
+        validate_bundle(sl_bundle(SET1, K=4.0))
     cycle = stuart_landau_cycle(SET1)
     with pytest.raises(TypeError):
         LimitCycle(cycle.orbit, cycle.omega)
     with pytest.raises(ValueError, match="Jacobian"):
-        cycle_bundle(cycle._replace(field=SmoothMap(cycle.field.fun)))
+        cycle_bundle(cycle._replace(field=SmoothMap(cycle.field.fun)), K=8.0)
     # A field without a Jacobian is named, by the check and by a reduction it starts.
     bare = SmoothMap(cycle.field.fun, cycle.field.derivs, degree=cycle.field.degree)
     with pytest.raises(ValueError, match="must carry a Jacobian evaluator"):
-        validate_bundle(sl_bundle(SET1), bare)
+        validate_bundle(sl_bundle(SET1, K=4.0), bare)
     model = OscillatorModel(dims=[2], F0=bare, perturbations=[], omega=[SET1.frequency])
     with pytest.raises(ValueError, match="must carry a Jacobian evaluator"):
-        phase_reduce(model, sl_bundle(SET1), order=1)
+        phase_reduce(model, sl_bundle(SET1, K=4.0), order=1)
 
 
 @pytest.mark.parametrize("broken,what", [("fun", "torus"), ("jac", "fibre")])
@@ -421,11 +421,11 @@ def test_bundle_check_fails_closed_on_a_nan_field(broken, what):
     parts[broken] = lambda x: np.full_like(good(x), np.nan)
     nan_field = SmoothMap(parts["fun"], field.derivs, jac=parts["jac"], degree=field.degree)
     with pytest.raises(InvarianceError, match=f"{what} invariance"):
-        validate_bundle(sl_bundle(SET1), nan_field)
+        validate_bundle(sl_bundle(SET1, K=4.0), nan_field)
 
 
 def test_a_nan_floquet_matrix_is_not_hyperbolic():
-    b = sl_bundle(SET1)
+    b = sl_bundle(SET1, K=4.0)
     nan_L = TorusBundle(b.e0, b.omega, b.N, np.full_like(b.L, np.nan))
     with pytest.raises(HyperbolicityError, match="not hyperbolic"):
         validate_bundle(nan_L, stuart_landau_field(SET1))

@@ -46,7 +46,7 @@ def test_sl_bundle_checks_on_the_circle_floor(sampled_shapes, K):
 
 def test_sl_bundle_closed_forms():
     p = StuartLandauParams(1.0, 1.0, -1.0, 1.0)
-    b = sl_bundle(p)
+    b = sl_bundle(p, K=4.0)
     assert np.allclose(b.e0.eval(np.array([0.0])), [p.radius, 0.0], atol=1e-14)
     assert np.allclose(b.N.eval(np.array([0.0]))[:, 0], [p.gamma, p.delta], atol=1e-14)
     assert b.L[0, 0] == pytest.approx(-2.0)
@@ -59,7 +59,7 @@ def test_chain_model_frequencies_and_coupling():
     assert np.allclose(model.omega, [2.0, 1.0, 2.0])
     assert model.M == 6 and model.m == 3
 
-    bundle = chain_bundle(cfg)
+    bundle = chain_bundle(cfg, K=8.0)
     rng = np.random.default_rng(1)
     for phi in rng.uniform(0, 2 * np.pi, size=(5, 3)):
         x = bundle.e0.eval(phi)
@@ -146,7 +146,7 @@ def test_chain_constant_simplifies_when_cross_terms_cancel(trial):
 def test_uncoupled_flow_preserves_radii():
     cfg = ChainConfig(**SET1)
     model = chain_model(cfg)
-    bundle = chain_bundle(cfg)
+    bundle = chain_bundle(cfg, K=8.0)
     phi = np.array([0.3, 1.2, -0.7])
     x = bundle.e0.eval(phi)
     T = 2 * np.pi  # common period of the (2, 1, 2) frequencies

@@ -1,3 +1,4 @@
+import inspect
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -253,21 +254,67 @@ def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
     sw = sweep_epsilon(model, x0, eps, spec, reduction=reduction)
     assert np.all(sw.converged)
     for e, t01, t01_raw in zip(eps, sw.t01, sw.t01_raw):
-        lane = replace(spec, t_end=spec.t_end * (float(np.max(eps)) / float(e)) ** 2)
+        lane = replace(spec, t_end=spec.t_end * (float(np.max(eps)) / float(e)) ** 2,
+                       record_state=False)
         if reduction is None:
-            def run(**kw):
-                return integrate_full(model, float(e), x0, lane, record_state=False, **kw)
+            def run(run_spec):
+                return integrate_full(model, float(e), x0, run_spec)
         else:
-            def run(**kw):
-                return integrate_reduced(reduction, float(e), phases_from_state(x0), lane,
-                                         model.pair, **kw)
-        full, stopped = run(), run(until_t01=True)
+            def run(run_spec):
+                return integrate_reduced(reduction, float(e), phases_from_state(x0), run_spec,
+                                         model.pair)
+        full, stopped = run(lane), run(replace(lane, until_t01=True))
         assert t01 == measure_T01(full)
         assert t01_raw == measure_T01(full, use_envelope=False)
         assert np.array_equal(stopped.t, full.t[:len(stopped.t)])
         assert np.array_equal(stopped.phi_hat, full.phi_hat[:len(stopped.t)])
         wn = int(np.ceil(full.meta["beat_period"] / (stride * spec.dt)))
         assert len(stopped.t) == np.flatnonzero(full.t == t01)[0] + wn < len(full.t)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_sweep_lanes_keep_no_states(monkeypatch, chain1, reduced1, kind):
+    # Both lane kinds run on one spec that records no states.
+    cfg, model = chain1
+    name = "integrate_full" if kind == "full" else "integrate_reduced"
+    integrate, records = getattr(sim, name), []
+
+    def spy(*args, **kwargs):
+        records.append(integrate(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(sim, name, spy)
+    sw = sweep_epsilon(model, np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.5]), [0.15, 0.2],
+                       IntegratorSpec("euler", 0.05, 400.0),
+                       reduction=reduced1 if kind == "reduced" else None)
+    assert np.all(sw.converged) and len(records) == 2
+    assert all(rec.states is None for rec in records)
+
+
+def test_reduced_run_without_states_records_the_same_times_and_angles(reduced1):
+    spec = IntegratorSpec("rk4", 0.05, 50.0, record_stride=3)
+    phi0 = phases_from_state(START["set1"])
+    kept, dropped = (integrate_reduced(reduced1, 0.1, phi0, replace(spec, record_state=keep),
+                                       (0, 2)) for keep in (True, False))
+    assert kept.states.shape == (len(kept.t), 3) and dropped.states is None
+    assert kept.t.tobytes() == dropped.t.tobytes()
+    assert kept.phi_hat.tobytes() == dropped.phi_hat.tobytes()
+
+
+def test_the_run_policy_lives_in_the_spec_alone():
+    # What a run records and when it stops is read from IntegratorSpec.
+    for name, fn in vars(sim).items():
+        if inspect.isfunction(fn) and fn.__module__ == sim.__name__:
+            params = inspect.signature(fn).parameters
+            assert not {"record_state", "until_t01"} & set(params), name
+    assert all(p.default is p.empty for p in inspect.signature(_march).parameters.values())
+
+
+@pytest.mark.parametrize("stride", [2.5, 0.5, 0, -1, np.nan, np.inf])
+def test_integrator_spec_needs_a_whole_record_stride(stride):
+    with pytest.raises(ConfigError, match="record_stride must be a whole number"):
+        IntegratorSpec("euler", 0.05, 1.0, record_stride=stride)
+    assert IntegratorSpec("euler", 0.05, 1.0, record_stride=2.0).record_stride == 2
 
 
 @pytest.mark.parametrize("n,window", [(50, 0.5), (50, 3.7), (50, 100.0), (1, 3.7)],
@@ -283,10 +330,10 @@ def test_envelope_matches_a_running_maximum_oracle(n, window):
 def synthetic_lane(signal, stride, stop):
     # The state counts time exactly (dt = 0.25) and the observable is
     # signal(t); the envelope window is 5 time units.
-    spec = IntegratorSpec("euler", 0.25, 100.0, record_stride=stride)
+    spec = IntegratorSpec("euler", 0.25, 100.0, record_stride=stride, record_state=False)
     hook = _until_decided(signal(0.0), 5.0, spec) if stop else None
     ts, _, seen, _ = _march(lambda x: x + spec.dt * np.ones(1), np.zeros(1), spec,
-                            record_state=False, observe=lambda x: signal(x[0]), stop=hook)
+                            lambda x: signal(x[0]), hook)
     return TrajectoryRecord(np.asarray(ts), None, np.asarray(seen), meta={"beat_period": 5.0})
 
 
@@ -357,8 +404,8 @@ def test_integrate_full_until_t01_needs_a_pair_before_stepping(monkeypatch, chai
     unpaired = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
                                omega=model.omega)
     with pytest.raises(ConfigError, match="names the pair"):
-        integrate_full(unpaired, 0.1, START["set1"], IntegratorSpec("euler", 0.05, 1500.0),
-                       record_state=False, until_t01=True)
+        integrate_full(unpaired, 0.1, START["set1"],
+                       IntegratorSpec("euler", 0.05, 1500.0, record_state=False, until_t01=True))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -509,7 +556,7 @@ def test_reduced_blowup_stops_where_the_numpy_field_does(reduced1, bad, scheme):
     spec = IntegratorSpec(scheme, 0.05, 50.0)
     with np.errstate(over="ignore", invalid="ignore"):
         result = reduced_flow(reduced1.omega, FourierMap(3, series.K, (series.keys, values), (3,)))
-        ts, states, _, failed = _march(numpy_phase_step(result, 0.1, spec), phi0, spec)
+        ts, states, _, failed = _march(numpy_phase_step(result, 0.1, spec), phi0, spec, None, None)
     rec = integrate_reduced(result, 0.1, phi0, spec, (0, 2))
     assert rec.failed and failed
     assert (len(rec.t) > 1) == (bad == "overflow")
@@ -553,8 +600,8 @@ def test_reduced_tracks_full_system(chain1, reduced1):
     cfg, model = chain1
     eps = 0.1
     x0 = np.array([-1.0, 0.0, 1.0, 0.4, -1.0, 0.3])
-    spec = IntegratorSpec("rk4", 0.01, 500.0, record_stride=10)
-    full = integrate_full(model, eps, x0, spec, record_state=False)
+    spec = IntegratorSpec("rk4", 0.01, 500.0, record_stride=10, record_state=False)
+    full = integrate_full(model, eps, x0, spec)
     red = integrate_reduced(reduced1, eps, phases_from_state(x0), spec, model.pair)
     assert np.allclose(full.t, red.t)
     gap = np.abs(full.phi_hat - red.phi_hat)
@@ -663,8 +710,8 @@ def test_trajectory_csv_writes_the_bytes_of_a_per_row_writer(tmp_path, chain1, r
     spec = IntegratorSpec("euler", 0.05, 1.0)
     record = {
         "chain": lambda: integrate_full(model, 0.1, START["set1"], spec),
-        "chain without states": lambda: integrate_full(model, 0.1, START["set1"], spec,
-                                                       record_state=False),
+        "chain without states": lambda: integrate_full(model, 0.1, START["set1"],
+                                                       replace(spec, record_state=False)),
         "reduced": lambda: integrate_reduced(reduced1, 0.1, phases_from_state(START["set1"]),
                                              spec, model.pair),
         "special values": lambda: TrajectoryRecord(

@@ -5,8 +5,11 @@ the ``src/`` next to it.
 
 Size: the line count of ``src/torusred/*.py``, the number of defaulted
 parameters, counted as ``len(args.defaults)`` plus the non-None
-``kw_defaults`` of every ``def`` found by ``ast.walk``, and the number of
-public names, ``len(torusred.__all__)``.
+``kw_defaults`` of every ``def`` found by ``ast.walk``, the number of
+defaulted fields, the annotated assignments with a value in the body of
+every ``class`` (dataclass and ``NamedTuple`` fields with a default), and
+the number of public names, ``len(torusred.__all__)``.  Counting fields
+too keeps a parameter moved into a config object from reading as a cut.
 
 Artifacts: the first 16 hex digits of the sha256 of every file the CLI
 writes for set-1 ``reduce`` at (J, K) = (2, 8), (3, 8), (4, 8), (4, 12),
@@ -69,6 +72,16 @@ def defaulted_parameters():
     return count
 
 
+def defaulted_fields():
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
 def public_names():
     import torusred
 
@@ -126,6 +139,7 @@ def main():
     sys.path.insert(0, str(ROOT / "src"))
     print(f"src lines: {src_lines()}")
     print(f"defaulted parameters: {defaulted_parameters()}")
+    print(f"defaulted fields: {defaulted_fields()}")
     print(f"public names: {public_names()}")
     shutil.rmtree(OUT, ignore_errors=True)
     OUT.mkdir()
