@@ -3,18 +3,19 @@
 Solves a Stuart-Landau orbit by Newton in Fourier collocation, reads its
 Floquet exponents and fibre frame off the spectrum of the linearised
 collocation operator, compares them against the analytic bundle, and
-repeats the exercise for a relaxation-type planar cycle found by
-shooting.
+repeats the exercise for the van der Pol cycle, continued in its
+parameter from a harmonic start.
 """
 
 import numpy as np
 
 from torusred import (
+    FourierMap,
+    LimitCycle,
     SmoothMap,
     StuartLandauParams,
     TorusGrid,
     cycle_bundle,
-    find_limit_cycle,
     sl_bundle,
     stuart_landau_cycle,
 )
@@ -38,34 +39,36 @@ angle = fibre_angle(grid.sample(numeric.N)[..., 0], grid.sample(analytic.N)[...,
 print("max fibre subspace angle vs analytic:", angle)
 print("bundle diagnostics:", numeric.diagnostics)
 
-# A planar relaxation-type cycle: locate it by settling and timing a
-# return, polish it in collocation, then check the nontrivial exponent
-# against the average divergence along the orbit.  Its harmonics decay
-# slowly, so its bundle needs a wide truncation radius.
-mu = 1.0
+# A planar relaxation-type cycle: solve van der Pol at mu = 1 from the
+# harmonic start 2 cos(phi), then continue it to mu = 2, where Newton from
+# that start diverges: each solved bundle starts the next.  Check the
+# nontrivial exponent against the average divergence along the orbit.
+# Its harmonics decay slowly, so its bundle needs a wide truncation radius.
 
 
-def vdp_fun(x):
-    x = np.asarray(x, dtype=float)
-    return np.stack([x[..., 1], mu * (1 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]], axis=-1)
+def vdp_field(mu):
+    def fun(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([x[..., 1], mu * (1 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]], axis=-1)
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 1] = 1.0
+        out[..., 1, 0] = -2 * mu * x[..., 0] * x[..., 1] - 1.0
+        out[..., 1, 1] = mu * (1 - x[..., 0] ** 2)
+        return out
+
+    return SmoothMap(fun, jac=jac)
 
 
-def vdp_jac(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (2, 2))
-    out[..., 0, 1] = 1.0
-    out[..., 1, 0] = -2 * mu * x[..., 0] * x[..., 1] - 1.0
-    out[..., 1, 1] = mu * (1 - x[..., 0] ** 2)
-    return out
-
-
-relax = find_limit_cycle(SmoothMap(vdp_fun, jac=vdp_jac), np.array([2.0, 0.0]),
-                         t_transient=60.0)
-print("\nrelaxation cycle period:", 2 * np.pi / abs(relax.omega))
-vdp = cycle_bundle(relax, K=48.0)
-print(f"collocation: {vdp.diagnostics['nodes']} nodes, "
-      f"{vdp.diagnostics['newton_iterations']} Newton steps, "
-      f"period {2 * np.pi / abs(vdp.omega[0])}")
-# The phase runs at a constant rate, so the time average is the phase average.
-div_avg = float(np.mean(mu * (1 - TorusGrid(1, (256,)).sample(vdp.e0)[:, 0] ** 2)))
-print("exponents:", exponents(vdp), " orbit-averaged divergence:", div_avg)
+orbit, omega = FourierMap.harmonic(1, (1,), [1, 1j]), 1.0  # x = 2 cos(phi), y = x'
+for mu in (1.0, 2.0):
+    vdp = cycle_bundle(LimitCycle(orbit, omega, vdp_field(mu)), K=96.0)
+    # The phase runs at a constant rate, so the time average is the phase average.
+    div_avg = float(np.mean(mu * (1 - TorusGrid(1, (256,)).sample(vdp.e0)[:, 0] ** 2)))
+    print(f"\nrelaxation cycle, mu = {mu}: period {2 * np.pi / abs(vdp.omega[0])}, "
+          f"{vdp.diagnostics['newton_iterations']} Newton steps on "
+          f"{vdp.diagnostics['nodes']} nodes")
+    print("exponents:", exponents(vdp), " orbit-averaged divergence:", div_avg)
+    orbit, omega = vdp.e0, vdp.omega[0]  # the next stage starts from this cycle

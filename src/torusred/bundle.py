@@ -32,28 +32,12 @@ __all__ = [
     "cycle_bundle",
     "product_bundle",
     "validate_bundle",
-    "find_limit_cycle",
 ]
 
-CYCLE_SAMPLES = 2048  # RK4 steps over one period of a cycle found by shooting
 COND_THRESHOLD = 1e10  # largest admissible condition number of a frame
 EXPONENT_GAP = 1e-6  # Floquet exponents closer than this to the axis are neutral
 NEWTON_STEPS = 12  # Newton steps a cycle solve may take
 NEWTON_TOL = 1e-12  # collocation residual, relative to the field, of a solved cycle
-
-# find_limit_cycle: RK4 step, radius around the landing point in which a
-# section crossing counts as a return, and the longest period searched.
-RETURN_DT = 2e-3
-RETURN_RADIUS = 0.5
-RETURN_MAX_TIME = 200.0
-
-
-def _rk4_step(f, x, dt):
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class LimitCycle(NamedTuple):
@@ -61,60 +45,13 @@ class LimitCycle(NamedTuple):
 
     ``orbit`` is a Fourier series on the circle with values in R^M,
     traversed at the signed angular frequency ``omega``: the state at
-    time ``t`` is ``orbit(omega t)``.
+    time ``t`` is ``orbit(omega t)``.  A solved bundle ``b`` starts the
+    cycle of a nearby field: ``LimitCycle(b.e0, b.omega[0], next_field)``.
     """
 
     orbit: FourierMap
     omega: float
     field: SmoothMap
-
-
-def find_limit_cycle(field, x0, t_transient):
-    """Locate a stable limit cycle by settling onto it and timing a return.
-
-    Integrates a transient, drops a Poincare section through the landing
-    point orthogonal to the flow, and refines the first same-direction
-    return with Newton steps on the crossing time.  The start it returns
-    is the projection of ``CYCLE_SAMPLES`` RK4 samples of one period.
-    """
-    dt = RETURN_DT
-    x = np.asarray(x0, dtype=float)
-    for _ in range(int(round(t_transient / dt))):
-        x = _rk4_step(field.fun, x, dt)
-    n = field.fun(x)
-    p, n = x, n / np.linalg.norm(n)
-
-    def section(y):
-        return float(np.dot(n, y - p))
-
-    t, x, prev, period = 0.0, p, 0.0, None
-    while t < RETURN_MAX_TIME:
-        x_new = _rk4_step(field.fun, x, dt)
-        t_new = t + dt
-        cur = section(x_new)
-        crossed = prev < 0.0 <= cur and np.linalg.norm(x_new - p) < RETURN_RADIUS
-        if crossed and t > dt:
-            tau, y = 0.0, x
-            for _ in range(8):
-                tau -= section(y) / float(np.dot(n, field.fun(y)))
-                y = _rk4_step(field.fun, x, tau)
-                if abs(section(y)) < 1e-13:
-                    break
-            period = t + tau
-            break
-        prev, x, t = cur, x_new, t_new
-    if period is None:
-        raise NumericalError("no return to the section found; not a (stable) cycle?")
-    dt, samples = period / CYCLE_SAMPLES, [p]
-    for _ in range(CYCLE_SAMPLES - 1):
-        samples.append(_rk4_step(field.fun, samples[-1], dt))
-    grid = TorusGrid(1, (CYCLE_SAMPLES,))
-    return LimitCycle(grid.project(np.array(samples), grid.max_freq()[0]), 2.0 * math.pi / period,
-                      field)
-
-
-# ----------------------------------------------------------------------
-# bundles
 
 
 class TorusBundle:
@@ -298,7 +235,10 @@ def cycle_bundle(cycle, K):
     come from the spectrum of ``omega D - F'(X)``; the bundle is validated
     against the cycle's field on the check grid.  The node values solve both
     invariance equations, so the bundle fails one only through the harmonics
-    between ``K`` and ``n // 2`` that it drops ("raise K").
+    between ``K`` and ``n // 2`` that it drops ("raise K").  Where Newton
+    diverges from a crude start, continue in a parameter of the field:
+    each solved bundle ``b`` starts the next, ``LimitCycle(b.e0, b.omega[0],
+    next_field)``.
     """
     field = cycle.field
     if field.jac is None:

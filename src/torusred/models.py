@@ -272,7 +272,7 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
     g1, g2 = complex(cub[0]), complex(cub[1])
 
     def fast_step(eps, scheme, dt):
-        # Scalar complex arithmetic in _rk4_step's order of operations.
+        # Scalar complex arithmetic in sim._rk4_step's order of operations.
         def field(z1, z2, z3):
             return (l1 * z1 + g1 * (z1.real * z1.real + z1.imag * z1.imag) * z1 + eps * z2,
                     l2 * z2 + g2 * (z2.real * z2.real + z2.imag * z2.imag) * z2 + eps * z1,

@@ -3,11 +3,9 @@ import pytest
 
 import torusred.bundle as bundle_module
 from torusred.bundle import (
-    CYCLE_SAMPLES,
     LimitCycle,
     TorusBundle,
     cycle_bundle,
-    find_limit_cycle,
     product_bundle,
     validate_bundle,
 )
@@ -216,29 +214,33 @@ def vdp_field(mu=1.0):
     return SmoothMap(fun, derivs=(d1, d2, d3, d4), jac=jac)
 
 
+def vdp_start(mu):
+    """The harmonic start ``x = 2 cos(phi)``, ``y = x'``, at frequency 1."""
+    return LimitCycle(FourierMap.harmonic(1, (1,), np.array([1.0, 1.0j])), 1.0, vdp_field(mu))
+
+
 @pytest.fixture(scope="module")
-def vdp_cycle():
-    return find_limit_cycle(vdp_field(1.0), np.array([2.0, 0.0]), t_transient=60.0)
+def vdp_bundle():
+    return cycle_bundle(vdp_start(1.0), K=48.0)
 
 
-def test_floquet_exponent_matches_divergence_average(vdp_cycle):
+def test_floquet_exponent_matches_divergence_average(vdp_bundle):
     # Liouville oracle: the exponent sum equals the time average of div F
     # along the orbit; with one exponent zero, the other is that average.
+    # The phase runs at a constant rate, so the time average is the phase average.
     mu = 1.0
-    bundle = cycle_bundle(vdp_cycle, K=48.0)
-    nontrivial = exponents(bundle)[0]
-    div = mu * (1 - TorusGrid(1, (CYCLE_SAMPLES,)).sample(vdp_cycle.orbit)[:, 0] ** 2)
+    nontrivial = exponents(vdp_bundle)[0]
+    div = mu * (1 - TorusGrid(1, (256,)).sample(vdp_bundle.e0)[:, 0] ** 2)
     assert abs(nontrivial - div.mean()) <= 1e-4
 
 
-def test_van_der_pol_exponent_matches_the_variational_value(vdp_cycle):
+def test_van_der_pol_exponent_matches_the_variational_value(vdp_bundle):
     # -1.0593769948 is the exponent of the RK4 variational (monodromy) route.
-    bundle = cycle_bundle(vdp_cycle, K=48.0)
-    assert abs(exponents(bundle)[0] - (-1.0593769948)) <= 1e-9
-    assert bundle.diagnostics["nodes"] == 145 and bundle.diagnostics["tail_mass"] <= 1e-9
+    assert abs(exponents(vdp_bundle)[0] - (-1.0593769948)) <= 1e-9
+    assert vdp_bundle.diagnostics["nodes"] == 145 and vdp_bundle.diagnostics["tail_mass"] <= 1e-9
 
 
-def test_undersized_node_count_is_rejected_by_the_tail_check(vdp_cycle, monkeypatch):
+def test_undersized_node_count_is_rejected_by_the_tail_check(monkeypatch):
     # At K = 16 the cycle is solved on 49 nodes.  Newton converges there, but
     # 1.5e-6 of the mass sits on the two outermost shells: the residual
     # cannot see truncation, the tail can, and one solve decides.
@@ -250,14 +252,32 @@ def test_undersized_node_count_is_rejected_by_the_tail_check(vdp_cycle, monkeypa
 
     monkeypatch.setattr(bundle_module, "_solve_cycle", spy)
     with pytest.raises(TruncationSaturationError, match="'cycle'.*raise K") as err:
-        cycle_bundle(vdp_cycle, K=16.0)
+        cycle_bundle(vdp_start(1.0), K=16.0)
     assert nodes == [49]
     assert err.value.K == 16.0 and err.value.shell_mass > bundle_module.SATURATION_TOL
 
 
-def vdp_start(mu):
-    """The harmonic start ``x = 2 cos(phi)``, ``y = x'``, at frequency 1."""
-    return LimitCycle(FourierMap.harmonic(1, (1,), np.array([1.0, 1.0j])), 1.0, vdp_field(mu))
+def test_harmonic_start_diverges_on_the_relaxation_cycle():
+    with pytest.raises(NumericalError, match="Newton does not converge"):
+        cycle_bundle(vdp_start(2.0), K=96.0)
+
+
+def test_continuation_in_mu_reaches_the_relaxation_cycle():
+    # The mu = 1 bundle starts mu = 2, which the harmonic start misses.
+    b1 = cycle_bundle(vdp_start(1.0), K=96.0)
+    b2 = cycle_bundle(LimitCycle(b1.e0, b1.omega[0], vdp_field(2.0)), K=96.0)
+    for mu, b in ((1.0, b1), (2.0, b2)):
+        assert b.diagnostics["newton_iterations"] <= bundle_module.NEWTON_STEPS
+        assert validate_bundle(b, vdp_field(mu))["pde_residual_rel"] <= 1e-8
+
+
+def test_continued_start_still_asks_to_raise_K():
+    # The relaxation cycle at mu = 2 has more harmonics than K = 64 keeps.
+    b1 = cycle_bundle(vdp_start(1.0), K=64.0)
+    start = LimitCycle(b1.e0, b1.omega[0], vdp_field(2.0))
+    with pytest.raises(TruncationSaturationError, match="'cycle'.*raise K") as err:
+        cycle_bundle(start, K=64.0)
+    assert err.value.K == 64.0 and err.value.shell_mass > 1e-8
 
 
 @pytest.mark.parametrize("mu,K", [(1.0, 24.0), (1.0, 32.0), (1.0, 40.0), (0.3, 16.0),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
 from torusred.models import (
     ChainConfig,
@@ -12,7 +11,7 @@ from torusred.models import (
     chain_phase_constants,
     sl_bundle,
 )
-from torusred.sim import phases_from_state
+from torusred.sim import _rk4_step, phases_from_state
 
 SET1 = dict(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0, a=1.0, b=2.0, c=-1.0, d=-1.0)
 SET2 = dict(alpha=1.0, beta=0.1, gamma=-1.0, delta=1.0, a=1.0, b=6.0, c=-1.0, d=-1.0)

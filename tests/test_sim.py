@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from torusred.bundle import _rk4_step
 from torusred.errors import ConfigError
 from torusred.fourier import FourierMap, SmoothMap
 from torusred.models import (
@@ -24,6 +23,7 @@ from torusred.sim import (
     IntegratorSpec,
     TrajectoryRecord,
     _march,
+    _rk4_step,
     _until_decided,
     envelope,
     fit_powerlaw,
