@@ -67,6 +67,9 @@ class TorusBundle:
         Fast fibre map, values are M x (M-m) matrices.
     L : ndarray
         Constant hyperbolic Floquet matrix, (M-m) x (M-m).
+    factors : tuple of TorusBundle
+        The bundles of a :func:`product_bundle`, in block order; empty for
+        any other bundle.  The bundle checks read a product through them.
     """
 
     def __init__(self, e0, omega, N, L):
@@ -75,6 +78,7 @@ class TorusBundle:
         self.N = N
         self.L = np.asarray(L, dtype=float)
         self.diagnostics = {}
+        self.factors = ()
         if e0.m != self.omega.size:
             raise ValueError("frequency vector does not match torus dimension")
         r = self.M - self.m
@@ -112,6 +116,53 @@ def _hyperbolic_gap(L):
     return gap
 
 
+def _blocks(bundles):
+    """Each factor of a product of ``bundles`` with its axes, rows and fibre columns, as slices."""
+    m = M = r = 0
+    for b in bundles:
+        yield b, slice(m, m + b.m), slice(M, M + b.M), slice(r, r + b.M - b.m)
+        m, M, r = m + b.m, M + b.M, r + b.M - b.m
+
+
+def _sample_bundle(bundle, grid):
+    """``e0``, ``e0'``, ``N``, ``d_omega N`` on ``grid`` and its factors' pairs ``(e0', N)``.
+
+    A product is sampled factor by factor on each factor's own axes, and
+    each factor's samples fill its block: the bits of the product's own
+    samples, without their sums over the other factors' frequencies.  Any
+    other bundle is its one factor.
+    """
+    if not bundle.factors:
+        maps = bundle.e0, bundle.e0.jacobian(), bundle.N, d_omega(bundle.N, bundle.omega)
+        X, E, Nv, dN = map(grid.sample, maps)
+        return (X, E, Nv, dN), [(E, Nv)]
+    M, m, frames = bundle.M, bundle.m, []
+    out = tuple(np.zeros(grid.shape + shape) for shape in ((M,), (M, m), (M, M - m), (M, M - m)))
+    for b, axes, rows, cols in _blocks(bundle.factors):
+        parts, more = _sample_bundle(b, TorusGrid(b.m, grid.shape[axes]))
+        frames += more
+        others = [*range(axes.start), *range(axes.stop, m)]  # the other factors' axes
+        for full, part, block in zip(out, parts, [(rows,), (rows, axes)] + 2 * [(rows, cols)]):
+            full[(Ellipsis,) + block] = np.expand_dims(part, others)
+    return out, frames
+
+
+def _worst_condition(frames):
+    """Worst condition number on the grid of the block-diagonal frame of the ``(e0', N)`` pairs.
+
+    The blocks' angles vary independently, so it is the worst of one block's own
+    and of one block's largest singular value over another's smallest; NaN if not finite.
+    """
+    frames = [np.concatenate(pair, axis=-1) for pair in frames]
+    if not all(np.all(np.isfinite(F)) for F in frames):
+        return math.nan
+    s = [np.linalg.svd(F, compute_uv=False) for F in frames]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = np.array([[np.max(si[..., 0]) / np.min(sj[..., -1]) for sj in s] for si in s])
+        np.fill_diagonal(worst, [np.max(si[..., 0] / si[..., -1]) for si in s])
+    return float(np.max(worst))
+
+
 def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     """Check the defining properties of a torus bundle on a dense grid.
 
@@ -120,22 +171,23 @@ def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     below ``COND_THRESHOLD`` at every node, which bounds each column block
     alone too), hyperbolicity of ``L``, the invariance ``e0' omega = F0 o e0``
     of the torus under the uncoupled field ``F0`` and the invariance
-    equation ``d_omega N + N L = (F0' o e0) N`` of its fibres.  Returns a
-    diagnostics dict; raises on violation, a non-finite residual included.
+    equation ``d_omega N + N L = (F0' o e0) N`` of its fibres.  A product's
+    samples and condition number come from its factors, each on its own
+    axes.  Returns a diagnostics dict; raises on violation, a non-finite
+    frame or residual included.
     """
     if F0.jac is None:
         raise ValueError("the bundle's vector field must carry a Jacobian evaluator")
     if grid is None:
         grid = spectral_grid(bundle.m, bundle.K)
-    E, Nv = grid.sample(bundle.e0.jacobian()), grid.sample(bundle.N)
-    max_cond = float(np.max(np.linalg.cond(np.concatenate([E, Nv], axis=-1))))
+    (X, E, Nv, lhs), frames = _sample_bundle(bundle, grid)
+    max_cond = _worst_condition(frames)
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
         raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
     gap = _hyperbolic_gap(bundle.L)
 
     n_scale = max(1.0, float(np.max(np.abs(Nv))))
-    lhs = grid.sample(d_omega(bundle.N, bundle.omega)) + Nv @ bundle.L
-    X = grid.sample(bundle.e0)
+    lhs += Nv @ bundle.L  # d_omega N + N L, in place: one grid-sized array fewer at the peak
     J = F0.jac(X)
     pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
     F = F0.fun(X)
@@ -269,7 +321,8 @@ def product_bundle(bundles):
 
     Frequencies concatenate; ``e0`` and ``N`` embed blockwise;
     the Floquet matrix is the block diagonal of the factors, so its
-    eigenvalue multiset is the union of theirs.
+    eigenvalue multiset is the union of theirs.  The product keeps its
+    factors, so the bundle checks read it factor by factor.
     """
     bundles = list(bundles)
     if not bundles:
@@ -282,27 +335,19 @@ def product_bundle(bundles):
     omega = np.concatenate([b.omega for b in bundles])
     L = np.zeros((r, r))
 
-    shapes = {"e0": (M,), "N": (M, r)}
-    keys = {name: [] for name in shapes}
-    values = {name: [] for name in shapes}
-    m_off = M_off = r_off = 0
-    for b in bundles:
-        bm, bM, br = b.m, b.M, b.M - b.m
-        L[r_off:r_off + br, r_off:r_off + br] = b.L
-        rows, cols = slice(M_off, M_off + bM), slice(r_off, r_off + br)
-        for name, f, block in (("e0", b.e0, (rows,)), ("N", b.N, (rows, cols))):
+    shapes, keys, values = ((M,), (M, r)), ([], []), ([], [])
+    for b, axes, rows, cols in _blocks(bundles):
+        L[cols, cols] = b.L
+        for i, (f, block) in enumerate([(b.e0, (rows,)), (b.N, (rows, cols))]):
             k = np.zeros((len(f.keys), m), dtype=np.int64)
-            k[:, m_off:m_off + bm] = f.keys
-            v = np.zeros((len(f.keys),) + shapes[name], dtype=complex)
+            k[:, axes] = f.keys
+            v = np.zeros((len(f.keys),) + shapes[i], dtype=complex)
             v[(slice(None),) + block] = f.values
-            keys[name].append(k)
-            values[name].append(v)
-        m_off, M_off, r_off = m_off + bm, M_off + bM, r_off + br
-
+            keys[i].append(k)
+            values[i].append(v)
     # Only k = 0 is shared between factors; its blocks add up in factor order.
-    e0, N = (
-        FourierMap(m, K, _sum_on_keys(np.concatenate(keys[name]), np.concatenate(values[name])),
-                   shape)
-        for name, shape in shapes.items()
-    )
-    return TorusBundle(e0, omega, N, L)
+    e0, N = (FourierMap(m, K, _sum_on_keys(np.concatenate(k), np.concatenate(v)), shape)
+             for k, v, shape in zip(keys, values, shapes))
+    product = TorusBundle(e0, omega, N, L)
+    product.factors = tuple(bundles)
+    return product

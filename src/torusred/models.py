@@ -309,8 +309,8 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
 def chain_bundle(cfg: ChainConfig, K) -> TorusBundle:
     """Analytic product bundle of the chain's three circular orbits.
 
-    ``sl_bundle`` checks each circle; a reduction checks the conditioning of
-    the product's ``[e0' | N]``, the one property the product does not inherit.
+    ``sl_bundle`` checks each circle; a reduction checks the product, whose
+    conditioning comes from the circles' singular values, each circle's against the others' too.
     """
     outer = sl_bundle(cfg.outer, K=K)
     return product_bundle([outer, sl_bundle(cfg.middle, K=K), outer])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundle import _hyperbolic_gap, validate_bundle
+from .bundle import _hyperbolic_gap, _sample_bundle, validate_bundle
 from .errors import (
     AliasingError,
     ConfigError,
@@ -271,7 +271,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     validate_bundle(bundle, F0=model.F0, grid=spectral_grid(bundle.m, max(K, bundle.K)))
     grid = reduction_grid(model, bundle, order, K)
     E_map, L_map = bundle.e0.jacobian(), FourierMap.constant(bundle.m, bundle.L)
-    frames = grid.sample(E_map), grid.sample(bundle.N)
+    (_, E, Nv, _), _ = _sample_bundle(bundle, grid)  # a product's factor by factor
     e_terms = [bundle.e0]
     f_terms, g_terms, h_terms = [], [], []
     residuals = []
@@ -282,7 +282,7 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
         _check_saturation(f"G_{j}", G, K)
         margin = _alias_margin(f"G_{j}", G, grid)
         Gv = grid.sample(G)
-        U_vals, V_vals = split_forcing(Gv, frames)
+        U_vals, V_vals = split_forcing(Gv, (E, Nv))
         U, V = grid.project(U_vals, K), grid.project(V_vals, K)
         _check_saturation(f"U_{j}", U, K)
         _check_saturation(f"V_{j}", V, K)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,16 @@ import torusred.bundle as bundle_module
 from torusred.bundle import (
     LimitCycle,
     TorusBundle,
+    _sample_bundle,
+    _worst_condition,
     cycle_bundle,
     product_bundle,
     validate_bundle,
 )
 from torusred.cli import PRESETS
 from torusred.errors import (HyperbolicityError, InvarianceError, NumericalError,
-                             TruncationSaturationError)
-from torusred.fourier import FourierMap, SmoothMap, TorusGrid, matmul, spectral_grid
+                             TransversalityError, TruncationSaturationError)
+from torusred.fourier import FourierMap, SmoothMap, TorusGrid, d_omega, matmul, spectral_grid
 from torusred.models import (
     ChainConfig,
     OscillatorModel,
@@ -375,6 +379,134 @@ def test_product_bundle_eigenvalues_union():
     eigs = np.sort(np.linalg.eigvals(prod.L).real)
     expected = np.sort([p.floquet_exponent, q.floquet_exponent])
     assert np.allclose(eigs, expected, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# a product's check, read through its factors
+
+
+def without_factors(p):
+    """The product ``p`` rebuilt as a plain bundle: the check's per-node path."""
+    return TorusBundle(p.e0, p.omega, p.N, p.L)
+
+
+def chain_case(preset, K, scale=1.0, shape=None):
+    """The preset chain's product at ``K``, its middle ``b`` and ``d`` scaled, and a grid."""
+    doc = dict(PRESETS[preset]["model"]["chain"])
+    doc["b"], doc["d"] = scale * doc["b"], scale * doc["d"]
+    grid = spectral_grid(3, K) if shape is None else TorusGrid(3, shape)
+    return chain_bundle(ChainConfig(**doc), K=K), grid
+
+
+def spectral_case(preset):
+    """The preset chain's product of circles solved in collocation at K = 8, and its grid."""
+    cfg = ChainConfig(**PRESETS[preset]["model"]["chain"])
+    outer = cycle_bundle(stuart_landau_cycle(cfg.outer), K=8.0)
+    middle = cycle_bundle(stuart_landau_cycle(cfg.middle), K=8.0)
+    return product_bundle([outer, middle, outer]), spectral_grid(3, 8.0)
+
+
+def vdp_pair_case():
+    """Two mu = 0.3 van der Pol cycles, odd harmonics to |k| = 27, on their 97^2 grid."""
+    cycle = cycle_bundle(vdp_start(0.3), K=32.0)
+    return product_bundle([cycle, cycle]), spectral_grid(2, 32.0)
+
+
+PRODUCT_CASES = {
+    **{f"{preset}-K{K:g}": partial(chain_case, preset, K)
+       for preset in ("set1", "set2") for K in (4.0, 8.0, 12.0)},
+    "set1-middle+5%": partial(chain_case, "set1", 8.0, 1.05),
+    "set1-middle-5%": partial(chain_case, "set1", 8.0, 0.95),
+    "set1-grid-13x15x17": partial(chain_case, "set1", 4.0, shape=(13, 15, 17)),
+    "set1-spectral": partial(spectral_case, "set1"),
+    "set2-spectral": partial(spectral_case, "set2"),
+    "vdp-pair": vdp_pair_case,
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_a_product_is_checked_through_its_factors_as_on_its_full_grid(case):
+    # Oracle: the product's own series sampled on the full grid, and one SVD
+    # of [e0' | N] per node of it.
+    p, grid = PRODUCT_CASES[case]()
+    samples, frames = _sample_bundle(p, grid)
+    series = p.e0, p.e0.jacobian(), p.N, d_omega(p.N, p.omega)
+    for got, f in zip(samples, series, strict=True):
+        want = grid.sample(f)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # Each factor's frame, and so its SVDs, lies on the factor's own axes only.
+    axes = np.split(np.arange(p.m), np.cumsum([b.m for b in p.factors]))
+    assert [E.shape + Nv.shape[-1:] for E, Nv in frames] == [
+        tuple(np.take(grid.shape, a)) + (b.M, b.m, b.M - b.m) for b, a in zip(p.factors, axes)]
+    E, Nv = samples[1], samples[2]
+    oracle = float(np.max(np.linalg.cond(np.concatenate([E, Nv], axis=-1))))
+    assert abs(_worst_condition(frames) - oracle) <= 1e-12 * oracle
+    assert _worst_condition(_sample_bundle(without_factors(p), grid)[1]) == oracle
+
+
+def test_a_product_reduces_to_the_bits_of_its_rebuild_without_factors():
+    cfg = ChainConfig(**PRESETS["set1"]["model"]["chain"])
+    model, p = chain_model(cfg), chain_bundle(cfg, K=8.0)
+    docs = [phase_reduce(model, b, order=2, K_nf=6.0).to_json_dict()
+            for b in (p, without_factors(p))]
+    assert docs[0] == docs[1]
+
+
+def scaled_field(field, s):
+    """``x -> s F(x / s)``: its cycles and fibres are those of ``F`` times ``s``."""
+    return SmoothMap(lambda x: s * field.fun(x / s), jac=lambda x: field.jac(x / s))
+
+
+def pair_field(f, g):
+    """``f`` on the first two coordinates and ``g`` on the last two, uncoupled."""
+    def fun(x):
+        return np.concatenate([f.fun(x[..., :2]), g.fun(x[..., 2:])], axis=-1)
+
+    def jac(x):
+        out = np.zeros(np.shape(x)[:-1] + (4, 4))
+        out[..., :2, :2], out[..., 2:, 2:] = f.jac(x[..., :2]), g.jac(x[..., 2:])
+        return out
+
+    return SmoothMap(fun, jac=jac)
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["product", "without-factors"])
+def test_a_factor_with_fibres_along_its_tangent_trips_the_transversality_guard(rebuild):
+    cfg = ChainConfig(**PRESETS["set1"]["model"]["chain"])
+    outer, middle = sl_bundle(cfg.outer, K=8.0), sl_bundle(cfg.middle, K=8.0)
+    bad = TorusBundle(middle.e0, middle.omega, middle.e0.jacobian(), middle.L)
+    p = product_bundle([outer, bad, outer])
+    with pytest.raises(TransversalityError, match="frames degenerate"):
+        validate_bundle(without_factors(p) if rebuild else p, chain_model(cfg).F0)
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["product", "without-factors"])
+def test_circles_conditioned_apart_trip_the_transversality_guard(rebuild):
+    # Each circle's frame has condition number 2.618 (the golden ratio
+    # squared), but one circle is 1e-11 the size of the other: the largest
+    # singular value of the one over the smallest of the other reads 2.618e11.
+    field, s = stuart_landau_field(SET1), 1e-11
+    b = sl_bundle(SET1, K=4.0)
+    small = TorusBundle(b.e0.scale(s), b.omega, b.N.scale(s), b.L)
+    small_field = scaled_field(field, s)
+    assert validate_bundle(b, field)["max_condition"] <= 2.62
+    assert validate_bundle(small, small_field)["max_condition"] <= 2.62
+    p = product_bundle([b, small])
+    with pytest.raises(TransversalityError, match=r"condition number 2\.618e\+11"):
+        validate_bundle(without_factors(p) if rebuild else p, pair_field(field, small_field))
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["circle", "product"])
+def test_a_non_finite_frame_trips_the_transversality_guard(product):
+    # An SVD of a NaN frame does not converge; the guard names the frame instead.
+    field, b = stuart_landau_field(SET1), sl_bundle(SET1, K=4.0)
+    values = b.N.values.copy()
+    values[0, 0, 0] = np.nan
+    bad = TorusBundle(b.e0, b.omega, FourierMap(1, b.N.K, (b.N.keys, values), (2, 1)), b.L)
+    if product:
+        bad, field = product_bundle([b, bad]), pair_field(field, field)
+    with pytest.raises(TransversalityError, match="condition number nan"):
+        validate_bundle(bad, field)
 
 
 def test_gauge_covariance_of_fibre_frame():

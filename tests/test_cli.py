@@ -6,7 +6,7 @@ import pytest
 from test_bundle import vdp_start
 from test_reduction import understated_degree
 
-from torusred.bundle import TorusBundle, cycle_bundle
+from torusred.bundle import TorusBundle, cycle_bundle, product_bundle
 from torusred.cli import (
     EXIT_ACCEPTANCE,
     EXIT_CONFIG,
@@ -21,6 +21,7 @@ from torusred.cli import (
     run,
 )
 from torusred.errors import HyperbolicityError, NumericalError
+from torusred.fourier import FourierMap
 from torusred.models import ChainConfig, chain_bundle, chain_model, chain_phase_constants
 from torusred.reduction import phase_reduce
 from torusred.sim import IntegratorSpec, integrate_full
@@ -340,6 +341,24 @@ def test_reduce_with_degenerate_frames_exits_with_numerical_error(tmp_path, caps
         return TorusBundle(b.e0, b.omega, b.e0.jacobian(), b.L)
 
     monkeypatch.setattr("torusred.cli.chain_bundle", degenerate)
+    doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 2},
+           "output_dir": str(tmp_path / "out")}
+    assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
+    assert "frames degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["product", "without-factors"])
+def test_reduce_with_a_non_finite_frame_exits_with_numerical_error(tmp_path, capsys,
+                                                                  monkeypatch, rebuild):
+    # NaN fibres of the middle circle: the frame's SVD would not converge.
+    def nan_fibres(cfg, K):
+        outer, middle, _ = chain_bundle(cfg, K=K).factors
+        N = FourierMap(1, middle.N.K, (middle.N.keys, np.full_like(middle.N.values, np.nan)),
+                       middle.N.value_shape)
+        p = product_bundle([outer, TorusBundle(middle.e0, middle.omega, N, middle.L), outer])
+        return TorusBundle(p.e0, p.omega, p.N, p.L) if rebuild else p
+
+    monkeypatch.setattr("torusred.cli.chain_bundle", nan_fibres)
     doc = {"command": "reduce", "model": SET1_MODEL, "numerics": {"K": 8, "K_nf": 6, "J": 2},
            "output_dir": str(tmp_path / "out")}
     assert run(config_path=write_config(tmp_path, doc)) == EXIT_NUMERICAL
