@@ -124,27 +124,42 @@ def _blocks(bundles):
         m, M, r = m + b.m, M + b.M, r + b.M - b.m
 
 
-def _sample_bundle(bundle, grid):
-    """``e0``, ``e0'``, ``N``, ``d_omega N`` on ``grid`` and its factors' pairs ``(e0', N)``.
+def _own_samples(bundle, grid):
+    """``e0``, ``e0'``, ``N`` and ``d_omega N`` of each factor, on its own axes of ``grid``.
 
-    A product is sampled factor by factor on each factor's own axes, and
-    each factor's samples fill its block: the bits of the product's own
-    samples, without their sums over the other factors' frequencies.  Any
-    other bundle is its one factor.
+    Any other bundle is its one factor.
     """
+    own = []
+    for b, axes, _, _ in _blocks(bundle.factors or [bundle]):
+        g = TorusGrid(b.m, grid.shape[axes])
+        own.append(tuple(map(g.sample, (b.e0, b.e0.jacobian(), b.N, d_omega(b.N, b.omega)))))
+    return own
+
+
+def _fill(bundle, own, first):
+    """The bundle's four samples on the grid nodes whose first index lies in the slice ``first``.
+
+    A product's factors fill their blocks with their ``own`` samples: the
+    bits of the product's own samples, without their sums over the other
+    factors' frequencies.  Any other bundle gives views of its samples.
+    """
+    own = [[s[first] for s in own[0]], *own[1:]]  # the first factor holds the first axis
     if not bundle.factors:
-        maps = bundle.e0, bundle.e0.jacobian(), bundle.N, d_omega(bundle.N, bundle.omega)
-        X, E, Nv, dN = map(grid.sample, maps)
-        return (X, E, Nv, dN), [(E, Nv)]
-    M, m, frames = bundle.M, bundle.m, []
-    out = tuple(np.zeros(grid.shape + shape) for shape in ((M,), (M, m), (M, M - m), (M, M - m)))
-    for b, axes, rows, cols in _blocks(bundle.factors):
-        parts, more = _sample_bundle(b, TorusGrid(b.m, grid.shape[axes]))
-        frames += more
+        return tuple(own[0])
+    M, m = bundle.M, bundle.m
+    shape = sum((X.shape[:b.m] for b, (X, *_) in zip(bundle.factors, own)), ())
+    out = tuple(np.zeros(shape + s) for s in ((M,), (M, m), (M, M - m), (M, M - m)))
+    for parts, (b, axes, rows, cols) in zip(own, _blocks(bundle.factors)):
         others = [*range(axes.start), *range(axes.stop, m)]  # the other factors' axes
         for full, part, block in zip(out, parts, [(rows,), (rows, axes)] + 2 * [(rows, cols)]):
             full[(Ellipsis,) + block] = np.expand_dims(part, others)
-    return out, frames
+    return out
+
+
+def _sample_bundle(bundle, grid):
+    """``e0``, ``e0'``, ``N``, ``d_omega N`` on ``grid`` and its factors' pairs ``(e0', N)``."""
+    own = _own_samples(bundle, grid)
+    return _fill(bundle, own, slice(None)), [s[1:3] for s in own]
 
 
 def _worst_condition(frames):
@@ -166,32 +181,38 @@ def _worst_condition(frames):
 def validate_bundle(bundle, F0, grid=None, pde_tol=1e-8):
     """Check the defining properties of a torus bundle on a dense grid.
 
-    Samples ``e0'`` and ``N`` once and verifies transversality of
-    ``[e0' | N]``, the matrix a reduction's split solves (condition number
-    below ``COND_THRESHOLD`` at every node, which bounds each column block
-    alone too), hyperbolicity of ``L``, the invariance ``e0' omega = F0 o e0``
-    of the torus under the uncoupled field ``F0`` and the invariance
-    equation ``d_omega N + N L = (F0' o e0) N`` of its fibres.  A product's
-    samples and condition number come from its factors, each on its own
-    axes.  Returns a diagnostics dict; raises on violation, a non-finite
-    frame or residual included.
+    Verifies transversality of ``[e0' | N]``, the matrix a reduction's
+    split solves (condition number below ``COND_THRESHOLD`` at every node,
+    which bounds each column block alone too), hyperbolicity of ``L``, the
+    invariance ``e0' omega = F0 o e0`` of the torus under the uncoupled
+    field ``F0`` and the invariance equation ``d_omega N + N L = (F0' o e0) N``
+    of its fibres.  A product's samples and condition number come from its
+    factors, each on its own axes.  The invariance equations cover every
+    node of the grid, one slab of nodes that share their first angle at a
+    time (a circle's grid is one slab), so no grid-sized stack is held; the
+    maxima over slabs are the maxima over the grid.  Returns a diagnostics
+    dict; raises on violation, a non-finite frame or residual included.
     """
     if F0.jac is None:
         raise ValueError("the bundle's vector field must carry a Jacobian evaluator")
     if grid is None:
         grid = spectral_grid(bundle.m, bundle.K)
-    (X, E, Nv, lhs), frames = _sample_bundle(bundle, grid)
-    max_cond = _worst_condition(frames)
+    own = _own_samples(bundle, grid)
+    max_cond = _worst_condition([s[1:3] for s in own])
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
         raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
     gap = _hyperbolic_gap(bundle.L)
 
-    n_scale = max(1.0, float(np.max(np.abs(Nv))))
-    lhs += Nv @ bundle.L  # d_omega N + N L, in place: one grid-sized array fewer at the peak
-    J = F0.jac(X)
-    pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
-    F = F0.fun(X)
-    torus_rel = float(np.max(np.abs(E @ bundle.omega - F))) / max(1.0, float(np.max(np.abs(F))))
+    slabs = [slice(i, i + 1) for i in range(grid.shape[0])] if bundle.m > 1 else [slice(None)]
+    peaks = np.empty((len(slabs), 4))  # max |fibre residual|, |N|, |torus residual|, |F0|
+    for peak, first in zip(peaks, slabs):
+        X, E, Nv, dN = _fill(bundle, own, first)
+        F = F0.fun(X)
+        peak[:] = (np.max(np.abs(dN + Nv @ bundle.L - F0.jac(X) @ Nv)), np.max(np.abs(Nv)),
+                   np.max(np.abs(E @ bundle.omega - F)), np.max(np.abs(F)))
+    fibre, n_max, torus, f_max = map(float, np.max(peaks, axis=0))  # NaN if any slab's is
+    pde_rel = fibre / max(1.0, n_max)
+    torus_rel = torus / max(1.0, f_max)
 
     if not torus_rel <= pde_tol:
         raise InvarianceError("torus", torus_rel)

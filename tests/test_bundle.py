@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 
 import torusred.bundle as bundle_module
 from torusred.bundle import (
+    COND_THRESHOLD,
     LimitCycle,
     TorusBundle,
+    _fill,
+    _hyperbolic_gap,
+    _own_samples,
     _sample_bundle,
     _worst_condition,
     cycle_bundle,
@@ -391,25 +396,27 @@ def without_factors(p):
 
 
 def chain_case(preset, K, scale=1.0, shape=None):
-    """The preset chain's product at ``K``, its middle ``b`` and ``d`` scaled, and a grid."""
+    """The preset chain's product at ``K``, its middle ``b`` and ``d`` scaled, a grid and ``F0``."""
     doc = dict(PRESETS[preset]["model"]["chain"])
     doc["b"], doc["d"] = scale * doc["b"], scale * doc["d"]
     grid = spectral_grid(3, K) if shape is None else TorusGrid(3, shape)
-    return chain_bundle(ChainConfig(**doc), K=K), grid
+    cfg = ChainConfig(**doc)
+    return chain_bundle(cfg, K=K), grid, chain_model(cfg).F0
 
 
 def spectral_case(preset):
-    """The preset chain's product of circles solved in collocation at K = 8, and its grid."""
+    """The preset chain's product of circles solved in collocation at K = 8, its grid and ``F0``."""
     cfg = ChainConfig(**PRESETS[preset]["model"]["chain"])
     outer = cycle_bundle(stuart_landau_cycle(cfg.outer), K=8.0)
     middle = cycle_bundle(stuart_landau_cycle(cfg.middle), K=8.0)
-    return product_bundle([outer, middle, outer]), spectral_grid(3, 8.0)
+    return product_bundle([outer, middle, outer]), spectral_grid(3, 8.0), chain_model(cfg).F0
 
 
 def vdp_pair_case():
-    """Two mu = 0.3 van der Pol cycles, odd harmonics to |k| = 27, on their 97^2 grid."""
+    """Two mu = 0.3 van der Pol cycles, odd harmonics to |k| = 27, their 97^2 grid and field."""
     cycle = cycle_bundle(vdp_start(0.3), K=32.0)
-    return product_bundle([cycle, cycle]), spectral_grid(2, 32.0)
+    field = vdp_field(0.3)
+    return product_bundle([cycle, cycle]), spectral_grid(2, 32.0), pair_field(field, field)
 
 
 PRODUCT_CASES = {
@@ -428,7 +435,7 @@ PRODUCT_CASES = {
 def test_a_product_is_checked_through_its_factors_as_on_its_full_grid(case):
     # Oracle: the product's own series sampled on the full grid, and one SVD
     # of [e0' | N] per node of it.
-    p, grid = PRODUCT_CASES[case]()
+    p, grid, _ = PRODUCT_CASES[case]()
     samples, frames = _sample_bundle(p, grid)
     series = p.e0, p.e0.jacobian(), p.N, d_omega(p.N, p.omega)
     for got, f in zip(samples, series, strict=True):
@@ -450,6 +457,103 @@ def test_a_product_reduces_to_the_bits_of_its_rebuild_without_factors():
     docs = [phase_reduce(model, b, order=2, K_nf=6.0).to_json_dict()
             for b in (p, without_factors(p))]
     assert docs[0] == docs[1]
+
+
+def whole_grid_check(bundle, F0, grid):
+    """The bundle check with every sample, ``F0``'s Jacobian and the residuals on the whole grid."""
+    (X, E, Nv, lhs), frames = _sample_bundle(bundle, grid)
+    max_cond = _worst_condition(frames)
+    if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
+        raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
+    gap = _hyperbolic_gap(bundle.L)
+    n_scale = max(1.0, float(np.max(np.abs(Nv))))
+    lhs += Nv @ bundle.L
+    J = F0.jac(X)
+    pde_rel = float(np.max(np.abs(lhs - J @ Nv))) / n_scale
+    F = F0.fun(X)
+    torus_rel = float(np.max(np.abs(E @ bundle.omega - F))) / max(1.0, float(np.max(np.abs(F))))
+    if not torus_rel <= 1e-8:
+        raise InvarianceError("torus", torus_rel)
+    if not pde_rel <= 1e-8:
+        raise InvarianceError("fibre", pde_rel)
+    return {"max_condition": max_cond, "spectral_gap": gap, "pde_residual_rel": pde_rel}
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["product", "without-factors"])
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_the_slab_wise_check_equals_the_whole_grid_check(case, rebuild):
+    p, grid, F0 = PRODUCT_CASES[case]()
+    b = without_factors(p) if rebuild else p
+    assert validate_bundle(b, F0, grid) == whole_grid_check(b, F0, grid)
+
+
+@pytest.mark.parametrize("circle", ["stuart-landau", "van-der-pol"])
+def test_the_check_of_a_circle_equals_the_whole_grid_check(circle, vdp_bundle):
+    b, F0 = ((sl_bundle(SET1, K=4.0), stuart_landau_field(SET1)) if circle == "stuart-landau"
+             else (vdp_bundle, vdp_field(1.0)))
+    grid = spectral_grid(1, b.K)
+    assert validate_bundle(b, F0, grid) == whole_grid_check(b, F0, grid)
+
+
+def nan_at(f, x0):
+    """``f`` with NaN values at the point ``x0``; ``hits`` counts the points it spoiled."""
+    def spoiled(x):
+        out = np.array(f(x), dtype=float)
+        at = np.all(x == x0, axis=-1)
+        out[at] = np.nan
+        spoiled.hits += int(np.count_nonzero(at))
+        return out
+
+    spoiled.hits = 0
+    return spoiled
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["product", "without-factors"])
+@pytest.mark.parametrize("broken,what", [("fun", "torus"), ("jac", "fibre")])
+def test_the_check_fails_closed_on_one_nan_node_inside_the_grid(broken, what, rebuild):
+    # One node of slab 11 of 25, neither the first slab nor the last: a NaN
+    # there has to survive the reduction of the slabs' maxima.
+    p, grid, F0 = chain_case("set1", 8.0)
+    x0 = grid.sample(p.e0)[11, 4, 17]
+    parts = {"fun": F0.fun, "jac": F0.jac}
+    parts[broken] = nan_at(parts[broken], x0)
+    field = SmoothMap(parts["fun"], F0.derivs, jac=parts["jac"], degree=F0.degree)
+    with pytest.raises(InvarianceError, match=f"{what} invariance"):
+        validate_bundle(without_factors(p) if rebuild else p, field, grid)
+    assert parts[broken].hits == 1
+
+
+def test_a_wrong_torus_is_named_before_fibres_that_fail_on_the_first_slab():
+    # Every circle scaled off its cycle, and every L doubled: the fibre
+    # residual fails on slab 0 already, but the torus is wrong on every
+    # slab, and the torus is named first.
+    cfg = ChainConfig(**PRESETS["set1"]["model"]["chain"])
+    F0, grid = chain_model(cfg).F0, spectral_grid(3, 8.0)
+    circles = [sl_bundle(q, K=8.0) for q in (cfg.outer, cfg.middle, cfg.outer)]
+    doubled = product_bundle([TorusBundle(b.e0, b.omega, b.N, 2.0 * b.L) for b in circles])
+    X, _, Nv, dN = _fill(doubled, _own_samples(doubled, grid), slice(0, 1))
+    fibre0 = np.max(np.abs(dN + Nv @ doubled.L - F0.jac(X) @ Nv)) / max(1.0, np.max(np.abs(Nv)))
+    assert fibre0 > 1e-8
+    with pytest.raises(InvarianceError, match="fibre invariance"):
+        validate_bundle(doubled, F0, grid)
+    both = product_bundle([TorusBundle(b.e0.scale(1.05), b.omega, b.N, 2.0 * b.L)
+                           for b in circles])
+    with pytest.raises(InvarianceError, match="torus invariance"):
+        validate_bundle(both, F0, grid)
+
+
+def test_the_check_of_a_chain_holds_no_grid_sized_stack():
+    # The set-1 chain at K = 12 on its 37^3 check grid: the whole-grid check
+    # held four samples, F0's (n^3, 6, 6) Jacobian and two products of it.
+    p, grid, F0 = chain_case("set1", 12.0)
+    assert grid.shape == (37, 37, 37)
+    tracemalloc.start()
+    try:
+        validate_bundle(p, F0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.size * p.M * p.M * 8  # one float64 (n^3, M, M) stack: 14.6 MB
 
 
 def scaled_field(field, s):
