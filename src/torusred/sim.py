@@ -154,42 +154,47 @@ def _array_step(rhs, spec):
 
 
 def _phase_step(omega, series, spec):
-    """The spec's scheme for ``omega + sum_k Re(c_k e^{i<k, phi>})`` on tuples of floats."""
-    dt, base, nan = spec.dt, omega.tolist(), [math.nan] * omega.size
-    keys = [[(a, k) for a, k in enumerate(row) if k] for row in series.keys.astype(float).tolist()]
-    cols = [list(zip(z.real.tolist(), z.imag.tolist())) for z in series.values.T]
+    """The spec's scheme for ``omega + sum_k Re(c_k e^{i<k, phi>})`` on tuples of floats.
 
-    def field(p):
-        cs = []
-        try:
-            for pairs in keys:
-                theta = 0.0  # every sum runs in numpy's order
-                for a, k in pairs:
-                    theta += k * p[a]
-                cs.append((math.cos(theta), math.sin(theta)))
-        except ValueError:  # math.cos of an infinite angle; numpy's exp gives NaN
-            return nan
-        out = []
-        for omega_a, col in zip(base, cols):
-            v = 0.0
-            for (c, s), (r, i) in zip(cs, col):
-                v += c * r - s * i
-            out.append(omega_a + v)
-        return out
+    The step is a function written out for the field's keys and the scheme,
+    compiled once per call (once per lane).  It makes the looped step's
+    operations in their order: each angle ``0.0 + k p`` over the key's
+    nonzero entries in axis order, each rate ``omega_a + (0.0 + (cos Re c -
+    sin Im c) + ...)`` in key order, then the Euler update or ``_rk4_step``'s
+    stages.  The source names the key entries, coefficients and frequencies,
+    bound in its namespace, as NaN, +-inf and -0.0 have no exact literal.  An
+    infinite angle, where ``math.cos`` raises and numpy's exp gives NaN, makes
+    the stage's rates NaN.
+    """
+    m, keys, z, dt = omega.size, series.keys.astype(float).tolist(), series.values, spec.dt
+    ns = dict(cos=math.cos, sin=math.sin, nan=math.nan, dt=dt, h=0.5 * dt, w=dt / 6.0)
+    ns.update((f"o{a}", v) for a, v in enumerate(omega.tolist()))
+    for name, rows in (("k", keys), ("r", z.real.tolist()), ("i", z.imag.tolist())):
+        ns.update((f"{name}{n}_{a}", v) for n, row in enumerate(rows) for a, v in enumerate(row))
 
+    def field(x, f):
+        # One stage: the rates f0, f1, ... at the phases x, a term a line.
+        lines = [f"{f}{a} = 0.0" for a in range(m)]
+        for n, row in enumerate(keys):
+            theta = "".join(f" + k{n}_{a} * {x[a]}" for a, k in enumerate(row) if k)
+            lines.append(f"t = 0.0{theta}; c = cos(t); s = sin(t)")
+            lines += [f"{f}{a} = {f}{a} + (c * r{n}_{a} - s * i{n}_{a})" for a in range(m)]
+        lines += [f"{f}{a} = o{a} + {f}{a}" for a in range(m)]
+        nan = " = ".join(f"{f}{a}" for a in range(m))
+        return ["try:", *["    " + ln for ln in lines], "except ValueError:", f"    {nan} = nan"]
+
+    p = [f"p{a}" for a in range(m)]
+    body = [", ".join(p) + ", = p"] + field(p, "f1_")
     if spec.scheme == "euler":
-        return lambda p: tuple([x + dt * f for x, f in zip(p, field(p))])
-    h, w = 0.5 * dt, dt / 6.0
-
-    def rk4(p):
-        a = field(p)
-        b = field([x + h * k for x, k in zip(p, a)])
-        c = field([x + h * k for x, k in zip(p, b)])
-        d = field([x + dt * k for x, k in zip(p, c)])
-        return tuple([x + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                      for x, k1, k2, k3, k4 in zip(p, a, b, c, d)])
-
-    return rk4
+        new = [f"p{a} + dt * f1_{a}" for a in range(m)]
+    else:
+        for scale, f, g in (("h", "f1_", "f2_"), ("h", "f2_", "f3_"), ("dt", "f3_", "f4_")):
+            body += [f"q{a} = p{a} + {scale} * {f}{a}" for a in range(m)]
+            body += field([f"q{a}" for a in range(m)], g)
+        new = [f"p{a} + w * (f1_{a} + 2.0 * f2_{a} + 2.0 * f3_{a} + f4_{a})" for a in range(m)]
+    source = "def step(p):\n    " + "\n    ".join([*body, f"return ({', '.join(new)},)"])
+    exec(compile(source, "<reduced phase step>", "exec"), ns)
+    return ns["step"]
 
 
 def _unwrapped_pair_angle(step, z, pair):
@@ -303,8 +308,9 @@ def integrate_reduced(result, eps, phi0, spec, pair):
     multiple of 2 pi so that it starts in (-pi, pi] like the full record's
     pair angle.  The spec's policy acts as in ``integrate_full``.
 
-    The phases step as Python floats in the one ``_march`` loop: bit for bit
-    as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
+    The phases step as Python floats in the one ``_march`` loop, through a
+    step written out for the field's keys once per call (``_phase_step``): bit
+    for bit as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
     """
     omega = result.omega
     i_idx, j_idx = _check_pair(pair, omega.size)

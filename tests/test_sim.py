@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -537,6 +538,91 @@ def test_reduced_step_matches_the_numpy_field_on_random_fields(m, scheme):
             want = oracle(phi)
             got = np.asarray(step(tuple(phi.tolist())))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def looped_phase_step(omega, series, spec):
+    """The reduced step as ``_phase_step`` took it before it wrote a function out
+    for the field's keys: generic loops over the keys and coefficient columns,
+    the byte-level oracle of the written-out step."""
+    dt, base, nan = spec.dt, omega.tolist(), [math.nan] * omega.size
+    keys = [[(a, k) for a, k in enumerate(row) if k] for row in series.keys.astype(float).tolist()]
+    cols = [list(zip(z.real.tolist(), z.imag.tolist())) for z in series.values.T]
+
+    def field(p):
+        cs = []
+        try:
+            for pairs in keys:
+                theta = 0.0  # every sum runs in numpy's order
+                for a, k in pairs:
+                    theta += k * p[a]
+                cs.append((math.cos(theta), math.sin(theta)))
+        except ValueError:  # math.cos of an infinite angle; numpy's exp gives NaN
+            return nan
+        out = []
+        for omega_a, col in zip(base, cols):
+            v = 0.0
+            for (c, s), (r, i) in zip(cs, col):
+                v += c * r - s * i
+            out.append(omega_a + v)
+        return out
+
+    if spec.scheme == "euler":
+        return lambda p: tuple([x + dt * f for x, f in zip(p, field(p))])
+    h, w = 0.5 * dt, dt / 6.0
+
+    def rk4(p):
+        a = field(p)
+        b = field([x + h * k for x, k in zip(p, a)])
+        c = field([x + h * k for x, k in zip(p, b)])
+        d = field([x + dt * k for x, k in zip(p, c)])
+        return tuple([x + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                      for x, k1, k2, k3, k4 in zip(p, a, b, c, d)])
+
+    return rk4
+
+
+ODD_FLOATS = [-0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+
+
+def exact_bytes(p):
+    """The bytes of the floats ``p``, every NaN as the one NaN."""
+    p = np.array(p)
+    return np.where(np.isnan(p), math.nan, p).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_reduced_step_is_byte_identical_to_the_looped_step(m, scheme):
+    # The written-out step against the looped one, compared as bytes after 1
+    # and 100 steps, so zero signs and where NaN stands count.  A NaN's sign is
+    # not the program's to fix: which NaN operand's bits x + y passes on
+    # changes once CPython specialises the addition, so NaNs are compared as
+    # one NaN.  The fields are raw key and coefficient arrays in random row
+    # order, with 0 to 40 keys (the zero key among them, and one field with
+    # none) and coefficients of -0.0, 5e-324, +-1e300, NaN and +-inf; the
+    # states hold -0.0 and angles whose products with the keys overflow.
+    rng = np.random.default_rng(20 + m)
+    spec = IntegratorSpec(scheme, 0.05, 5.0)
+    for n_keys in [0, 1, 40, *rng.integers(2, 41, size=9)]:
+        keys = np.unique(rng.integers(-3, 4, size=(n_keys, m)), axis=0)
+        if n_keys in (1, 40):
+            keys[0] = 0
+        keys = keys[rng.permutation(len(keys))]
+        values = rng.normal(size=(len(keys), m)) + 1j * rng.normal(size=(len(keys), m))
+        for n, a in rng.integers(0, [max(len(keys), 1), m], size=(len(keys) // 8, 2)):
+            values[n, a] = complex(*rng.choice(ODD_FLOATS, size=2))
+        series = SimpleNamespace(keys=keys, values=values)
+        omega = np.append(rng.uniform(-2.0, 2.0, size=m - 1), -0.0)
+        step, oracle = sim._phase_step(omega, series, spec), looped_phase_step(omega, series, spec)
+        starts = rng.uniform(-10.0, 10.0, size=(4, m))
+        starts[1, 0] = starts[2, -1] = -0.0
+        starts[3, 0] = 1e308
+        for phi in starts:
+            got = want = tuple(phi.tolist())
+            for i in range(100):
+                got, want = step(got), oracle(want)
+                if i in (0, 99):
+                    assert exact_bytes(got) == exact_bytes(want)
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
