@@ -167,10 +167,13 @@ class OscillatorModel:
     must be pure and accept batched states.  ``pair``, when given, names two
     distinct oscillators ``(i, j)``, by the rule ``integrate_reduced`` applies
     to phases; their angle ``arg(z_i conj z_j)`` is the synchronisation
-    observable.  ``fast_step``, when given, is ``fast_step(eps, scheme, dt)``:
-    one integrator step of ``rhs`` on the tuple of the oscillators' complex
-    values, with the arithmetic of stepping ``rhs`` on the real state.  A
-    model with either is made of complex pairs, each oscillator's ``(Re z, Im z)``.
+    observable.  ``fast_field``, when given, is ``fast_field(eps)``: ``rhs`` at
+    ``eps`` on the tuple of the oscillators' complex values, written as source
+    for the lane ``sim`` writes, with the arithmetic of ``rhs`` on the real
+    state.  It returns ``(rates, names)``: ``rates(z, f)`` gives the lines that
+    set ``f0, f1, ...`` to the rates at the complex values named ``z``, and
+    ``names`` binds the names those lines use.  A model with either is made of
+    complex pairs, each oscillator's ``(Re z, Im z)``.
     """
 
     dims: list
@@ -178,7 +181,7 @@ class OscillatorModel:
     perturbations: list
     omega: np.ndarray
     pair: tuple | None = None
-    fast_step: object = None
+    fast_field: object = None
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float).reshape(-1)
@@ -186,8 +189,8 @@ class OscillatorModel:
             raise ConfigError("one frequency per oscillator required")
         if self.pair is not None:
             self.pair = _check_pair(self.pair, self.m)
-        if (self.pair or self.fast_step) and any(d != 2 for d in self.dims):
-            raise ConfigError("a model with a pair or a fast_step needs complex pairs (dims of 2)")
+        if (self.pair or self.fast_field) and any(d != 2 for d in self.dims):
+            raise ConfigError("a model with a pair or a fast_field needs complex pairs (dims of 2)")
 
     @property
     def m(self):
@@ -268,33 +271,13 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
     F1 = SmoothMap(f1, derivs=(f1_d1, _vanishing, _vanishing, _vanishing),
                    jac=lambda x: np.broadcast_to(jac1, np.shape(x)[:-1] + (6, 6)), degree=1)
 
-    l1, l2 = complex(lin[0]), complex(lin[1])
-    g1, g2 = complex(cub[0]), complex(cub[1])
+    names = dict(l1=complex(lin[0]), l2=complex(lin[1]), g1=complex(cub[0]), g2=complex(cub[1]))
 
-    def fast_step(eps, scheme, dt):
-        # Scalar complex arithmetic in sim._rk4_step's order of operations.
-        def field(z1, z2, z3):
-            return (l1 * z1 + g1 * (z1.real * z1.real + z1.imag * z1.imag) * z1 + eps * z2,
-                    l2 * z2 + g2 * (z2.real * z2.real + z2.imag * z2.imag) * z2 + eps * z1,
-                    l1 * z3 + g1 * (z3.real * z3.real + z3.imag * z3.imag) * z3 + eps * z2)
-
-        def euler(z):
-            a1, a2, a3 = field(*z)
-            return z[0] + dt * a1, z[1] + dt * a2, z[2] + dt * a3
-
-        h, w = 0.5 * dt, dt / 6.0
-
-        def rk4(z):
-            z1, z2, z3 = z
-            a1, a2, a3 = field(z1, z2, z3)
-            b1, b2, b3 = field(z1 + h * a1, z2 + h * a2, z3 + h * a3)
-            c1, c2, c3 = field(z1 + h * b1, z2 + h * b2, z3 + h * b3)
-            d1, d2, d3 = field(z1 + dt * c1, z2 + dt * c2, z3 + dt * c3)
-            return (z1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                    z2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-                    z3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
-
-        return euler if scheme == "euler" else rk4
+    def rates(z, f):
+        # Oscillator n's rate in scalar complex arithmetic; C feeds it oscillator feed.
+        return [f"{f}{n} = {l} * {x} + {g} * ({x}.real * {x}.real + {x}.imag * {x}.imag) * {x}"
+                f" + eps * {z[feed]}" for n, (x, l, g, feed)
+                in enumerate(zip(z, ("l1", "l2", "l1"), ("g1", "g2", "g1"), (1, 0, 1)))]
 
     return OscillatorModel(
         dims=[2, 2, 2],
@@ -302,7 +285,7 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
         perturbations=[F1],
         omega=[p.frequency, q.frequency, p.frequency],
         pair=_OUTER,
-        fast_step=fast_step,
+        fast_field=lambda eps: (rates, dict(names, eps=eps)),
     )
 
 

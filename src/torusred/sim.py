@@ -51,7 +51,7 @@ class IntegratorSpec:
     t_end: float = 100.0
     record_stride: int = 1  # record every record_stride-th step and the last
     record_state: bool = True  # record the states, not only t and the observable
-    until_t01: bool = False  # end once T01 can no longer change (see _until_decided)
+    until_t01: bool = False  # end once T01 can no longer change (see _lane)
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -104,40 +104,21 @@ def _beat_period(omega):
     return 2.0 * math.pi / min(diffs) if diffs else 2.0 * math.pi
 
 
-def _march(step, x, spec, observe, stop):
-    """Fixed-step loop shared by both integrators.
+def _t01_threshold(start):
+    """Level T01 waits for, from the observable's starting value."""
+    baseline = abs(float(start))
+    if baseline < 1e-6:
+        raise ConfigError("initial angle too small: the decay baseline is undefined")
+    return T01_FRACTION * baseline
 
-    Advances the state ``x``, a sequence of scalars, with ``step`` and stops
-    at the first state with a non-finite entry.  Every ``record_stride``
-    steps and at the last one, the time, the state (with the spec's
-    ``record_state``) and ``observe(x)``, when given, are recorded;
-    ``stop(value)``, when given, then sees the observed value and ends the
-    run there by returning true.  Returns ``(t, states, observed, failed)``.
-    """
-    n, stride, dt, record_state = spec.steps(), spec.record_stride, spec.dt, spec.record_state
-    ts = [0.0]
-    states = [x] if record_state else None
-    seen = [observe(x)] if observe else None
-    failed = False
-    for i in range(1, n + 1):
-        x = step(x)
-        if not all(map(cmath.isfinite, x)):
-            failed = True
-            break
-        if i % stride == 0 or i == n:
-            ts.append(i * dt)
-            if record_state:
-                states.append(x)
-            if observe:
-                value = observe(x)
-                seen.append(value)
-                if stop and stop(value):
-                    break
-    return ts, states, seen, failed
+
+def _window_samples(window, dt_rec):
+    """Recorded samples in one envelope window of length ``window``."""
+    return max(1, int(math.ceil(window / dt_rec)))
 
 
 def _rk4_step(f, x, dt):
-    """One classical RK4 step; the fused steps reproduce its order of operations bit for bit."""
+    """One classical RK4 step; the written stages reproduce its order of operations bit for bit."""
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
@@ -153,27 +134,42 @@ def _array_step(rhs, spec):
     return lambda x: _rk4_step(rhs, x, dt)
 
 
-def _phase_step(omega, series, spec):
-    """The spec's scheme for ``omega + sum_k Re(c_k e^{i<k, phi>})`` on tuples of floats.
+def _stages(scheme, m, rates):
+    """The scheme's stages for a flow of ``m`` scalars ``p0, p1, ...``, as source lines.
 
-    The step is a function written out for the field's keys and the scheme,
-    compiled once per call (once per lane).  It makes the looped step's
-    operations in their order: each angle ``0.0 + k p`` over the key's
-    nonzero entries in axis order, each rate ``omega_a + (0.0 + (cos Re c -
-    sin Im c) + ...)`` in key order, then the Euler update or ``_rk4_step``'s
-    stages.  The source names the key entries, coefficients and frequencies,
-    bound in its namespace, as NaN, +-inf and -0.0 have no exact literal.  An
-    infinite angle, where ``math.cos`` raises and numpy's exp gives NaN, makes
-    the stage's rates NaN.
+    ``rates(x, f)`` gives the lines that set ``f0, f1, ...`` (``f`` a prefix)
+    to the rates at the scalars named ``x``.  The stages advance ``p0, p1,
+    ...`` in place by Euler or in ``_rk4_step``'s order of operations,
+    through the stage inputs ``q0, q1, ...`` and the rates ``f1_0, ...,
+    f4_0, ...``, with the ``dt``, ``h = dt / 2`` and ``w = dt / 6`` of ``_lane``.
     """
-    m, keys, z, dt = omega.size, series.keys.astype(float).tolist(), series.values, spec.dt
-    ns = dict(cos=math.cos, sin=math.sin, nan=math.nan, dt=dt, h=0.5 * dt, w=dt / 6.0)
+    p, q = [f"p{a}" for a in range(m)], [f"q{a}" for a in range(m)]
+    lines = rates(p, "f1_")
+    if scheme == "euler":
+        return lines + [f"p{a} = p{a} + dt * f1_{a}" for a in range(m)]
+    for scale, f, g in (("h", "f1_", "f2_"), ("h", "f2_", "f3_"), ("dt", "f3_", "f4_")):
+        lines += [f"q{a} = p{a} + {scale} * {f}{a}" for a in range(m)] + rates(q, g)
+    return lines + [f"p{a} = p{a} + w * (f1_{a} + 2.0 * f2_{a} + 2.0 * f3_{a} + f4_{a})"
+                    for a in range(m)]
+
+
+def _phase_rates(omega, series):
+    """The rates of ``omega + sum_k Re(c_k e^{i<k, phi>})`` as source, and the names they use.
+
+    A rate is written as the looped field made it: each angle ``0.0 + k p``
+    over the key's nonzero entries in axis order, each rate ``omega_a + (0.0
+    + (cos Re c - sin Im c) + ...)`` in key order.  The key entries,
+    coefficients and frequencies are names, bound in the namespace, as NaN,
+    +-inf and -0.0 have no exact literal.  An infinite angle, where
+    ``math.cos`` raises and numpy's exp gives NaN, makes the stage's rates NaN.
+    """
+    m, keys, z = omega.size, series.keys.astype(float).tolist(), series.values
+    ns = dict(cos=math.cos, sin=math.sin, nan=math.nan)
     ns.update((f"o{a}", v) for a, v in enumerate(omega.tolist()))
     for name, rows in (("k", keys), ("r", z.real.tolist()), ("i", z.imag.tolist())):
         ns.update((f"{name}{n}_{a}", v) for n, row in enumerate(rows) for a, v in enumerate(row))
 
-    def field(x, f):
-        # One stage: the rates f0, f1, ... at the phases x, a term a line.
+    def rates(x, f):
         lines = [f"{f}{a} = 0.0" for a in range(m)]
         for n, row in enumerate(keys):
             theta = "".join(f" + k{n}_{a} * {x[a]}" for a, k in enumerate(row) if k)
@@ -183,74 +179,84 @@ def _phase_step(omega, series, spec):
         nan = " = ".join(f"{f}{a}" for a in range(m))
         return ["try:", *["    " + ln for ln in lines], "except ValueError:", f"    {nan} = nan"]
 
-    p = [f"p{a}" for a in range(m)]
-    body = [", ".join(p) + ", = p"] + field(p, "f1_")
-    if spec.scheme == "euler":
-        new = [f"p{a} + dt * f1_{a}" for a in range(m)]
+    return rates, ns
+
+
+def _t01_stop(start, window, spec):
+    """The T01 stop rule of a lane as ``(threshold, wn)``; see ``_lane``.
+
+    Raises ``ConfigError`` when the decay baseline ``start`` is undefined.
+    """
+    return _t01_threshold(start), _window_samples(window, spec.record_stride * spec.dt)
+
+
+def _lane(spec, state, stages, ns, observe, stop):
+    """Write, compile and run one lane of ``spec``: the one fixed-step loop.
+
+    The lane is one function written out for the run: the loop, the
+    ``stages`` (source lines), the finiteness check, the pair observable,
+    the records and the stop rule.  ``state`` is the start: a tuple of
+    scalars, named ``p0, p1, ...`` in the source (``_stages``), or an array
+    ``x`` that the stage ``x = step(x)`` advances.  ``ns`` binds the names
+    the stages use; the lane's own are ``start``, ``x``, ``i``, ``dt``,
+    ``h``, ``w``, ``pi``, ``tau``, ``atan2``, ``isfinite``, ``u``, ``new``,
+    ``raw``, ``unwrapped``, ``value``, ``shift``, ``threshold``, ``streak``,
+    ``seen`` and ``states``.
+
+    The lane ends before the first state with a non-finite entry.  Every
+    ``record_stride`` steps and at the last one, it records the state (with
+    the spec's ``record_state``) and, given ``observe = (i, j, start,
+    shift)``, the observable of the pair ``(i, j)``: ``(x_i - x_j) - shift``,
+    or, with ``shift`` None, the angle of ``z_i conj z_j`` unwrapped after
+    every step from ``start``.  Given ``stop = (threshold, wn)``, the lane
+    ends at the recorded sample that closes the first stretch of ``wn``
+    observed values at most ``threshold`` in magnitude.  Returns ``(steps,
+    states, observed, failed)``, where ``steps`` counts the finite steps.
+    """
+    n, stride = spec.steps(), spec.record_stride
+    if isinstance(state, tuple):
+        x = [f"p{a}" for a in range(len(state))]
+        load, now = ", ".join(x) + ", = start", f"({', '.join(x)},)"
+        bad = " + ".join(f"({v} - {v})" for v in x)  # NaN, so true, at a non-finite entry
     else:
-        for scale, f, g in (("h", "f1_", "f2_"), ("h", "f2_", "f3_"), ("dt", "f3_", "f4_")):
-            body += [f"q{a} = p{a} + {scale} * {f}{a}" for a in range(m)]
-            body += field([f"q{a}" for a in range(m)], g)
-        new = [f"p{a} + w * (f1_{a} + 2.0 * f2_{a} + 2.0 * f3_{a} + f4_{a})" for a in range(m)]
-    source = "def step(p):\n    " + "\n    ".join([*body, f"return ({', '.join(new)},)"])
-    exec(compile(source, "<reduced phase step>", "exec"), ns)
-    return ns["step"]
+        x = [f"x[{a}]" for a in range(len(state))]
+        load, now, bad = "x = start", "x", "not all(map(isfinite, x))"
+    ns = dict(ns, start=state, dt=spec.dt, h=0.5 * spec.dt, w=spec.dt / 6.0, pi=math.pi,
+              tau=2.0 * math.pi, atan2=math.atan2, isfinite=cmath.isfinite)
+    head = [load, f"states = [{now}]" if spec.record_state else "states = None",
+            "seen = None" if observe is None else "seen = [value]"]
+    track, record = [], [f"states.append({now})"] if spec.record_state else []
+    if observe is not None:
+        i, j, ns["value"], ns["shift"] = observe
+        if ns["shift"] is None:
+            head.append("raw = unwrapped = value")
+            track = [f"u = {x[i]} * {x[j]}.conjugate()", "new = atan2(u.imag, u.real)",
+                     "unwrapped += (new - raw + pi) % tau - pi", "raw = new"]
+            record.append("value = unwrapped")
+        else:
+            record.append(f"value = ({x[i]} - {x[j]}) - shift")
+        record.append("seen.append(value)")
+    if stop is not None:
+        ns["threshold"], wn = stop
+        head.append("streak = 0")
+        record += ["if abs(value) <= threshold:", "    streak += 1",
+                   f"    if streak >= {wn}:", "        break", "else:", "    streak = 0"]
+    if stride > 1 and record:
+        record = [f"if i % {stride} == 0 or i == {n}:", *["    " + ln for ln in record]]
+    loop = [*stages, f"if {bad}:", "    return i - 1, states, seen, True", *track, *record]
+    body = [*head, f"for i in range(1, {n + 1}):", *["    " + ln for ln in loop],
+            "return i, states, seen, False"]
+    source = f"def lane({', '.join(ns)}):\n" + "".join(f"    {ln}\n" for ln in body)
+    code = {}
+    exec(compile(source, "<lane>", "exec"), code)
+    return code["lane"](*ns.values())  # by position: matching thousands of keywords is quadratic
 
 
-def _unwrapped_pair_angle(step, z, pair):
-    """``step`` that also unwraps the pair angle, and an observer of it.
-
-    Unwrapping after every step, from the state ``z`` on, keeps the angle
-    continuous however sparsely the observer's latest value is recorded.
-    """
-    # The angle of z_i conj(z_j) by math.atan2: cmath.phase raises where the angle underflows.
-    i, j = pair
-    w = z[i] * z[j].conjugate()
-    unwrapped = raw = math.atan2(w.imag, w.real)
-
-    def tracked(z):
-        nonlocal unwrapped, raw
-        z = step(z)
-        w = z[i] * z[j].conjugate()
-        new = math.atan2(w.imag, w.real)
-        unwrapped += (new - raw + math.pi) % (2.0 * math.pi) - math.pi
-        raw = new
-        return z
-
-    return tracked, lambda z: unwrapped
-
-
-def _t01_threshold(start):
-    """Level T01 waits for, from the observable's starting value."""
-    baseline = abs(float(start))
-    if baseline < 1e-6:
-        raise ConfigError("initial angle too small: the decay baseline is undefined")
-    return T01_FRACTION * baseline
-
-
-def _window_samples(window, dt_rec):
-    """Recorded samples in one envelope window of length ``window``."""
-    return max(1, int(math.ceil(window / dt_rec)))
-
-
-def _until_decided(start, window, spec):
-    """Stop hook for ``_march`` that fires once T01 can no longer change.
-
-    It fires at the recorded sample that closes the first stretch of
-    ``wn`` samples with ``|phi_hat|`` at or below the T01 threshold (see
-    ``measure_T01``), and raises ``ConfigError`` up front when the decay
-    baseline is undefined.
-    """
-    threshold = _t01_threshold(start)
-    wn = _window_samples(window, spec.record_stride * spec.dt)
-    streak = 0
-
-    def stop(value):
-        nonlocal streak
-        streak = streak + 1 if abs(value) <= threshold else 0
-        return streak >= wn
-
-    return stop
+def _times(steps, spec):
+    """The recorded times of a lane of ``spec`` that took ``steps`` finite steps."""
+    n, stride = spec.steps(), spec.record_stride
+    i = np.arange(0, steps + 1, stride)
+    return (np.append(i, n) if steps == n and n % stride else i) * spec.dt
 
 
 def _start(x0, size, what, omega, spec):
@@ -270,32 +276,40 @@ def integrate_full(model, eps, x0, spec):
     oscillators is recorded alongside the trajectory.  A non-finite state
     stops the run early and flags the record.  The spec says what is
     recorded and whether the run ends at T01; ``until_t01`` needs a model
-    with a pair (``ConfigError``).
+    with a pair (``ConfigError``).  A model's ``fast_field`` steps the tuple
+    of its oscillators' complex values in the written lane (``_lane``); any
+    other model steps arrays over ``rhs`` there.
     """
     pair = model.pair
     if spec.until_t01 and pair is None:
         raise ConfigError("until_t01 needs a model that names the pair whose angle T01 times")
     x, beat = _start(x0, model.M, "state", model.omega, spec)
-    rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
-    # Complex-pair states step as the oscillators' complex values.
-    if model.fast_step is not None:
-        step, state = model.fast_step(eps, spec.scheme, spec.dt), tuple(x.view(complex).tolist())
-    elif pair is not None:
-        step, state = (lambda z: rhs_step(z.view(float)).view(complex)), x.view(complex)
+    if model.fast_field is not None:
+        rates, ns = model.fast_field(eps)
+        state = tuple(x.view(complex).tolist())
+        stages = _stages(spec.scheme, len(state), rates)
     else:
-        step, state = rhs_step, x
+        rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
+        if pair is not None:  # complex-pair states step as the oscillators' complex values
+            step, state = (lambda z: rhs_step(z.view(float)).view(complex)), x.view(complex)
+        else:
+            step, state = rhs_step, x
+        stages, ns = ["x = step(x)"], {"step": step}
     observe = stop = None
     if pair is not None:
-        step, observe = _unwrapped_pair_angle(step, state, pair)
+        # The angle of z_i conj(z_j) by math.atan2: cmath.phase raises where the angle underflows.
+        w = state[pair[0]] * state[pair[1]].conjugate()
+        angle = math.atan2(w.imag, w.real)
+        observe = (*pair, angle, None)
         if spec.until_t01:
-            stop = _until_decided(observe(state), beat, spec)
-    ts, states, angles, failed = _march(step, state, spec, observe, stop)
+            stop = _t01_stop(angle, beat, spec)
+    steps, states, angles, failed = _lane(spec, state, stages, ns, observe, stop)
     return TrajectoryRecord(
-        t=np.asarray(ts),
+        t=_times(steps, spec),
         states=np.asarray(states).view(float) if spec.record_state else None,
         phi_hat=np.asarray(angles) if pair is not None else None,
         failed=failed,
-        meta={"beat_period": beat, "pair": pair},
+        meta={"beat_period": beat, "pair": pair, "steps": steps},
     )
 
 
@@ -308,28 +322,27 @@ def integrate_reduced(result, eps, phi0, spec, pair):
     multiple of 2 pi so that it starts in (-pi, pi] like the full record's
     pair angle.  The spec's policy acts as in ``integrate_full``.
 
-    The phases step as Python floats in the one ``_march`` loop, through a
-    step written out for the field's keys once per call (``_phase_step``): bit
-    for bit as on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
+    The phases step as Python floats in the written lane (``_lane``), through
+    rates written out for the field's keys (``_phase_rates``): bit for bit as
+    on numpy arrays on the chain's reduced fields, to roundoff elsewhere.
     """
     omega = result.omega
     i_idx, j_idx = _check_pair(pair, omega.size)
     phi, beat = _start(phi0, omega.size, "phases", omega, spec)
     shift = 2.0 * math.pi * math.ceil((phi[i_idx] - phi[j_idx] - math.pi) / (2.0 * math.pi))
-
-    def observe(p):
-        return (p[i_idx] - p[j_idx]) - shift
-
-    stop = _until_decided(observe(phi), beat, spec) if spec.until_t01 else None
-    step = _phase_step(omega, result.phase_field(eps), spec)
-    ts, phis, phi_hat, failed = _march(step, tuple(phi.tolist()), spec, observe, stop)
+    state = tuple(phi.tolist())
+    start = (state[i_idx] - state[j_idx]) - shift
+    stop = _t01_stop(start, beat, spec) if spec.until_t01 else None
+    rates, ns = _phase_rates(omega, result.phase_field(eps))
+    steps, phis, phi_hat, failed = _lane(spec, state, _stages(spec.scheme, omega.size, rates), ns,
+                                         (i_idx, j_idx, start, shift), stop)
     return TrajectoryRecord(
-        t=np.asarray(ts),
+        t=_times(steps, spec),
         states=np.asarray(phis) if spec.record_state else None,
         phi_hat=np.asarray(phi_hat),
         kind="reduced",
         failed=failed,
-        meta={"beat_period": beat},
+        meta={"beat_period": beat, "steps": steps},
     )
 
 
@@ -418,6 +431,8 @@ class SweepResult:
     t01: np.ndarray
     t01_raw: np.ndarray
     converged: np.ndarray
+    steps: np.ndarray  # the steps each lane took, blown-up ones to their last finite state
+    t_stop: np.ndarray  # the time each lane stopped at, steps * dt
     slope: float | None
     intercept: float | None
 
@@ -427,6 +442,8 @@ class SweepResult:
             "t01": [None if not np.isfinite(v) else v for v in self.t01],
             "t01_raw": [None if not np.isfinite(v) else v for v in self.t01_raw],
             "converged": [bool(c) for c in self.converged],
+            "steps": self.steps.tolist(),
+            "t_stop": self.t_stop.tolist(),
             "slope": self.slope,
             "intercept": self.intercept,
         }
@@ -468,17 +485,19 @@ def sweep_epsilon(model, x0, eps_list, spec, reduction=None):
             rec = integrate_reduced(reduction, eps, phi0, run_spec, model.pair)
         else:
             rec = integrate_full(model, eps, x0, run_spec)
+        steps = rec.meta["steps"]
         if rec.failed:
-            return float("nan"), float("nan")
-        return measure_T01(rec), measure_T01(rec, use_envelope=False)
+            return float("nan"), float("nan"), steps, steps * spec.dt
+        return measure_T01(rec), measure_T01(rec, use_envelope=False), steps, steps * spec.dt
 
-    t01, t01_raw = np.array([run(float(e)) for e in eps_arr]).T
+    t01, t01_raw, steps, t_stop = np.array([run(float(e)) for e in eps_arr]).T
     converged = np.isfinite(t01)
     if int(np.sum(converged)) >= 3:
         slope, intercept = fit_powerlaw(eps_arr[converged], t01[converged])
     else:
         slope = intercept = None
-    return SweepResult(eps_arr, t01, t01_raw, converged, slope, intercept)
+    return SweepResult(eps_arr, t01, t01_raw, converged, steps.astype(int), t_stop, slope,
+                       intercept)
 
 
 # ----------------------------------------------------------------------

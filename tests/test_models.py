@@ -11,7 +11,7 @@ from torusred.models import (
     chain_phase_constants,
     sl_bundle,
 )
-from torusred.sim import _rk4_step, phases_from_state
+from torusred.sim import IntegratorSpec, _rk4_step, integrate_full, phases_from_state
 
 SET1 = dict(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0, a=1.0, b=2.0, c=-1.0, d=-1.0)
 SET2 = dict(alpha=1.0, beta=0.1, gamma=-1.0, delta=1.0, a=1.0, b=6.0, c=-1.0, d=-1.0)
@@ -96,7 +96,7 @@ def test_model_pair_names_two_oscillators_of_complex_pairs(dims, pair, match):
 def test_a_model_with_a_fast_step_is_made_of_complex_pairs():
     with pytest.raises(ConfigError, match="complex pairs"):
         OscillatorModel(dims=[3], F0=None, perturbations=[], omega=np.ones(1),
-                        fast_step=lambda eps, scheme, dt: None)
+                        fast_field=lambda eps: None)
 
 
 def test_chain_resonance_guard():
@@ -157,11 +157,6 @@ def test_uncoupled_flow_preserves_radii():
     assert np.max(np.abs(y - x)) <= 1e-8
 
 
-def chain_state(x):
-    """The chain's real state as the tuple of complex values the fused step advances."""
-    return tuple(map(complex, np.asarray(x, dtype=float).view(complex)))
-
-
 def array_step(rhs, scheme, dt):
     if scheme == "euler":
         return lambda x: x + dt * rhs(x)
@@ -170,8 +165,8 @@ def array_step(rhs, scheme, dt):
 
 def scalar_field(cfg, eps):
     """The chain's field on one real state in scalar complex arithmetic: the
-    reference that the fused step must reproduce when stepped by ``_rk4_step``
-    or Euler."""
+    reference that the written stages must reproduce when stepped by
+    ``_rk4_step`` or Euler."""
     p, q = cfg.outer, cfg.middle
     l1, l2 = complex(p.alpha + 1j * p.beta), complex(q.alpha + 1j * q.beta)
     c1, c2 = complex(p.gamma + 1j * p.delta), complex(q.gamma + 1j * q.delta)
@@ -194,35 +189,36 @@ def scalar_field(cfg, eps):
                                        (SET2, [1.0, 0.3, 1.0, 0.4, -0.2, 0.9])],
                          ids=["set1", "set2"])
 def test_fast_step_is_bit_identical_to_stepping_the_scalar_field(params, x0, scheme, dt, eps):
-    # Oracle for the fused step: every state of 10^4 steps from the preset
-    # start equals the one stepped from the scalar field, bit for bit.
+    # Oracle for the chain's written stages (its fast_field in the lane): every
+    # state of 10^4 steps from the preset start equals the one stepped from the
+    # scalar field, bit for bit.
     cfg = ChainConfig(**params)
-    step = chain_model(cfg).fast_step(eps, scheme, dt)
+    rec = integrate_full(chain_model(cfg), eps, x0, IntegratorSpec(scheme, dt, 10_000 * dt))
     oracle = array_step(scalar_field(cfg, eps), scheme, dt)
     x = np.array(x0)
-    z = chain_state(x)
-    want, got = [], []
+    want = [x]
     for _ in range(10_000):
-        x, z = oracle(x), step(z)
+        x = oracle(x)
         want.append(x)
-        got.append(z)
-    assert np.array_equal(np.asarray(got).view(float), np.asarray(want))
+    assert not rec.failed and rec.states.shape == (10_001, 6)
+    assert np.array_equal(rec.states, np.asarray(want))
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("params", [SET1, SET2], ids=["set1", "set2"])
 def test_fast_step_matches_the_generic_field(params, scheme):
-    # One fused step against one step of the generic batched field.
+    # One step of the chain's written stages against one step of the generic
+    # batched field.
     model = chain_model(ChainConfig(**params))
-    assert model.fast_step is not None
+    assert model.fast_field is not None
     rng = np.random.default_rng(5)
     states = rng.normal(size=(200, 6))
+    spec = IntegratorSpec(scheme, 0.01, 0.01)
     for eps in (0.0, 0.02, 0.1):
-        step = model.fast_step(eps, scheme, 0.01)
         generic = array_step(lambda x: model.rhs(x, eps), scheme, 0.01)
         for x in states:
             want = generic(x)
-            got = np.asarray(step(chain_state(x))).view(float)
+            got = integrate_full(model, eps, x, spec).states[1]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lane_oracle import looped_phase_step, march
 from torusred.errors import ConfigError
 from torusred.fourier import FourierMap, SmoothMap
 from torusred.models import (
@@ -23,9 +24,7 @@ from torusred import sim
 from torusred.sim import (
     IntegratorSpec,
     TrajectoryRecord,
-    _march,
     _rk4_step,
-    _until_decided,
     envelope,
     fit_powerlaw,
     integrate_full,
@@ -89,8 +88,8 @@ def test_integrator_order(scheme, expected, tol):
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 def test_generic_complex_pair_model_runs_like_the_fused_chain(chain1, scheme):
-    # The chain without its fused step goes through the generic array path;
-    # its record, pair angle included, matches the fused one to roundoff.
+    # The chain without its fast_field goes through the generic array path;
+    # its record, pair angle included, matches the scalar lane's to roundoff.
     cfg, model = chain1
     generic = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
                               omega=model.omega, pair=(0, 2))
@@ -254,7 +253,9 @@ def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
     reduction = reduced1 if kind == "reduced" else None
     sw = sweep_epsilon(model, x0, eps, spec, reduction=reduction)
     assert np.all(sw.converged)
-    for e, t01, t01_raw in zip(eps, sw.t01, sw.t01_raw):
+    doc = sw.to_json_dict()
+    assert doc["steps"] == sw.steps.tolist() and doc["t_stop"] == sw.t_stop.tolist()
+    for e, t01, t01_raw, steps, t_stop in zip(eps, sw.t01, sw.t01_raw, sw.steps, sw.t_stop):
         lane = replace(spec, t_end=spec.t_end * (float(np.max(eps)) / float(e)) ** 2,
                        record_state=False)
         if reduction is None:
@@ -271,6 +272,9 @@ def test_stopped_sweep_lanes_match_full_horizon(chain1, reduced1, kind, stride):
         assert np.array_equal(stopped.phi_hat, full.phi_hat[:len(stopped.t)])
         wn = int(np.ceil(full.meta["beat_period"] / (stride * spec.dt)))
         assert len(stopped.t) == np.flatnonzero(full.t == t01)[0] + wn < len(full.t)
+        # The report's step count and stop time are the stopped lane's.
+        assert steps == stopped.meta["steps"] == round(stopped.t[-1] / spec.dt)
+        assert t_stop == stopped.t[-1]
 
 
 @pytest.mark.parametrize("kind", ["full", "reduced"])
@@ -308,7 +312,7 @@ def test_the_run_policy_lives_in_the_spec_alone():
         if inspect.isfunction(fn) and fn.__module__ == sim.__name__:
             params = inspect.signature(fn).parameters
             assert not {"record_state", "until_t01"} & set(params), name
-    assert all(p.default is p.empty for p in inspect.signature(_march).parameters.values())
+    assert all(p.default is p.empty for p in inspect.signature(sim._lane).parameters.values())
 
 
 @pytest.mark.parametrize("stride", [2.5, 0.5, 0, -1, np.nan, np.inf])
@@ -329,13 +333,15 @@ def test_envelope_matches_a_running_maximum_oracle(n, window):
 
 
 def synthetic_lane(signal, stride, stop):
-    # The state counts time exactly (dt = 0.25) and the observable is
-    # signal(t); the envelope window is 5 time units.
+    # The first scalar counts time exactly (dt = 0.25) and the observable,
+    # the difference of the other two, is signal(t); the envelope window is
+    # 5 time units.
     spec = IntegratorSpec("euler", 0.25, 100.0, record_stride=stride, record_state=False)
-    hook = _until_decided(signal(0.0), 5.0, spec) if stop else None
-    ts, _, seen, _ = _march(lambda x: x + spec.dt * np.ones(1), np.zeros(1), spec,
-                            lambda x: signal(x[0]), hook)
-    return TrajectoryRecord(np.asarray(ts), None, np.asarray(seen), meta={"beat_period": 5.0})
+    rule = sim._t01_stop(signal(0.0), 5.0, spec) if stop else None
+    steps, _, seen, _ = sim._lane(spec, (0.0, signal(0.0), 0.0), ["p0 = p0 + dt", "p1 = signal(p0)"],
+                                  {"signal": signal}, (1, 2, signal(0.0), 0.0), rule)
+    return TrajectoryRecord(sim._times(steps, spec), None, np.asarray(seen),
+                            meta={"beat_period": 5.0})
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -365,7 +371,7 @@ def test_sweep_from_in_phase_outer_pair_fails_before_stepping(monkeypatch, chain
     def no_stepping(*args, **kwargs):
         raise AssertionError("a lane with an undefined decay baseline was stepped")
 
-    monkeypatch.setattr(sim, "_march", no_stepping)
+    monkeypatch.setattr(sim, "_lane", no_stepping)
     cfg, model = chain1
     x0 = np.array([-1.0, 0.3, 1.0, 0.4, -1.0, 0.3])
     with pytest.raises(ConfigError, match="baseline"):
@@ -385,7 +391,7 @@ def test_sweep_rejects_a_model_without_a_pair_or_a_bad_start_before_stepping(
     def no_stepping(*args, **kwargs):
         raise AssertionError("a lane of a rejected sweep was stepped")
 
-    monkeypatch.setattr(sim, "_march", no_stepping)
+    monkeypatch.setattr(sim, "_lane", no_stepping)
     cfg, model = chain1
     if not paired:
         model = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
@@ -400,7 +406,7 @@ def test_integrate_full_until_t01_needs_a_pair_before_stepping(monkeypatch, chai
     def no_stepping(*args, **kwargs):
         raise AssertionError("a run without an observable to time was stepped")
 
-    monkeypatch.setattr(sim, "_march", no_stepping)
+    monkeypatch.setattr(sim, "_lane", no_stepping)
     _, model = chain1
     unpaired = OscillatorModel(dims=model.dims, F0=model.F0, perturbations=model.perturbations,
                                omega=model.omega)
@@ -434,9 +440,12 @@ def test_integrate_reduced_applies_the_pair_rule_of_models(pair):
 
 def test_a_pair_angle_that_underflows_reads_as_zero():
     # z_1 conj(z_2) = 1e300 - 1e-300 i: its angle underflows, where cmath.phase raises.
-    z = (-1j, 1e-300 - 1e300j)
-    step, observe = sim._unwrapped_pair_angle(lambda z: z, z, (0, 1))
-    assert observe(step(z)) == 0.0
+    # A written field of zero rates keeps the state through a step.
+    still = OscillatorModel(dims=[2, 2], F0=None, perturbations=[], omega=[1.0, 1.0], pair=(0, 1),
+                            fast_field=lambda eps: (lambda z, f: [f"{f}0 = {f}1 = 0j"], {}))
+    rec = integrate_full(still, 0.0, [0.0, -1.0, 1e-300, -1e300], IntegratorSpec("euler", 0.05, 0.05))
+    assert rec.states.tolist() == [[0.0, -1.0, 1e-300, -1e300]] * 2
+    assert rec.phi_hat.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("dt,t_end", [(np.inf, 10.0), (0.05, np.inf), (np.nan, 10.0),
@@ -532,7 +541,7 @@ def test_reduced_step_matches_the_numpy_field_on_random_fields(m, scheme):
         values = rng.normal(size=(len(keys), m)) + 1j * rng.normal(size=(len(keys), m))
         result = reduced_flow(rng.uniform(-2.0, 2.0, size=m),
                               FourierMap(m, 3.0, (keys, values), (m,)))
-        step = sim._phase_step(result.omega, result.phase_field(0.0), spec)
+        step = written_phase_step(result.omega, result.phase_field(0.0), spec)
         oracle = numpy_phase_step(result, 0.0, spec)
         for phi in rng.uniform(-10.0, 10.0, size=(20, m)):
             want = oracle(phi)
@@ -540,45 +549,15 @@ def test_reduced_step_matches_the_numpy_field_on_random_fields(m, scheme):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def looped_phase_step(omega, series, spec):
-    """The reduced step as ``_phase_step`` took it before it wrote a function out
-    for the field's keys: generic loops over the keys and coefficient columns,
-    the byte-level oracle of the written-out step."""
-    dt, base, nan = spec.dt, omega.tolist(), [math.nan] * omega.size
-    keys = [[(a, k) for a, k in enumerate(row) if k] for row in series.keys.astype(float).tolist()]
-    cols = [list(zip(z.real.tolist(), z.imag.tolist())) for z in series.values.T]
-
-    def field(p):
-        cs = []
-        try:
-            for pairs in keys:
-                theta = 0.0  # every sum runs in numpy's order
-                for a, k in pairs:
-                    theta += k * p[a]
-                cs.append((math.cos(theta), math.sin(theta)))
-        except ValueError:  # math.cos of an infinite angle; numpy's exp gives NaN
-            return nan
-        out = []
-        for omega_a, col in zip(base, cols):
-            v = 0.0
-            for (c, s), (r, i) in zip(cs, col):
-                v += c * r - s * i
-            out.append(omega_a + v)
-        return out
-
-    if spec.scheme == "euler":
-        return lambda p: tuple([x + dt * f for x, f in zip(p, field(p))])
-    h, w = 0.5 * dt, dt / 6.0
-
-    def rk4(p):
-        a = field(p)
-        b = field([x + h * k for x, k in zip(p, a)])
-        c = field([x + h * k for x, k in zip(p, b)])
-        d = field([x + dt * k for x, k in zip(p, c)])
-        return tuple([x + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                      for x, k1, k2, k3, k4 in zip(p, a, b, c, d)])
-
-    return rk4
+def written_phase_step(omega, series, spec):
+    """The reduced flow's written stages (``_phase_rates`` through ``_stages``) as
+    one step of a tuple of floats, with the names the lane binds for them."""
+    rates, ns = sim._phase_rates(omega, series)
+    p = ", ".join(f"p{a}" for a in range(omega.size))
+    body = [f"{p}, = p", *sim._stages(spec.scheme, omega.size, rates), f"return ({p},)"]
+    ns.update(dt=spec.dt, h=0.5 * spec.dt, w=spec.dt / 6.0)
+    exec(compile("def step(p):\n" + "".join(f"    {ln}\n" for ln in body), "<step>", "exec"), ns)
+    return ns["step"]
 
 
 ODD_FLOATS = [-0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
@@ -613,7 +592,8 @@ def test_reduced_step_is_byte_identical_to_the_looped_step(m, scheme):
             values[n, a] = complex(*rng.choice(ODD_FLOATS, size=2))
         series = SimpleNamespace(keys=keys, values=values)
         omega = np.append(rng.uniform(-2.0, 2.0, size=m - 1), -0.0)
-        step, oracle = sim._phase_step(omega, series, spec), looped_phase_step(omega, series, spec)
+        step = written_phase_step(omega, series, spec)
+        oracle = looped_phase_step(omega, series, spec)
         starts = rng.uniform(-10.0, 10.0, size=(4, m))
         starts[1, 0] = starts[2, -1] = -0.0
         starts[3, 0] = 1e308
@@ -642,7 +622,7 @@ def test_reduced_blowup_stops_where_the_numpy_field_does(reduced1, bad, scheme):
     spec = IntegratorSpec(scheme, 0.05, 50.0)
     with np.errstate(over="ignore", invalid="ignore"):
         result = reduced_flow(reduced1.omega, FourierMap(3, series.K, (series.keys, values), (3,)))
-        ts, states, _, failed = _march(numpy_phase_step(result, 0.1, spec), phi0, spec, None, None)
+        ts, states, _, failed = march(numpy_phase_step(result, 0.1, spec), phi0, spec, None, None)
     rec = integrate_reduced(result, 0.1, phi0, spec, (0, 2))
     assert rec.failed and failed
     assert (len(rec.t) > 1) == (bad == "overflow")
@@ -816,7 +796,8 @@ def test_sweep_csv_format(tmp_path):
     from torusred.sim import SweepResult
 
     sw = SweepResult(sw_eps, np.array([10.0, np.nan]), np.array([9.0, np.nan]),
-                     np.array([True, False]), None, None)
+                     np.array([True, False]), np.array([200, 400]), np.array([10.0, 20.0]),
+                     None, None)
     path = tmp_path / "sweep.csv"
     sweep_csv(sw, path)
     lines = path.read_text().splitlines()

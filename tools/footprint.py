@@ -14,8 +14,9 @@ too keeps a parameter moved into a config object from reading as a cut.
 Artifacts: the first 16 hex digits of the sha256 of every file the CLI
 writes for set-1 ``reduce`` at (J, K) = (2, 8), (3, 8), (4, 8), (4, 12),
 set-2 ``reduce`` at (2, 8), ``bundle`` on both presets, set-1 ``simulate``
-and ``sweep``, and ``verify`` on both presets (its ``report.json`` and its
-stdout), plus the ``sweep.csv`` of ``sim.sweep_epsilon`` on the reduced flow
+and ``sweep``, set-2 ``simulate`` by RK4 recording every third state up to
+``t_end`` 200 at ``dt`` 0.01 (20,000 steps, so the last stride is partial),
+and ``verify`` on both presets (its ``report.json`` and its stdout), plus the ``sweep.csv`` of ``sim.sweep_epsilon`` on the reduced flow
 of a set-1 J = 2 reduction, which no command writes.  Every run keeps the
 rest of its preset's numerics.  The runs write to ``.footprint_out/`` next
 to ``src/``, cleared first: one config and one output directory per run,
@@ -51,6 +52,8 @@ MATRIX = [
     ("bundle set1", "set1", "bundle", {}),
     ("bundle set2", "set2", "bundle", {}),
     ("simulate set1", "set1", "simulate", {}),
+    ("simulate set2", "set2", "simulate",
+     {"integrator": {"scheme": "rk4", "dt": 0.01, "t_end": 200.0, "record_stride": 3}}),
     ("sweep set1", "set1", "sweep", {}),
     ("reduced sweep set1 J=2", "set1", "reduced sweep", {"J": 2}),
     ("verify set1", "set1", "verify", {}),
