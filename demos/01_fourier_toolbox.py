@@ -37,9 +37,10 @@ prod = multiply(f, f, K=4.0)
 print("\n(f*f) coefficients at k=(2,0):", prod.coeffs.get((2, 0)))
 
 # Pseudo-spectral composition (the order-0 term of a jet composition, whose
-# inner expansion is the list of its Taylor coefficients): the square of a
-# circle embedding doubles the harmonic exactly.
+# inner expansion is the list of its Taylor coefficients, each sampled on the
+# grid): the square of a circle embedding doubles the harmonic exactly.
 circle = FourierMap.harmonic(1, (1,), np.array([0.5, -0.5j]), K=2.0)
+grid = spectral_grid(1, 2.0)
 
 
 def complex_square(x):
@@ -48,5 +49,5 @@ def complex_square(x):
     return np.stack([w.real, w.imag], axis=-1)
 
 
-squared = jet_compose([SmoothMap(complex_square)], [circle], 0, 2.0, spectral_grid(1, 2.0))
+squared = jet_compose([SmoothMap(complex_square)], [grid.sample(circle)], 0, 2.0, grid)
 print("\ncompose(z^2, e^{i phi}) store frequencies:", sorted(squared.coeffs))

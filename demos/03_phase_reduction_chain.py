@@ -47,5 +47,6 @@ diff = phase_difference_field(result, 0, 2)
 print("\nphase-difference field orders:", [t.norm() for t in diff])
 
 print("\nconjugacy defect vs coupling strength (expect cubic decay):")
-for eps in (1e-1, 1e-2, 1e-3):
-    print(f"  eps = {eps:g}: {conjugacy_residual(model, result, eps):.3e}")
+couplings = (1e-1, 1e-2, 1e-3)
+for eps, r in zip(couplings, conjugacy_residual(model, result, couplings)):
+    print(f"  eps = {eps:g}: {r:.3e}")

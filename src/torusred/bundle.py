@@ -157,9 +157,8 @@ def _fill(bundle, own, first):
 
 
 def _sample_bundle(bundle, grid):
-    """``e0``, ``e0'``, ``N``, ``d_omega N`` on ``grid`` and its factors' pairs ``(e0', N)``."""
-    own = _own_samples(bundle, grid)
-    return _fill(bundle, own, slice(None)), [s[1:3] for s in own]
+    """``e0``, ``e0'``, ``N`` and ``d_omega N`` on ``grid``, a product's from its factors."""
+    return _fill(bundle, _own_samples(bundle, grid), slice(None))
 
 
 def _worst_condition(frames):

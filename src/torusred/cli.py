@@ -263,8 +263,7 @@ def check_slow_law(chain, result):
 
 def check_residual_scaling(model, result):
     """Conjugacy defect slope between eps = 1e-2 and 1e-3 against order + 1."""
-    r2 = conjugacy_residual(model, result, 1e-2)
-    r3 = conjugacy_residual(model, result, 1e-3)
+    r2, r3 = conjugacy_residual(model, result, (1e-2, 1e-3))
     slope = math.log(r2 / r3) / math.log(10.0)
     expected = result.order + 1
     metrics = {"conjugacy_residual": {"0.01": r2, "0.001": r3}, "residual_order_slope": slope}
@@ -309,18 +308,19 @@ def check_floquet(params, K):
             {"exponents": expos, "target_exponents": target, "angle": angle})
 
 
-def _diverged(name, rec):
-    """A failed criterion for a run that blew up before its horizon."""
-    t_stop = float(rec.t[-1])
+def _diverged(name, rec, spec):
+    """A failed criterion for a run of ``spec`` that blew up, timed at its last finite step."""
+    t_stop = rec.meta["steps"] * spec.dt
     return (name, False, f"run diverged; stopped at t = {t_stop:g}", {"t_stop": t_stop})
 
 
 def check_sync(model, eps, x0):
     """Tail of the synchronisation angle of a figure-faithful Euler run."""
     lo, hi = 2500.0, 4000.0
-    rec = integrate_full(model, eps, x0, IntegratorSpec("euler", 0.05, hi, record_state=False))
+    spec = IntegratorSpec("euler", 0.05, hi, record_state=False)
+    rec = integrate_full(model, eps, x0, spec)
     if rec.failed:
-        return _diverged("synchronisation figure", rec)
+        return _diverged("synchronisation figure", rec, spec)
     tail = float(np.max(np.abs(rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)])))
     return ("synchronisation figure", tail <= TOL_SYNC_TAIL,
             f"max |phi_hat| on [{lo:g}, {hi:g}] = {tail:.2e} (<= {TOL_SYNC_TAIL:g})",
@@ -330,10 +330,10 @@ def check_sync(model, eps, x0):
 def check_phase_lock(model, eps, x0, A, B):
     """Locked synchronisation angle of an RK4 run against ``2 atan2(A, B)``."""
     lo, hi = 3000.0, 4000.0
-    rec = integrate_full(model, eps, x0, IntegratorSpec("rk4", 0.01, hi, record_stride=5,
-                                                        record_state=False))
+    spec = IntegratorSpec("rk4", 0.01, hi, record_stride=5, record_state=False)
+    rec = integrate_full(model, eps, x0, spec)
     if rec.failed:
-        return _diverged("phase-locking figure", rec)
+        return _diverged("phase-locking figure", rec, spec)
     seg = rec.phi_hat[(rec.t >= lo) & (rec.t <= hi)]
     c = float(np.mean(seg))
     band = float(np.max(np.abs(seg - c)))

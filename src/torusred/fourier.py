@@ -503,16 +503,15 @@ class SmoothMap:
         return self.derivs[q - 1](x, *vs)
 
 
-def jet_compose(F_list, terms, order, K, grid):
+def jet_compose(F_list, samples, order, K, grid):
     """Taylor coefficient of order ``order`` of ``F(e(phi; eps); eps)``.
 
-    ``F_list[i]`` is the :class:`SmoothMap` coefficient of ``eps^i`` in the
-    map, and ``terms[r]`` that of ``eps^r`` in the inner map ``e``.  The
-    coefficient collects, for every ``i <= order``, the order ``order - i``
+    ``F_list[i]`` is the :class:`SmoothMap` coefficient of ``eps^i`` in the map,
+    and ``samples[r]`` that of ``eps^r`` in the inner map ``e``, sampled on ``grid``.
+    The coefficient collects, for every ``i <= order``, the order ``order - i``
     part of ``F_i`` composed with the expansion, assembled from the supplied
-    directional derivatives on ``grid`` and projected to radius ``K``.
+    directional derivatives on the samples and projected to radius ``K``.
     """
-    samples = [grid.sample(t) for t in terms]
     base = samples[0]
     acc = None
     for i, Fi in enumerate(F_list[:order + 1]):
@@ -525,7 +524,7 @@ def jet_compose(F_list, terms, order, K, grid):
                 # The ordered tuples of q positive orders summing to s, from their cut points.
                 for cuts in itertools.combinations(range(1, s), q - 1):
                     comp = [b - a for a, b in zip((0,) + cuts, cuts + (s,))]
-                    if any(r >= len(terms) for r in comp):
+                    if any(r >= len(samples) for r in comp):
                         continue
                     contrib = np.asarray(
                         Fi.deriv(q, base, *[samples[r] for r in comp]), dtype=float

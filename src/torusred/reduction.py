@@ -101,17 +101,17 @@ def _eps_sum(terms, eps, scale):
     return total
 
 
-def order_forcing(j, model, e_terms, f_terms, K, grid):
+def order_forcing(j, model, e_terms, f_terms, samples, K, grid):
     """Inhomogeneous forcing of reduction order ``j``.
 
-    Collects the order-j Taylor coefficient of the field composed with
-    the expansion so far, minus the order-j part of ``e' f`` formed
-    from the known lower-order terms, on ``grid``.  Order 1 is simply
-    the coupling field evaluated on the unperturbed torus.
+    Collects the order-j Taylor coefficient of the field composed with the
+    expansion so far (``samples[r]`` is ``e_terms[r]`` sampled on ``grid``),
+    minus the order-j part of ``e' f`` formed from the known lower-order terms.
+    Order 1 is simply the coupling field evaluated on the unperturbed torus.
     """
-    if len(e_terms) != j or len(f_terms) != j - 1:
+    if len(e_terms) != j or len(samples) != j or len(f_terms) != j - 1:
         raise ValueError(f"need exactly the terms below order {j}")
-    G = jet_compose(model.F_list, e_terms, j, K, grid)
+    G = jet_compose(model.F_list, samples, j, K, grid)
     for r in range(1, j):
         G = G - matmul(e_terms[r].jacobian(), f_terms[j - r - 1], K=K)
     return G
@@ -271,14 +271,14 @@ def phase_reduce(model, bundle, order, K=None, K_nf=None, tol_res=None, g_rule=N
     validate_bundle(bundle, F0=model.F0, grid=spectral_grid(bundle.m, max(K, bundle.K)))
     grid = reduction_grid(model, bundle, order, K)
     E_map, L_map = bundle.e0.jacobian(), FourierMap.constant(bundle.m, bundle.L)
-    (_, E, Nv, _), _ = _sample_bundle(bundle, grid)  # a product's factor by factor
-    e_terms = [bundle.e0]
-    f_terms, g_terms, h_terms = [], [], []
-    residuals = []
+    X, E, Nv, _ = _sample_bundle(bundle, grid)  # a product's factor by factor
+    e_terms, samples = [bundle.e0], [X]  # samples[r] is e_r on the grid
+    f_terms, g_terms, h_terms, residuals = [], [], [], []
     custom_gauge = False
 
     for j in range(1, order + 1):
-        G = order_forcing(j, model, e_terms, f_terms, K, grid)
+        samples += map(grid.sample, e_terms[len(samples):])  # e_{j-1}, first composed at order j
+        G = order_forcing(j, model, e_terms, f_terms, samples, K, grid)
         _check_saturation(f"G_{j}", G, K)
         margin = _alias_margin(f"G_{j}", G, grid)
         Gv = grid.sample(G)
@@ -352,20 +352,22 @@ def phase_difference_field(result, i, j):
         f.component(i) - f.component(j) for f in result.phase_terms]
 
 
-def conjugacy_residual(model, result, eps):
-    """Sup-norm defect of the assembled expansion at coupling ``eps``.
+def conjugacy_residual(model, result, couplings):
+    """Sup-norm defects ``max |e' f - F(e)|`` of the expansion on a grid, one per coupling.
 
-    Evaluates ``e' f - F(e)`` pointwise on a grid, with the expansion
-    summed at the given coupling strength; for an order-J reduction the
-    defect shrinks like ``eps^(J+1)``.
+    For an order-J reduction the defect shrinks like ``eps^(J+1)``.
     """
     bundle = result.bundle
     grid = spectral_grid(bundle.m, max(result.K, bundle.K))
-    e = result.embedding(eps)
-    # Summed from the samples of its terms: the residual's last digits depend on that order.
+    # f is summed from its terms' samples, taken once: the residual's last digits depend on that.
     w = FourierMap.constant(bundle.m, bundle.omega.astype(complex))
-    f_vals = _eps_sum([grid.sample(f) for f in [w] + result.phase_terms], eps, np.multiply)
-    E = grid.sample(e.jacobian())
-    lhs = (E @ f_vals[..., None])[..., 0]
-    rhs = model.rhs(grid.sample(e), eps)
-    return float(np.max(np.abs(lhs - rhs)))
+    samples = [grid.sample(f) for f in [w] + result.phase_terms]
+    f_sums = [_eps_sum(samples, eps, np.multiply) for eps in couplings]
+    del samples  # hold only the sums through a Jacobian's sample, the memory peak
+
+    def defect(eps, f_vals):
+        e = result.embedding(eps)
+        lhs = (grid.sample(e.jacobian()) @ f_vals[..., None])[..., 0]
+        return float(np.max(np.abs(lhs - model.rhs(grid.sample(e), eps))))
+
+    return [defect(eps, f_vals) for eps, f_vals in zip(couplings, f_sums)]

@@ -46,9 +46,9 @@ DISTANCE_REFINE = 6  # Gauss-Newton steps of torus_phases
 class IntegratorSpec:
     """Fixed-step integrator configuration: the whole policy of one run."""
 
-    scheme: str = "rk4"
-    dt: float = 0.01
-    t_end: float = 100.0
+    scheme: str
+    dt: float
+    t_end: float
     record_stride: int = 1  # record every record_stride-th step and the last
     record_state: bool = True  # record the states, not only t and the observable
     until_t01: bool = False  # end once T01 can no longer change (see _lane)

@@ -219,7 +219,7 @@ def test_criterion_09c_jet_composition_oracle():
         fd1 = (full_eval(h) - full_eval(-h)) / (2 * h)
         fd2 = (full_eval(h) - 2 * full_eval(0.0) + full_eval(-h)) / h ** 2 / 2.0
         for order, fd in ((1, fd1), (2, fd2)):
-            got = grid.sample(jet_compose(F_list, terms, order, 8.0, grid))
+            got = grid.sample(jet_compose(F_list, samples, order, 8.0, grid))
             worst = max(worst, float(np.max(np.abs(got - fd))))
     assert worst <= 1e-5
     print(f"\n[acceptance 9c] PASS  jet composition vs eps finite differences: "

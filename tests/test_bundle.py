@@ -431,12 +431,17 @@ PRODUCT_CASES = {
 }
 
 
+def factor_frames(bundle, grid):
+    """Each factor's ``(e0', N)`` on its own axes of ``grid``, as ``validate_bundle`` takes them."""
+    return [s[1:3] for s in _own_samples(bundle, grid)]
+
+
 @pytest.mark.parametrize("case", PRODUCT_CASES)
 def test_a_product_is_checked_through_its_factors_as_on_its_full_grid(case):
     # Oracle: the product's own series sampled on the full grid, and one SVD
     # of [e0' | N] per node of it.
     p, grid, _ = PRODUCT_CASES[case]()
-    samples, frames = _sample_bundle(p, grid)
+    samples, frames = _sample_bundle(p, grid), factor_frames(p, grid)
     series = p.e0, p.e0.jacobian(), p.N, d_omega(p.N, p.omega)
     for got, f in zip(samples, series, strict=True):
         want = grid.sample(f)
@@ -448,7 +453,7 @@ def test_a_product_is_checked_through_its_factors_as_on_its_full_grid(case):
     E, Nv = samples[1], samples[2]
     oracle = float(np.max(np.linalg.cond(np.concatenate([E, Nv], axis=-1))))
     assert abs(_worst_condition(frames) - oracle) <= 1e-12 * oracle
-    assert _worst_condition(_sample_bundle(without_factors(p), grid)[1]) == oracle
+    assert _worst_condition(factor_frames(without_factors(p), grid)) == oracle
 
 
 def test_a_product_reduces_to_the_bits_of_its_rebuild_without_factors():
@@ -461,8 +466,8 @@ def test_a_product_reduces_to_the_bits_of_its_rebuild_without_factors():
 
 def whole_grid_check(bundle, F0, grid):
     """The bundle check with every sample, ``F0``'s Jacobian and the residuals on the whole grid."""
-    (X, E, Nv, lhs), frames = _sample_bundle(bundle, grid)
-    max_cond = _worst_condition(frames)
+    X, E, Nv, lhs = _sample_bundle(bundle, grid)
+    max_cond = _worst_condition(factor_frames(bundle, grid))
     if not np.isfinite(max_cond) or max_cond > COND_THRESHOLD:
         raise TransversalityError("tangent and fibre frames degenerate on the grid", max_cond)
     gap = _hyperbolic_gap(bundle.L)
@@ -631,7 +636,7 @@ def test_gauge_covariance_of_fibre_frame():
         atol=1e-9,
     )
     grid = spectral_grid(3, 8.0)
-    Gv = grid.sample(order_forcing(1, model, [bundle.e0], [], 8.0, grid))
+    Gv = grid.sample(order_forcing(1, model, [bundle.e0], [], [grid.sample(bundle.e0)], 8.0, grid))
     E = grid.sample(bundle.e0.jacobian())
     U, V = split_forcing(Gv, (E, grid.sample(bundle.N)))
     U2, V2 = split_forcing(Gv, (E, grid.sample(N2)))

@@ -13,6 +13,7 @@ from torusred.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     PRESETS,
+    _diverged,
     check_floquet,
     check_normal_form,
     check_phase_lock,
@@ -417,6 +418,21 @@ def test_diverging_phase_lock_run_fails_its_criterion():
     assert name == "phase-locking figure" and not passed
     assert metrics["t_stop"] < 3000.0
     assert f"stopped at t = {metrics['t_stop']:g}" in detail
+
+
+def test_a_diverged_run_is_timed_at_its_last_finite_step():
+    # Recorded every third step, the run's last record is step 6 (t = 0.3),
+    # while it took 7 finite steps before it blew up.
+    chain = ChainConfig(**PRESETS["set1"]["model"]["chain"])
+    x0 = np.asarray(PRESETS["set1"]["numerics"]["x0"], dtype=float).reshape(-1)
+    x0[0] = 5.9887302
+    spec = IntegratorSpec("rk4", 0.05, 100.0, record_stride=3)
+    rec = integrate_full(chain_model(chain), chain.epsilon, x0, spec)
+    assert rec.failed and rec.meta["steps"] == 7 and rec.t[-1] == 6 * 0.05
+    name, passed, detail, metrics = _diverged("a figure", rec, spec)
+    assert name == "a figure" and not passed
+    assert detail == "run diverged; stopped at t = 0.35"
+    assert metrics == {"t_stop": 7 * 0.05}
 
 
 @pytest.mark.parametrize("preset,eps,scheme,dt,x0,steps", [

@@ -136,7 +136,8 @@ def test_matmul_matrix_vector():
 
 
 def compose(F, e):
-    return jet_compose([SmoothMap(F)], [e], 0, e.K, spectral_grid(e.m, e.K))
+    grid = spectral_grid(e.m, e.K)
+    return jet_compose([SmoothMap(F)], [grid.sample(e)], 0, e.K, grid)
 
 
 def test_compose_complex_square():
@@ -212,7 +213,7 @@ def test_jet_compose_linear():
     e0 = random_real_map(rng, 2, 3, K=2)
     e1 = random_real_map(rng, 2, 3, K=2)
     grid = spectral_grid(2, 5.0)
-    term1 = jet_compose([F0, F1], [e0, e1], 1, 5.0, grid)
+    term1 = jet_compose([F0, F1], [grid.sample(e0), grid.sample(e1)], 1, 5.0, grid)
     expected = grid.project(grid.sample(e1) @ A.T + grid.sample(e0) @ B.T, 5.0, prune=0.0)
     assert (term1 - expected).norm() <= 1e-11
 
@@ -240,7 +241,7 @@ def test_jet_compose_quadratic_second_order_term():
     e0 = random_real_map(rng, 1, 2, K=1)
     e1 = random_real_map(rng, 1, 2, K=1)
     grid = spectral_grid(1, 4.0)
-    term2 = jet_compose([F0], [e0, e1], 2, 4.0, grid)
+    term2 = jet_compose([F0], [grid.sample(e0), grid.sample(e1)], 2, 4.0, grid)
     expected = grid.project(0.5 * d2(None, grid.sample(e1), grid.sample(e1)), 4.0, prune=0.0)
     assert (term2 - expected).norm() <= 1e-12
 
@@ -304,8 +305,8 @@ def test_jet_compose_matches_eps_finite_difference(trial):
     h = 1e-4
     fd1 = (full_eval(h) - full_eval(-h)) / (2 * h)
     fd2 = (full_eval(h) - 2 * full_eval(0.0) + full_eval(-h)) / h ** 2 / 2.0
-    got1 = grid.sample(jet_compose(F_list, terms, 1, K, grid))
-    got2 = grid.sample(jet_compose(F_list, terms, 2, K, grid))
+    got1 = grid.sample(jet_compose(F_list, samples, 1, K, grid))
+    got2 = grid.sample(jet_compose(F_list, samples, 2, K, grid))
     assert np.max(np.abs(got1 - fd1)) <= 1e-5
     assert np.max(np.abs(got2 - fd2)) <= 1e-5
 
@@ -315,7 +316,7 @@ def test_jet_compose_order_zero_is_compose():
     F0 = cubic_polynomial_map(rng, 2)
     e0 = random_real_map(rng, 2, 2, K=2)
     grid = spectral_grid(2, 6.0)
-    term0 = jet_compose([F0], [e0], 0, 6.0, grid)
+    term0 = jet_compose([F0], [grid.sample(e0)], 0, 6.0, grid)
     direct = grid.project(F0.fun(grid.sample(e0)), 6.0)
     assert (term0 - direct).norm() <= 1e-12
 
@@ -324,8 +325,9 @@ def test_jet_compose_insufficient_derivatives():
     F0 = SmoothMap(lambda x: x ** 2, derivs=())
     e0 = FourierMap.harmonic(1, (1,), np.array([0.5 + 0j]))
     e1 = FourierMap.harmonic(1, (1,), np.array([0.25 + 0j]))
+    grid = spectral_grid(1, 3.0)
     with pytest.raises(NumericalError, match="order 1 required"):
-        jet_compose([F0], [e0, e1], 1, 3.0, spectral_grid(1, 3.0))
+        jet_compose([F0], [grid.sample(e0), grid.sample(e1)], 1, 3.0, grid)
 
 
 # ----------------------------------------------------------------------

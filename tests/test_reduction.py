@@ -1,5 +1,10 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
+import test_vdp_pair as vdp
+from test_bundle import vdp_start, without_factors
 from test_fourier import dense_sample
 
 from torusred import reduction
@@ -60,6 +65,12 @@ def reduced(chain):
     return phase_reduce(model, bundle, order=2, K_nf=6.0)
 
 
+def first_forcing(model, bundle, K=8.0):
+    """The order-1 forcing on the grid of radius ``K``."""
+    grid = spectral_grid(bundle.m, K)
+    return order_forcing(1, model, [bundle.e0], [], [grid.sample(bundle.e0)], K, grid)
+
+
 def combo_harmonic(m, k, coeff_sin, coeff_cos, component, p):
     """Map whose `component` is coeff_sin*sin(<k,phi>) + coeff_cos*cos(<k,phi>)."""
     c = np.zeros(p, dtype=complex)
@@ -73,7 +84,7 @@ def combo_harmonic(m, k, coeff_sin, coeff_cos, component, p):
 
 def test_first_order_forcing_is_coupling_on_torus(chain):
     cfg, model, bundle = chain
-    G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
+    G1 = first_forcing(model, bundle)
     R1, R2 = cfg.outer.radius, cfg.middle.radius
     expected = (
         FourierMap.harmonic(3, (0, 1, 0), np.array([R2 / 2, -1j * R2 / 2, 0, 0, 0, 0]))
@@ -115,7 +126,7 @@ def test_second_order_forcing_matches_conjugacy_finite_difference(chain, reduced
     h = 1e-4
     fd2 = (defect(h) - 2 * defect(0.0) + defect(-h)) / h ** 2
     G2 = order_forcing(2, model, [bundle.e0, res.embedding_terms[0]],
-                       [res.phase_terms[0]], 8.0, grid)
+                       [res.phase_terms[0]], [e0v, e1v], 8.0, grid)
     assert np.max(np.abs(grid.sample(G2) + 0.5 * fd2)) <= 1e-5
 
 
@@ -142,7 +153,7 @@ def test_split_recovers_tangential_input(chain):
 
 def test_split_first_order_closed_forms(chain):
     cfg, model, bundle = chain
-    G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
+    G1 = first_forcing(model, bundle)
     U, V = split(G1, bundle, model.F0)
     R1, R2 = cfg.outer.radius, cfg.middle.radius
     dg = cfg.delta / cfg.gamma
@@ -167,7 +178,7 @@ def test_fibres_along_the_tangent_trip_the_transversality_guard(chain):
     bad = TorusBundle(bundle.e0, bundle.omega, bundle.e0.jacobian(), bundle.L)
     with pytest.raises(TransversalityError):
         phase_reduce(model, bad, order=2, K_nf=6.0)
-    G1 = order_forcing(1, model, [bundle.e0], [], 8.0, spectral_grid(3, 8.0))
+    G1 = first_forcing(model, bundle)
     with pytest.raises(TransversalityError):
         split(G1, bad, model.F0)
 
@@ -361,7 +372,10 @@ def test_reduce_embedding_ansatz_identity(chain, reduced):
         assert (rebuilt - reduced.embedding_terms[j]).norm() <= 1e-13
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.07])
+EPS_SUMS = (1e-3, 1e-2, 0.07)
+
+
+@pytest.mark.parametrize("eps", EPS_SUMS)
 def test_eps_sums_match_the_inline_loops_bit_for_bit(chain, eps):
     # The loops each caller of the expansion at one coupling used to hold.
     cfg, model, bundle = chain
@@ -382,7 +396,30 @@ def test_eps_sums_match_the_inline_loops_bit_for_bit(chain, eps):
         f_vals = f_vals + eps ** l * grid.sample(term)
     lhs = (grid.sample(e.jacobian()) @ f_vals[..., None])[..., 0]
     inline = float(np.max(np.abs(lhs - model.rhs(grid.sample(e), eps))))
-    assert conjugacy_residual(model, result, eps) == inline
+    # One call at every coupling gives each one's residual, as a call at that coupling alone.
+    assert conjugacy_residual(model, result, EPS_SUMS)[EPS_SUMS.index(eps)] == inline
+    assert conjugacy_residual(model, result, [eps]) == [inline]
+
+
+def test_each_further_coupling_of_a_residual_holds_one_more_sum_of_f(chain):
+    # Sampling the embedding's Jacobian is a residual's memory peak.  The sums
+    # of f, one per coupling, are held through it; no term's sample and no
+    # array of an earlier coupling is.
+    cfg, model, bundle = chain
+    result = phase_reduce(model, bundle, order=4, K_nf=6.0)
+    f_bytes = spectral_grid(3, max(result.K, bundle.K)).size * 3 * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for couplings in ([1e-2], [1e-2, 1e-3], [1e-2, 1e-3, 1e-4]):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            conjugacy_residual(model, result, couplings)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    for n, peak in enumerate(peaks):
+        assert peak - peaks[0] <= n * (f_bytes + 16384), peaks
 
 
 @pytest.mark.parametrize("order,expected_slope", [(1, 2.0), (2, 3.0)])
@@ -390,7 +427,7 @@ def test_residual_scaling_slope(chain, order, expected_slope):
     cfg, model, bundle = chain
     res = phase_reduce(model, bundle, order=order, K_nf=6.0)
     eps = np.array([1e-3, 10 ** -2.5, 1e-2, 10 ** -1.5, 1e-1])
-    r = np.array([conjugacy_residual(model, res, e) for e in eps])
+    r = np.array(conjugacy_residual(model, res, eps))
     slope = np.polyfit(np.log(eps), np.log(r), 1)[0]
     assert abs(slope - (order + 1)) <= 0.1
 
@@ -513,13 +550,90 @@ def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, monkeypatch, K
     monkeypatch.setattr(reduction, "validate_bundle", bundle_check)
     result = phase_reduce(model, bundle, order=2, K=K, K_nf=6.0)
     for name, check in (("validate_bundle", lambda: validate_bundle(bundle, F0=model.F0)),
-                        ("conjugacy", lambda: conjugacy_residual(model, result, 1e-2))):
+                        ("conjugacy", lambda: conjugacy_residual(model, result, [1e-2]))):
         sampled_shapes.clear()
         check()
         shapes[name] = list(sampled_shapes)
     assert len(shapes) == 3
     for name, sampled in shapes.items():
         assert sampled and min(min(s) for s in sampled) >= PARENT_CHECK_NODES[K], name
+
+
+# ----------------------------------------------------------------------
+# each series sampled once per grid
+
+
+# Each case gives a model, a bundle and the arguments of its reduction.
+def preset_case(params, J, K):
+    cfg = ChainConfig(**params)
+    return chain_model(cfg), chain_bundle(cfg, K=K), dict(order=J, K=K, K_nf=6.0)
+
+
+def spectral_product_case():
+    cfg = ChainConfig(**SET1)
+    return chain_model(cfg), numeric_chain_bundle(cfg, 8.0), dict(order=4, K=8.0, K_nf=6.0)
+
+
+def vdp_pair_case():
+    cycle = cycle_bundle(vdp_start(vdp.MU), K=vdp.K)
+    bundle = product_bundle([cycle, cycle])
+    return vdp.vdp_pair_model(bundle.omega), bundle, dict(order=vdp.ORDER, K=vdp.K)
+
+
+def rebuilt_case():
+    model, bundle, args = preset_case(SET1, 4, 8.0)
+    return model, without_factors(bundle), args
+
+
+SAMPLE_CASES = {
+    "set1-J4-K12": partial(preset_case, SET1, 4, 12.0),
+    "set2-J4-K12": partial(preset_case, SET2, 4, 12.0),
+    "set1-spectral": spectral_product_case,
+    "vdp-pair": vdp_pair_case,
+    "set1-without-factors": rebuilt_case,
+}
+
+
+@pytest.mark.parametrize("case", SAMPLE_CASES)
+def test_order_forcing_receives_the_samples_of_its_terms(monkeypatch, case):
+    # Oracle: each term sampled on the reduction's grid, as jet_compose did itself.
+    model, bundle, args = SAMPLE_CASES[case]()
+    forcing, orders = reduction.order_forcing, []
+
+    def checked(j, model, e_terms, f_terms, samples, K, grid):
+        for e, got in zip(e_terms, samples, strict=True):
+            want = grid.sample(e)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (j, case)
+        orders.append(j)
+        return forcing(j, model, e_terms, f_terms, samples, K, grid)
+
+    monkeypatch.setattr(reduction, "order_forcing", checked)
+    phase_reduce(model, bundle, **args)
+    assert orders == list(range(1, args["order"] + 1))
+
+
+@pytest.mark.parametrize("case", ["set1-J4-K12", "set1-without-factors"])
+def test_a_reduction_and_its_residual_check_sample_no_series_twice(monkeypatch, case):
+    # Counted per series object and grid shape on the reduction's torus; a
+    # product's factors are sampled on their own axes, once per factor.  The
+    # series are kept alive, so no two of them share an id.
+    model, bundle, args = SAMPLE_CASES[case]()
+    sample, seen = TorusGrid.sample, {}
+
+    def counted(grid, fmap):
+        if grid.m == bundle.m:
+            seen.setdefault((id(fmap), grid.shape), [fmap, 0])[1] += 1
+        return sample(grid, fmap)
+
+    monkeypatch.setattr(TorusGrid, "sample", counted)
+    result = phase_reduce(model, bundle, **args)
+    _, passed, detail, _ = check_residual_scaling(model, result)
+    assert passed, detail
+    assert not [(shape, n) for (_, shape), (_, n) in seen.items() if n > 1]
+    # The terms composed into a forcing, e_1 .. e_(J-1), once each on the reduction grid.
+    grid = tuple(result.residuals[-1]["grid"])
+    composed = {id(e) for e in result.embedding_terms}
+    assert sum(i in composed and shape == grid for i, shape in seen) == args["order"] - 1
 
 
 # ----------------------------------------------------------------------
@@ -636,6 +750,5 @@ def test_gauge_freedom_nonresonant_regauge_preserves_harmonics(chain, reduced):
     assert abs(A1 - A0) <= 1e-10
     assert abs(Bh1 - Bh0) <= 1e-10
     # the expansion still solves the conjugacy equation at third order
-    r2 = conjugacy_residual(model, alt, 1e-2)
-    r3 = conjugacy_residual(model, alt, 1e-3)
+    r2, r3 = conjugacy_residual(model, alt, (1e-2, 1e-3))
     assert abs(np.log10(r2 / r3) - 3.0) <= 0.1

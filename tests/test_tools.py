@@ -1,20 +1,60 @@
-"""``tools/artifact_diff.py`` on small artifact trees."""
+"""``tools/artifact_diff.py`` on small artifact trees, and the benchmark's tracer on the package."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_diff.py"
+import torusred
+from torusred import cli, models, reduction, sim
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "artifact_diff.py"
+
+
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look themselves up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def artifact_diff():
-    spec = importlib.util.spec_from_file_location("artifact_diff", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(TOOL)
+
+
+def test_the_benchmark_tracer_binds_the_arguments_its_hooks_read():
+    # The tracer's hooks read arguments by name (``fmap``, ``values``, ``spec``,
+    # ``record``, ``use_envelope``), so a renamed one would crash a traced run.
+    tracing = load(ROOT / "benchmarks" / "tracing.py")
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, torusred)
+    try:
+        cfg = models.ChainConfig(**cli.PRESETS["set1"]["model"]["chain"])
+        model = models.chain_model(cfg)
+        result = reduction.phase_reduce(model, models.chain_bundle(cfg, K=8.0), order=2,
+                                        K=8.0, K_nf=6.0)
+        assert cli.check_residual_scaling(model, result)[1]
+        x0 = np.asarray(cli.PRESETS["set1"]["numerics"]["sweep"]["x0"], dtype=float).ravel()
+        spec = sim.IntegratorSpec("euler", 0.05, 1500.0, record_state=False, until_t01=True)
+        assert np.isfinite(sim.measure_T01(sim.integrate_full(model, 0.1, x0, spec)))
+    finally:
+        tracing.uninstall(undo)
+    names = {s.name for s in tracer.spans}
+    for name in ("fourier.jet_compose", "reduction.conjugacy_residual",
+                 "sim.integrate_full", "sim.measure_T01"):
+        assert name in names, name
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["fourier.sample_calls"] > 0 and metrics["sim.integrate_full_steps"] > 0
+    assert 0 < metrics["sim.useful_step_frac"] <= 1
 
 
 BUNDLE = {"omega": [2.0, 1.0],
