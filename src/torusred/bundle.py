@@ -127,12 +127,16 @@ def _blocks(bundles):
 def _own_samples(bundle, grid):
     """``e0``, ``e0'``, ``N`` and ``d_omega N`` of each factor, on its own axes of ``grid``.
 
-    Any other bundle is its one factor.
+    Any other bundle is its one factor.  A factor held twice (the chain's
+    outer circle) on axes of one shape is sampled once.
     """
-    own = []
+    own, sampled = [], {}
     for b, axes, _, _ in _blocks(bundle.factors or [bundle]):
-        g = TorusGrid(b.m, grid.shape[axes])
-        own.append(tuple(map(g.sample, (b.e0, b.e0.jacobian(), b.N, d_omega(b.N, b.omega)))))
+        key = id(b), grid.shape[axes]
+        if key not in sampled:
+            g = TorusGrid(b.m, key[1])
+            sampled[key] = tuple(map(g.sample, (b.e0, b.e0.jacobian(), b.N, d_omega(b.N, b.omega))))
+        own.append(sampled[key])
     return own
 
 

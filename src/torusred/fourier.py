@@ -357,6 +357,7 @@ def matmul(f, g, K):
 
 CIRCLE_CHECK_NODES = 64  # a pointwise check on a circle never runs on fewer nodes
 SATURATION_TOL = 1e-9  # relative mass a series may carry on its outermost shell (or guard shell)
+PROJECT_PRUNE = 1e-14  # project drops coefficients at most this times the largest
 
 
 def _radius_nodes(K):
@@ -445,10 +446,10 @@ class TorusGrid:
         vals = np.ascontiguousarray(np.moveaxis(box.real, 0, -1))
         return vals.reshape(self.shape + fmap.value_shape)
 
-    def project(self, values, K, prune=1e-14):
+    def project(self, values, K):
         """Project grid values onto frequencies with ``|k| <= K``.
 
-        Coefficients smaller than ``prune`` times the largest one are
+        Coefficients at most ``PROJECT_PRUNE`` times the largest one are
         dropped to keep the sparse representation honest.
         """
         values = np.asarray(values)
@@ -462,7 +463,7 @@ class TorusGrid:
         ks = ks[np.linalg.norm(ks, axis=1) <= K + 1e-12]
         vals = spec[tuple((ks % self.shape).T)]
         mags = np.abs(vals).max(axis=tuple(range(1, vals.ndim)), initial=0.0)
-        keep = mags > prune * mags.max(initial=0.0)
+        keep = mags > PROJECT_PRUNE * mags.max(initial=0.0)
         return FourierMap(self.m, K, (ks[keep], vals[keep]), value_shape)
 
 

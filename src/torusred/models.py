@@ -66,10 +66,6 @@ class StuartLandauParams:
     def floquet_exponent(self):
         return -2.0 * self.alpha
 
-    @property
-    def period(self):
-        return 2.0 * math.pi / abs(self.frequency)
-
 
 def _to_complex(x):
     """The complex values of a state of ``(Re z, Im z)`` pairs, as a view; never written to."""

@@ -12,7 +12,6 @@ full states off an embedded torus.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -117,31 +116,18 @@ def _window_samples(window, dt_rec):
     return max(1, int(math.ceil(window / dt_rec)))
 
 
-def _rk4_step(f, x, dt):
-    """One classical RK4 step; the written stages reproduce its order of operations bit for bit."""
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _array_step(rhs, spec):
-    """The spec's scheme as one step of ``dx/dt = rhs(x)`` on arrays."""
-    dt = spec.dt
-    if spec.scheme == "euler":
-        return lambda x: x + dt * rhs(x)
-    return lambda x: _rk4_step(rhs, x, dt)
-
-
 def _stages(scheme, m, rates):
     """The scheme's stages for a flow of ``m`` scalars ``p0, p1, ...``, as source lines.
 
     ``rates(x, f)`` gives the lines that set ``f0, f1, ...`` (``f`` a prefix)
-    to the rates at the scalars named ``x``.  The stages advance ``p0, p1,
-    ...`` in place by Euler or in ``_rk4_step``'s order of operations,
-    through the stage inputs ``q0, q1, ...`` and the rates ``f1_0, ...,
-    f4_0, ...``, with the ``dt``, ``h = dt / 2`` and ``w = dt / 6`` of ``_lane``.
+    to the rates at the scalars named ``x``; a "scalar" may be a whole array
+    (the one ``p0`` of an array lane).  The stages advance ``p0, p1, ...``
+    in place by Euler, ``p = p + dt * f1``, or by classical RK4 through the
+    stage inputs ``q0, q1, ...`` and the rates ``f1_0, ..., f4_0, ...``:
+    ``q = p + h * f1``, ``q = p + h * f2``, ``q = p + dt * f3``, then
+    ``p = p + w * (f1 + 2.0 * f2 + 2.0 * f3 + f4)``, with the ``dt``,
+    ``h = dt / 2`` and ``w = dt / 6`` of ``_lane``.  That order of
+    operations is part of every lane's bits.
     """
     p, q = [f"p{a}" for a in range(m)], [f"q{a}" for a in range(m)]
     lines = rates(p, "f1_")
@@ -196,12 +182,13 @@ def _lane(spec, state, stages, ns, observe, stop):
     The lane is one function written out for the run: the loop, the
     ``stages`` (source lines), the finiteness check, the pair observable,
     the records and the stop rule.  ``state`` is the start: a tuple of
-    scalars, named ``p0, p1, ...`` in the source (``_stages``), or an array
-    ``x`` that the stage ``x = step(x)`` advances.  ``ns`` binds the names
-    the stages use; the lane's own are ``start``, ``x``, ``i``, ``dt``,
-    ``h``, ``w``, ``pi``, ``tau``, ``atan2``, ``isfinite``, ``u``, ``new``,
-    ``raw``, ``unwrapped``, ``value``, ``shift``, ``threshold``, ``streak``,
-    ``seen`` and ``states``.
+    scalars, named ``p0, p1, ...`` in the source, or one real array ``p0``
+    of complex pairs read through ``p0.view(complex)``; the ``stages``
+    (``_stages``) advance them.  ``ns`` binds the names the stages use; the
+    lane's own are ``start``, ``p0``, ``i``, ``dt``, ``h``, ``w``, ``pi``,
+    ``tau``, ``atan2``, ``isfinite``, ``u``, ``new``, ``raw``,
+    ``unwrapped``, ``value``, ``shift``, ``threshold``, ``streak``, ``seen``
+    and ``states``.
 
     The lane ends before the first state with a non-finite entry.  Every
     ``record_stride`` steps and at the last one, it records the state (with
@@ -219,10 +206,10 @@ def _lane(spec, state, stages, ns, observe, stop):
         load, now = ", ".join(x) + ", = start", f"({', '.join(x)},)"
         bad = " + ".join(f"({v} - {v})" for v in x)  # NaN, so true, at a non-finite entry
     else:
-        x = [f"x[{a}]" for a in range(len(state))]
-        load, now, bad = "x = start", "x", "not all(map(isfinite, x))"
+        x = [f"p0.view(complex)[{a}]" for a in range(len(state) // 2)]
+        load, now, bad = "p0 = start", "p0", "not all(map(isfinite, p0))"
     ns = dict(ns, start=state, dt=spec.dt, h=0.5 * spec.dt, w=spec.dt / 6.0, pi=math.pi,
-              tau=2.0 * math.pi, atan2=math.atan2, isfinite=cmath.isfinite)
+              tau=2.0 * math.pi, atan2=math.atan2, isfinite=math.isfinite)
     head = [load, f"states = [{now}]" if spec.record_state else "states = None",
             "seen = None" if observe is None else "seen = [value]"]
     track, record = [], [f"states.append({now})"] if spec.record_state else []
@@ -278,7 +265,7 @@ def integrate_full(model, eps, x0, spec):
     recorded and whether the run ends at T01; ``until_t01`` needs a model
     with a pair (``ConfigError``).  A model's ``fast_field`` steps the tuple
     of its oscillators' complex values in the written lane (``_lane``); any
-    other model steps arrays over ``rhs`` there.
+    other model steps its real state there as one array over ``rhs``.
     """
     pair = model.pair
     if spec.until_t01 and pair is None:
@@ -286,19 +273,16 @@ def integrate_full(model, eps, x0, spec):
     x, beat = _start(x0, model.M, "state", model.omega, spec)
     if model.fast_field is not None:
         rates, ns = model.fast_field(eps)
-        state = tuple(x.view(complex).tolist())
+        state = z = tuple(x.view(complex).tolist())
         stages = _stages(spec.scheme, len(state), rates)
-    else:
-        rhs_step = _array_step(lambda y: model.rhs(y, eps), spec)
-        if pair is not None:  # complex-pair states step as the oscillators' complex values
-            step, state = (lambda z: rhs_step(z.view(float)).view(complex)), x.view(complex)
-        else:
-            step, state = rhs_step, x
-        stages, ns = ["x = step(x)"], {"step": step}
+    else:  # one real array p0, as a complex view would step signed zeros as complex products
+        state, ns = x, {"rhs": model.rhs, "eps": eps}
+        z = x.view(complex) if pair is not None else None
+        stages = _stages(spec.scheme, 1, lambda p, f: [f"{f}0 = rhs({p[0]}, eps)"])
     observe = stop = None
     if pair is not None:
         # The angle of z_i conj(z_j) by math.atan2: cmath.phase raises where the angle underflows.
-        w = state[pair[0]] * state[pair[1]].conjugate()
+        w = z[pair[0]] * z[pair[1]].conjugate()
         angle = math.atan2(w.imag, w.real)
         observe = (*pair, angle, None)
         if spec.until_t01:

@@ -1,12 +1,14 @@
 """The lanes as the package stepped them before it wrote one function per lane.
 
-A generic fixed-step loop with an observer and a stop hook (``march``), the
-pair-angle wrapper (``unwrapped_pair_angle``), the T01 stop hook
-(``until_decided``), the chain's hand-fused Euler and RK4 steps
-(``fused_chain_step``) and the reduced step looped over the field's keys
-(``looped_phase_step``).  ``reference_full`` and ``reduced_reference`` put them
-together as ``integrate_full`` and ``integrate_reduced`` did: the byte-level
-reference of the written lanes.
+The classical RK4 step on arrays (``_rk4_step``, the array lane's oracle and
+the order of operations of every written stage), a generic fixed-step loop
+with an observer and a stop hook (``march``), the pair-angle wrapper
+(``unwrapped_pair_angle``), the T01 stop hook (``until_decided``), the
+chain's hand-fused Euler and RK4 steps (``fused_chain_step``) and the
+reduced step looped over the field's keys (``looped_phase_step``).
+``reference_full`` and ``reduced_reference`` put them together as
+``integrate_full`` and ``integrate_reduced`` did: the byte-level reference of
+the written lanes.
 """
 
 import cmath
@@ -14,13 +16,16 @@ import math
 
 import numpy as np
 
-from torusred.sim import (
-    TrajectoryRecord,
-    _beat_period,
-    _rk4_step,
-    _t01_threshold,
-    _window_samples,
-)
+from torusred.sim import TrajectoryRecord, _beat_period, _t01_threshold, _window_samples
+
+
+def _rk4_step(f, x, dt):
+    """One classical RK4 step on arrays: the order of operations every lane's stages keep."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def march(step, x, spec, observe, stop):

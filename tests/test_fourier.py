@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusred.fourier import (
+    PROJECT_PRUNE,
     FourierMap,
     SmoothMap,
     TorusGrid,
@@ -108,7 +109,7 @@ def test_multiply_matches_grid_product():
     prod = multiply(f, g, K=K)
     grid = spectral_grid(2, K)
     vals = grid.sample(f)[..., None] * grid.sample(g)
-    expected = grid.project(vals, K, prune=0.0)
+    expected = project_by_node_loop(grid, vals, K, prune=0.0)
     diff = (prod - expected).norm()
     assert diff <= 1e-10
 
@@ -214,7 +215,8 @@ def test_jet_compose_linear():
     e1 = random_real_map(rng, 2, 3, K=2)
     grid = spectral_grid(2, 5.0)
     term1 = jet_compose([F0, F1], [grid.sample(e0), grid.sample(e1)], 1, 5.0, grid)
-    expected = grid.project(grid.sample(e1) @ A.T + grid.sample(e0) @ B.T, 5.0, prune=0.0)
+    expected = project_by_node_loop(grid, grid.sample(e1) @ A.T + grid.sample(e0) @ B.T, 5.0,
+                                    prune=0.0)
     assert (term1 - expected).norm() <= 1e-11
 
 
@@ -242,7 +244,8 @@ def test_jet_compose_quadratic_second_order_term():
     e1 = random_real_map(rng, 1, 2, K=1)
     grid = spectral_grid(1, 4.0)
     term2 = jet_compose([F0], [grid.sample(e0), grid.sample(e1)], 2, 4.0, grid)
-    expected = grid.project(0.5 * d2(None, grid.sample(e1), grid.sample(e1)), 4.0, prune=0.0)
+    expected = project_by_node_loop(grid, 0.5 * d2(None, grid.sample(e1), grid.sample(e1)), 4.0,
+                                    prune=0.0)
     assert (term2 - expected).norm() <= 1e-12
 
 
@@ -344,7 +347,7 @@ def test_grid_round_trip():
     assert np.max(np.abs(vals - vals2)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
 
 
-def project_by_node_loop(grid, values, K, prune=1e-14):
+def project_by_node_loop(grid, values, K, prune=PROJECT_PRUNE):
     """Reference projection: visit every node of the Nyquist box in turn."""
     spec = np.fft.fftn(values, axes=tuple(range(grid.m))) / grid.size
     coeffs = {}
@@ -362,7 +365,7 @@ def project_by_node_loop(grid, values, K, prune=1e-14):
     return FourierMap(grid.m, K, coeffs, values.shape[grid.m:])
 
 
-@pytest.mark.parametrize("prune", [0.0, 1e-14], ids=["prune0", "default"])
+@pytest.mark.parametrize("prune", [0.0, PROJECT_PRUNE], ids=["prune0", "default"])
 @pytest.mark.parametrize("value_shape", [(), (3,), (2, 3)], ids=["scalar", "vector", "matrix"])
 @pytest.mark.parametrize("m,shape,K", [
     (1, (17,), 5.0), (2, (9, 8), 3.0), (2, (11, 11), 3.7), (3, (7, 7, 7), 2.0),
@@ -375,11 +378,15 @@ def test_project_matches_node_loop(m, shape, K, value_shape, prune):
     smooth = grid.sample(f).reshape(shape + value_shape)
     # Noise puts coefficients on both sides of the default prune level.
     noisy = smooth + 3e-13 * rng.normal(size=smooth.shape)
+    # Against the loop pruned as project prunes or not pruned at all, project
+    # keeps exactly the loop's coefficients above PROJECT_PRUNE times the largest.
     for values in (smooth, noisy, np.zeros_like(smooth)):
-        got = grid.project(values, K, prune=prune)
+        got = grid.project(values, K)
         ref = project_by_node_loop(grid, values, K, prune=prune)
-        assert list(got.coeffs) == list(ref.coeffs)
-        for k in ref.coeffs:
+        top = max((np.max(np.abs(c)) for c in ref.coeffs.values()), default=0.0)
+        kept = [k for k, c in ref.coeffs.items() if np.max(np.abs(c)) > PROJECT_PRUNE * top]
+        assert list(got.coeffs) == kept
+        for k in kept:
             assert np.array_equal(got.coeffs[k], ref.coeffs[k])
 
 
@@ -585,7 +592,7 @@ def test_property_jacobian_is_a_derivation(f, g):
 def test_property_project_inverts_sample_inside_the_nyquist_box(case):
     f, shape = case
     grid = TorusGrid(f.m, shape)
-    back = grid.project(grid.sample(f), f.K, prune=0.0)
+    back = project_by_node_loop(grid, grid.sample(f), f.K, prune=0.0)
     assert (back - f).norm() <= 1e-13 * max(1.0, f.norm())
 
 
@@ -594,7 +601,8 @@ def test_property_project_inverts_sample_inside_the_nyquist_box(case):
 def test_property_multiply_matches_grid_product(f, g):
     K = 2.0 * BOX * 2
     grid = spectral_grid(2, K)
-    expected = grid.project(grid.sample(f)[..., None] * grid.sample(g), K, prune=0.0)
+    expected = project_by_node_loop(grid, grid.sample(f)[..., None] * grid.sample(g), K,
+                                    prune=0.0)
     assert (multiply(f, g, K=K) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
 
 
@@ -605,7 +613,7 @@ def test_property_matmul_matches_grid_product(A, x, B):
     grid = spectral_grid(2, K)
     Av = grid.sample(A)
     for g, prod in ((x, (Av @ grid.sample(x)[..., None])[..., 0]), (B, Av @ grid.sample(B))):
-        expected = grid.project(prod, K, prune=0.0)
+        expected = project_by_node_loop(grid, prod, K, prune=0.0)
         assert (matmul(A, g, K=K) - expected).norm() <= 1e-12 * max(1.0, expected.norm())
 
 

@@ -14,6 +14,7 @@ from lane_oracle import reduced_reference, reference_full
 from test_vdp_pair import vdp_pair_model
 from torusred.fourier import FourierMap, SmoothMap
 from torusred.models import ChainConfig, OscillatorModel, chain_bundle, chain_model
+from torusred import sim
 from torusred.reduction import phase_reduce
 from torusred.sim import IntegratorSpec, integrate_full, integrate_reduced, phases_from_state
 
@@ -128,3 +129,36 @@ def test_an_array_model_runs_as_the_reference(paired, scheme, stride, record_sta
     got = integrate_full(vdp, 0.025, x0, spec)
     assert (got.phi_hat is not None) == paired
     assert_same_record(got, reference_full(vdp, 0.025, x0, spec, None), spec.dt)
+    if paired:  # the T01 stop ends the lane at 888 of its 2000 steps
+        stop = replace(spec, t_end=100.0, until_t01=True)
+        got = integrate_full(vdp, 0.025, x0, stop)
+        assert 0 < got.meta["steps"] < stop.steps() and not got.failed
+        assert_same_record(got, reference_full(vdp, 0.025, x0, stop, None), stop.dt)
+    # A Roessler oscillator: one block of three real values, not complex pairs.
+    rossler = OscillatorModel(dims=[3], F0=SmoothMap(rossler_field), perturbations=[],
+                              omega=np.array([1.0]))
+    start = np.array([1.0, -0.0, 0.0])
+    got = integrate_full(rossler, 0.0, start, spec)
+    assert got.phi_hat is None and not got.failed
+    assert_same_record(got, reference_full(rossler, 0.0, start, spec, None), spec.dt)
+
+
+def rossler_field(x):
+    u, v, w = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([-v - w, u + 0.2 * v, 0.2 + w * (u - 5.7)], axis=-1)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_an_array_model_writes_its_stages_as_every_lane(monkeypatch, scheme):
+    # The one scheme writer: an array lane's Euler or RK4 stages come from _stages.
+    calls = []
+
+    def counted(scheme, m, rates):
+        calls.append((scheme, m))
+        return stages(scheme, m, rates)
+
+    stages = sim._stages
+    monkeypatch.setattr(sim, "_stages", counted)
+    vdp = vdp_pair_model(np.array([1.0, 1.0]))
+    integrate_full(vdp, 0.025, np.array([2.0, 0.0, 0.5, 1.5]), IntegratorSpec(scheme, 0.05, 1.0))
+    assert calls == [(scheme, 1)]

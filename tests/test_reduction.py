@@ -614,15 +614,15 @@ def test_order_forcing_receives_the_samples_of_its_terms(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["set1-J4-K12", "set1-without-factors"])
 def test_a_reduction_and_its_residual_check_sample_no_series_twice(monkeypatch, case):
-    # Counted per series object and grid shape on the reduction's torus; a
-    # product's factors are sampled on their own axes, once per factor.  The
-    # series are kept alive, so no two of them share an id.
+    # Counted per series object and grid shape, on the reduction's torus and on
+    # a product's factors' own axes: a factor the product holds twice (the
+    # chain's outer circle) is sampled once per grid shape.  The series are
+    # kept alive, so no two of them share an id.
     model, bundle, args = SAMPLE_CASES[case]()
     sample, seen = TorusGrid.sample, {}
 
     def counted(grid, fmap):
-        if grid.m == bundle.m:
-            seen.setdefault((id(fmap), grid.shape), [fmap, 0])[1] += 1
+        seen.setdefault((id(fmap), grid.shape), [fmap, 0])[1] += 1
         return sample(grid, fmap)
 
     monkeypatch.setattr(TorusGrid, "sample", counted)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lane_oracle import looped_phase_step, march
+from lane_oracle import _rk4_step, looped_phase_step, march
 from torusred.errors import ConfigError
 from torusred.fourier import FourierMap, SmoothMap
 from torusred.models import (
@@ -24,7 +24,6 @@ from torusred import sim
 from torusred.sim import (
     IntegratorSpec,
     TrajectoryRecord,
-    _rk4_step,
     envelope,
     fit_powerlaw,
     integrate_full,
@@ -69,7 +68,7 @@ def single_oscillator_model():
 
 
 def integration_error(model, p, scheme, dt_target):
-    T = p.period
+    T = 2.0 * math.pi / abs(p.frequency)
     n = int(round(T / dt_target))
     spec = IntegratorSpec(scheme, T / n, T, record_stride=n)
     x0 = np.array([p.radius, 0.0])
