@@ -45,10 +45,29 @@ def _as_omega(omega, m):
     return w
 
 
+def _codes(keys):
+    """One int64 per key row in the rows' lexicographic order: mixed radix in base ``2R + 1``
+    over ``R = max |k_i|``, or None when ``(2R + 1)^m`` would not stay below ``2^62``."""
+    R = int(np.max(np.abs(keys), initial=0))
+    if (2 * R + 1) ** keys.shape[1] >= 2 ** 62:
+        return None
+    codes = np.zeros(len(keys), dtype=np.int64)
+    for col in keys.T:
+        codes = codes * (2 * R + 1) + (col + R)
+    return codes
+
+
+def _unique_rows(keys):
+    """``np.unique(keys, axis=0)``'s first index of each distinct row and inverse, by codes."""
+    codes = _codes(keys)
+    _, first, inv = (np.unique(codes, return_index=True, return_inverse=True) if codes is not None
+                     else np.unique(keys, axis=0, return_index=True, return_inverse=True))
+    return first, inv.reshape(-1)
+
+
 def _find(keys, queries):
     """Index of the row of the distinct ``keys`` equal to each query row, or -1."""
-    _, inv = np.unique(np.concatenate([keys, queries]), axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
+    _, inv = _unique_rows(np.concatenate([keys, queries]))
     row = np.full(len(keys) + len(queries), -1)
     row[inv[:len(keys)]] = np.arange(len(keys))
     return row[inv[len(keys):]]
@@ -60,10 +79,10 @@ def _sum_on_keys(keys, values):
     Each sum starts from the first value and adds the others in row order,
     as a running accumulation does, so zeros keep their signs.
     """
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first, inv = _unique_rows(keys)
     out = values[first]
     rest = np.setdiff1d(np.arange(len(keys)), first)  # every other row, in row order
-    np.add.at(out, inv.reshape(-1)[rest], values[rest])
+    np.add.at(out, inv[rest], values[rest])
     order = np.argsort(first)
     return keys[first[order]], out[order]
 
@@ -223,7 +242,8 @@ class FourierMap:
             raise ValueError("incompatible FourierMaps")
         # The key union in key order, so the smaller key of each conjugate
         # pair leads the closure (that signs zero parts in the artifacts).
-        keys = np.unique(np.concatenate([self.keys, other.keys]), axis=0)
+        keys = np.concatenate([self.keys, other.keys])
+        keys = keys[_unique_rows(keys)[0]]
         values = op(self._at(keys), other._at(keys))
         return FourierMap(self.m, max(self.K, other.K), (keys, values), self.value_shape)
 
@@ -365,6 +385,17 @@ def _radius_nodes(K):
     return max(3 * int(math.ceil(K)) + 1, 2 * int(math.ceil(K)) + 2)
 
 
+def _dft(n, a, b):
+    """``exp(2 pi i x k / n)`` at the nodes ``x`` of ``n`` and the frequencies ``a <= k <= b``."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)  # read from the n-th roots of unity
+    return roots[np.outer(np.arange(n), np.arange(a, b + 1)) % n]
+
+
+def _real_part(box, shape):
+    """A box's real part, components last, copied so that no complex buffer stays alive."""
+    return np.ascontiguousarray(np.moveaxis(box.real, 0, -1)).reshape(shape)
+
+
 def spectral_grid(m, K, support=None):
     """The grid a pseudo-spectral computation runs on.
 
@@ -417,12 +448,13 @@ class TorusGrid:
         edge = np.any(np.abs(fmap.keys) >= self.max_freq(), axis=1)
         return math.sqrt(float(np.sum(np.abs(fmap.values[edge]) ** 2)))
 
-    def sample(self, fmap):
-        """Evaluate ``fmap`` on the grid; returns a real ``(*shape, *value_shape)`` array.
+    def _box(self, fmap):
+        """The map's frequency box with every grid axis but the last contracted, and its DFT.
 
-        The inverse DFT runs one axis at a time over the map's frequency
-        box only, as an ``einsum`` contraction (which stays off
-        multithreaded BLAS).
+        The inverse DFT runs one axis at a time over the box only, as an
+        ``einsum`` contraction (which stays off multithreaded BLAS).  The
+        box comes back as ``(p, k, *shape[:-1])`` over the last axis'
+        frequencies ``k``, with that axis' ``(shape[-1], k)`` DFT matrix.
         """
         if fmap.m != self.m:
             raise ValueError("torus dimensions differ")
@@ -435,16 +467,23 @@ class TorusGrid:
         # Value components first, then one axis per frequency of the box.
         box = np.zeros((fmap.p,) + tuple(hi - lo + 1), dtype=complex)
         box[(slice(None),) + tuple((fmap.keys - lo).T)] = fmap.values.reshape(-1, fmap.p).T
-        for n, a, b in zip(self.shape, lo, hi):
-            # exp(2 pi i x k / n) at node x, read from the n-th roots of unity
-            roots = np.exp(2j * np.pi * np.arange(n) / n)
-            dft = roots[np.outer(np.arange(n), np.arange(a, b + 1)) % n]
-            # Contract the leading grid axis; its nodes go last, so after m
-            # steps the axes are back in order.
-            box = np.einsum("xk,pk...->p...x", dft, box)
-        # A contiguous copy of the real part, so no complex buffer stays alive.
-        vals = np.ascontiguousarray(np.moveaxis(box.real, 0, -1))
-        return vals.reshape(self.shape + fmap.value_shape)
+        for n, a, b in zip(self.shape[:-1], lo, hi):
+            # Contract the leading grid axis; its nodes go last, so the axes stay in order.
+            box = np.einsum("xk,pk...->p...x", _dft(n, a, b), box)
+        return box, _dft(self.shape[-1], lo[-1], hi[-1])
+
+    def sample(self, fmap):
+        """Evaluate ``fmap`` on the grid; returns a real ``(*shape, *value_shape)`` array."""
+        box, dft = self._box(fmap)
+        return _real_part(np.einsum("xk,pk...->p...x", dft, box), self.shape + fmap.value_shape)
+
+    def _slabs(self, fmap):
+        """``sample(fmap)`` at the nodes whose last index is ``x``, for each ``x`` in turn, bit
+        for bit, without holding a grid-sized array."""
+        box, dft = self._box(fmap)
+        shape = self.shape[:-1] + fmap.value_shape
+        for row in dft:
+            yield _real_part(np.einsum("k,pk...->p...", row, box), shape)
 
     def project(self, values, K):
         """Project grid values onto frequencies with ``|k| <= K``.

@@ -359,15 +359,23 @@ def conjugacy_residual(model, result, couplings):
     """
     bundle = result.bundle
     grid = spectral_grid(bundle.m, max(result.K, bundle.K))
-    # f is summed from its terms' samples, taken once: the residual's last digits depend on that.
-    w = FourierMap.constant(bundle.m, bundle.omega.astype(complex))
-    samples = [grid.sample(f) for f in [w] + result.phase_terms]
-    f_sums = [_eps_sum(samples, eps, np.multiply) for eps in couplings]
-    del samples  # hold only the sums through a Jacobian's sample, the memory peak
+
+    def add_term(l, f_l):  # into every coupling's sum, as _eps_sum adds it; then f_l is released
+        for i, eps in enumerate(couplings):
+            f_sums[i] = f_sums[i] + np.multiply(f_l, eps ** l)
 
     def defect(eps, f_vals):
+        # e and its Jacobian one node of the last axis at a time: no grid-sized sample is held.
         e = result.embedding(eps)
-        lhs = (grid.sample(e.jacobian()) @ f_vals[..., None])[..., 0]
-        return float(np.max(np.abs(lhs - model.rhs(grid.sample(e), eps))))
+        slabs = zip(grid._slabs(e), grid._slabs(e.jacobian()), np.moveaxis(f_vals, -2, 0))
+        peaks = [np.max(np.abs((de @ f[..., None])[..., 0] - model.rhs(x, eps)))
+                 for x, de, f in slabs]
+        return float(np.max(peaks))  # NaN if any slab's is
 
+    # f is summed from its terms' samples, each taken once (the residual's last digits depend
+    # on that) and held only while it is added in.
+    w = FourierMap.constant(bundle.m, bundle.omega.astype(complex))
+    f_sums = [grid.sample(w)] * len(couplings)
+    for l, f in enumerate(result.phase_terms, start=1):
+        add_term(l, grid.sample(f))
     return [defect(eps, f_vals) for eps, f_vals in zip(couplings, f_sums)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from torusred import fourier
 from torusred.fourier import (
     PROJECT_PRUNE,
     FourierMap,
@@ -682,6 +683,124 @@ def test_property_sample_rejects_a_key_beyond_the_grid(case):
     assume(np.any(np.abs(f.keys) > grid.max_freq()))  # the closure may zero the key
     with pytest.raises(ValueError, match="does not fit on grid"):
         grid.sample(f)
+
+
+def assert_slabs_match_the_sample(grid, fmap):
+    """The slab pass, stacked along the last grid axis, is ``grid.sample`` byte for byte."""
+    slabs = list(grid._slabs(fmap))
+    assert len(slabs) == grid.shape[-1]
+    for slab in slabs:
+        assert slab.shape == grid.shape[:-1] + fmap.value_shape and slab.flags.c_contiguous
+    got, ref = np.stack(slabs, axis=grid.m - 1), grid.sample(fmap)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def dense_map(rng, shape, value_shape, n_keys=40):
+    """A real map with random keys anywhere in the Nyquist box of a grid of ``shape``."""
+    top = [(n - 1) // 2 for n in shape]
+    keys = np.stack([rng.integers(-t, t + 1, size=n_keys) for t in top], axis=1)
+    coeffs = {tuple(k): rng.normal(size=value_shape) + 1j * rng.normal(size=value_shape)
+              for k in keys.tolist()}
+    return FourierMap(len(shape), math.sqrt(sum(t * t for t in top)), coeffs, value_shape)
+
+
+@pytest.mark.parametrize("value_shape", [(), (3,), (3, 2)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("shape", [(64,), (9, 9), (13, 15, 17), (7, 6, 5, 7)],
+                         ids=["m1", "m2", "13x15x17", "m4"])
+def test_slab_pass_stacks_to_the_sample(shape, value_shape):
+    # m = 1 included: one node's contraction could pick another einsum inner loop.
+    rng = np.random.default_rng(len(shape) * 10 + len(value_shape))
+    grid = TorusGrid(len(shape), shape)
+    assert_slabs_match_the_sample(grid, dense_map(rng, shape, value_shape))
+    m = len(shape)
+    for fmap in (FourierMap.constant(m, np.full(value_shape, 1.5 + 0j)),  # the zero key only
+                 FourierMap.zero(m, value_shape, 2.0)):
+        assert_slabs_match_the_sample(grid, fmap)
+
+
+@pytest.mark.parametrize("K", [8.0, 12.0])
+def test_slab_pass_stacks_to_the_sample_of_the_chain_torus(K):
+    from torusred.models import ChainConfig, chain_bundle
+
+    e0 = chain_bundle(ChainConfig(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0,
+                                  a=1.0, b=2.0, c=-1.0, d=-1.0), K=K).e0
+    grid = spectral_grid(3, K)
+    for fmap in (e0, e0.jacobian()):
+        assert_slabs_match_the_sample(grid, fmap)
+
+
+@PROPERTY_SETTINGS
+@given(maps_on_grids())
+def test_property_slab_pass_stacks_to_the_sample(case):
+    assert_slabs_match_the_sample(*case)
+
+
+# ----------------------------------------------------------------------
+# one integer per key
+
+
+def find_by_rows(keys, queries):
+    """``_find`` through ``np.unique`` on the rows themselves."""
+    _, inv = np.unique(np.concatenate([keys, queries]), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    row = np.full(len(keys) + len(queries), -1)
+    row[inv[:len(keys)]] = np.arange(len(keys))
+    return row[inv[len(keys):]]
+
+
+def sum_on_keys_by_rows(keys, values):
+    """``_sum_on_keys`` through ``np.unique`` on the rows themselves."""
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    out = values[first]
+    rest = np.setdiff1d(np.arange(len(keys)), first)
+    np.add.at(out, inv.reshape(-1)[rest], values[rest])
+    order = np.argsort(first)
+    return keys[first[order]], out[order]
+
+
+def code_limit(m):
+    """The largest ``R`` with ``(2R + 1)^m < 2^62``."""
+    R = int(round((2 ** 62) ** (1 / m) / 2))
+    while (2 * R + 1) ** m >= 2 ** 62:
+        R -= 1
+    while (2 * (R + 1) + 1) ** m < 2 ** 62:
+        R += 1
+    return R
+
+
+def key_sets(rng, m, R, n=60):
+    """Random rows in ``[-R, R]^m`` with duplicates, negated rows and the corners ``+-R``."""
+    keys = rng.integers(-R, R + 1, size=(n, m), dtype=np.int64)
+    keys[:3] = [[R] * m, [-R] * m, [0] * m]
+    keys = np.concatenate([keys, -keys[::3], keys[rng.integers(0, n, size=n // 2)]])
+    return keys[rng.permutation(len(keys))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("R", ["small", "limit", "beyond"])
+def test_coded_keys_match_the_row_oracles(m, R):
+    rng = np.random.default_rng(m)
+    R = {"small": 3, "limit": code_limit(m), "beyond": code_limit(m) + 1}[R]
+    keys = key_sets(rng, m, R)
+    assert (fourier._codes(keys) is None) == ((2 * R + 1) ** m >= 2 ** 62)
+    first, inv = fourier._unique_rows(keys)
+    _, ref_first, ref_inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, ref_first) and np.array_equal(inv, ref_inv.reshape(-1))
+
+    values = rng.normal(size=(len(keys), 2)) + 1j * rng.normal(size=(len(keys), 2))
+    values[::7] = -0.0  # a sum of signed zeros keeps its sign only in row order
+    for got, ref in zip(fourier._sum_on_keys(keys, values), sum_on_keys_by_rows(keys, values)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    distinct = keys[np.sort(ref_first)]
+    for queries in (keys, -keys, np.zeros((0, m), dtype=np.int64)):
+        assert np.array_equal(fourier._find(distinct, queries), find_by_rows(distinct, queries))
+
+
+def test_codes_fall_back_to_rows_at_the_range_limit():
+    for m in (1, 2, 3, 4):
+        R = code_limit(m)
+        assert fourier._codes(np.array([[R] * m])) is not None
+        assert fourier._codes(np.array([[-(R + 1)] + [0] * (m - 1)])) is None
 
 
 # ----------------------------------------------------------------------

@@ -422,6 +422,48 @@ def test_each_further_coupling_of_a_residual_holds_one_more_sum_of_f(chain):
         assert peak - peaks[0] <= n * (f_bytes + 16384), peaks
 
 
+def test_a_residual_holds_no_grid_sized_sample_of_the_embedding():
+    # Sampling e and its 18-component Jacobian on the whole 37^3 check grid
+    # peaked at 24.37 MB; slab by slab the call peaks at 9.64 MB.
+    cfg = ChainConfig(**SET1)
+    model = chain_model(cfg)
+    result = phase_reduce(model, chain_bundle(cfg, K=12.0), order=4, K=12.0, K_nf=6.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conjugacy_residual(model, result, (1e-2, 1e-3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
+
+
+class NanAtNode:
+    """``model`` with its field NaN at one node of the residual's check grid."""
+
+    def __init__(self, model, result, node):
+        self.model, self.result, self.node = model, result, node
+        self.grid = spectral_grid(3, max(result.K, result.bundle.K))
+
+    def rhs(self, x, eps):
+        X = self.grid.sample(self.result.embedding(eps))
+        assert np.sum(np.all(X == X[self.node], axis=-1)) == 1  # the node's point is its own
+        out = self.model.rhs(x, eps)
+        out[np.all(x == X[self.node], axis=-1)] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("last", [0, 12, 24], ids=["first", "middle", "last"])
+def test_a_nan_at_one_node_fails_the_residual_check(chain, last):
+    # Slabs run along the grid's last axis (25 nodes at K = 8).
+    cfg, model, bundle = chain
+    result = phase_reduce(model, bundle, order=2, K_nf=6.0)
+    nan_model = NanAtNode(model, result, (3, 17, last))
+    assert np.all(np.isnan(conjugacy_residual(nan_model, result, (1e-2, 1e-3))))
+    _, passed, detail, _ = check_residual_scaling(nan_model, result)
+    assert not passed and "nan" in detail
+
+
 @pytest.mark.parametrize("order,expected_slope", [(1, 2.0), (2, 3.0)])
 def test_residual_scaling_slope(chain, order, expected_slope):
     cfg, model, bundle = chain
@@ -549,6 +591,13 @@ def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, monkeypatch, K
 
     monkeypatch.setattr(reduction, "validate_bundle", bundle_check)
     result = phase_reduce(model, bundle, order=2, K=K, K_nf=6.0)
+    slabs, passes = TorusGrid._slabs, []
+
+    def slab_pass(grid, fmap):
+        passes.append(grid.shape)
+        return slabs(grid, fmap)
+
+    monkeypatch.setattr(TorusGrid, "_slabs", slab_pass)
     for name, check in (("validate_bundle", lambda: validate_bundle(bundle, F0=model.F0)),
                         ("conjugacy", lambda: conjugacy_residual(model, result, [1e-2]))):
         sampled_shapes.clear()
@@ -557,6 +606,8 @@ def test_checks_sample_no_fewer_nodes_than_before(sampled_shapes, monkeypatch, K
     assert len(shapes) == 3
     for name, sampled in shapes.items():
         assert sampled and min(min(s) for s in sampled) >= PARENT_CHECK_NODES[K], name
+    # The residual's e and its Jacobian, once each through the slab pass.
+    assert len(passes) == 2 and min(min(s) for s in passes) >= PARENT_CHECK_NODES[K]
 
 
 # ----------------------------------------------------------------------
@@ -619,17 +670,24 @@ def test_a_reduction_and_its_residual_check_sample_no_series_twice(monkeypatch, 
     # chain's outer circle) is sampled once per grid shape.  The series are
     # kept alive, so no two of them share an id.
     model, bundle, args = SAMPLE_CASES[case]()
-    sample, seen = TorusGrid.sample, {}
+    seen, passes = {}, {}
 
-    def counted(grid, fmap):
-        seen.setdefault((id(fmap), grid.shape), [fmap, 0])[1] += 1
-        return sample(grid, fmap)
+    def counting(method, counts):
+        def counted(grid, fmap):
+            counts.setdefault((id(fmap), grid.shape), [fmap, 0])[1] += 1
+            return method(grid, fmap)
+        return counted
 
-    monkeypatch.setattr(TorusGrid, "sample", counted)
+    monkeypatch.setattr(TorusGrid, "sample", counting(TorusGrid.sample, seen))
+    monkeypatch.setattr(TorusGrid, "_slabs", counting(TorusGrid._slabs, passes))
     result = phase_reduce(model, bundle, **args)
     _, passed, detail, _ = check_residual_scaling(model, result)
     assert passed, detail
     assert not [(shape, n) for (_, shape), (_, n) in seen.items() if n > 1]
+    # The check's e and its Jacobian at each of its two couplings, each
+    # through the slab pass once and never whole.
+    assert len(passes) == 4 and all(n == 1 for _, n in passes.values())
+    assert not set(seen) & set(passes)
     # The terms composed into a forcing, e_1 .. e_(J-1), once each on the reduction grid.
     grid = tuple(result.residuals[-1]["grid"])
     composed = {id(e) for e in result.embedding_terms}

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from test_bundle import exponents, vdp_field, vdp_start
+from test_fourier import assert_slabs_match_the_sample
 from torusred.bundle import cycle_bundle, product_bundle
 from torusred.cli import check_normal_form, check_residual_scaling
-from torusred.fourier import SmoothMap, TorusGrid
+from torusred.fourier import SmoothMap, TorusGrid, spectral_grid
 from torusred.models import OscillatorModel
 from torusred.reduction import ReductionResult, phase_difference_field, phase_reduce
 from torusred.sim import IntegratorSpec, integrate_full, torus_phases
@@ -99,6 +100,14 @@ def test_residual_scales_with_each_order(pair):
     for result in orders:
         _, passed, detail, _ = check_residual_scaling(model, result)
         assert passed, f"J = {result.order}: {detail}"
+
+
+def test_slab_pass_stacks_to_the_sample_of_the_embedding(pair):
+    # The residual check's grid, where the pair's embedding is sampled slab by slab.
+    _, _, _, orders = pair
+    e = orders[-1].embedding(EPS)
+    for fmap in (e, e.jacobian()):
+        assert_slabs_match_the_sample(spectral_grid(2, K), fmap)
 
 
 def test_reduced_field_is_in_normal_form(pair):
