@@ -391,11 +391,6 @@ def _dft(n, a, b):
     return roots[np.outer(np.arange(n), np.arange(a, b + 1)) % n]
 
 
-def _real_part(box, shape):
-    """A box's real part, components last, copied so that no complex buffer stays alive."""
-    return np.ascontiguousarray(np.moveaxis(box.real, 0, -1)).reshape(shape)
-
-
 def spectral_grid(m, K, support=None):
     """The grid a pseudo-spectral computation runs on.
 
@@ -451,10 +446,13 @@ class TorusGrid:
     def _box(self, fmap):
         """The map's frequency box with every grid axis but the last contracted, and its DFT.
 
-        The inverse DFT runs one axis at a time over the box only, as an
-        ``einsum`` contraction (which stays off multithreaded BLAS).  The
-        box comes back as ``(p, k, *shape[:-1])`` over the last axis'
-        frequencies ``k``, with that axis' ``(shape[-1], k)`` DFT matrix.
+        The box is scattered with its frequency axes in reverse order,
+        ``(p, k_m, ..., k_1)``, and the inverse DFT runs one axis at a time
+        over the box only, each stage an ``einsum`` over the last,
+        contiguous axis (which stays off multithreaded BLAS) that puts its
+        nodes first.  The box comes back as ``(p, x_{m-1}, ..., x_1, k)``
+        over the last axis' frequencies ``k``, with that axis'
+        ``(shape[-1], k)`` DFT matrix.
         """
         if fmap.m != self.m:
             raise ValueError("torus dimensions differ")
@@ -464,26 +462,31 @@ class TorusGrid:
             raise ValueError(f"frequency {k} does not fit on grid {self.shape}")
         lo = np.min(fmap.keys, axis=0, initial=0)
         hi = np.max(fmap.keys, axis=0, initial=0)
-        # Value components first, then one axis per frequency of the box.
-        box = np.zeros((fmap.p,) + tuple(hi - lo + 1), dtype=complex)
-        box[(slice(None),) + tuple((fmap.keys - lo).T)] = fmap.values.reshape(-1, fmap.p).T
+        box = np.zeros((fmap.p,) + tuple(hi - lo + 1)[::-1], dtype=complex)
+        box[(slice(None),) + tuple((fmap.keys - lo).T[::-1])] = fmap.values.reshape(-1, fmap.p).T
         for n, a, b in zip(self.shape[:-1], lo, hi):
-            # Contract the leading grid axis; its nodes go last, so the axes stay in order.
-            box = np.einsum("xk,pk...->p...x", _dft(n, a, b), box)
+            box = np.einsum("xk,p...k->px...", _dft(n, a, b), box)
         return box, _dft(self.shape[-1], lo[-1], hi[-1])
 
     def sample(self, fmap):
-        """Evaluate ``fmap`` on the grid; returns a real ``(*shape, *value_shape)`` array."""
+        """Evaluate ``fmap`` on the grid; returns a real ``(*shape, *value_shape)`` array.
+
+        One contiguous copy takes the real part and puts the nodes in grid
+        order, components last, so no complex buffer stays alive.
+        """
         box, dft = self._box(fmap)
-        return _real_part(np.einsum("xk,pk...->p...x", dft, box), self.shape + fmap.value_shape)
+        out = np.einsum("xk,p...k->p...x", dft, box).real
+        axes = (*range(self.m - 1, 0, -1), self.m, 0)
+        return np.ascontiguousarray(out.transpose(axes)).reshape(self.shape + fmap.value_shape)
 
     def _slabs(self, fmap):
         """``sample(fmap)`` at the nodes whose last index is ``x``, for each ``x`` in turn, bit
         for bit, without holding a grid-sized array."""
         box, dft = self._box(fmap)
-        shape = self.shape[:-1] + fmap.value_shape
+        axes, shape = (*range(self.m - 1, 0, -1), 0), self.shape[:-1] + fmap.value_shape
         for row in dft:
-            yield _real_part(np.einsum("k,pk...->p...", row, box), shape)
+            out = np.einsum("k,p...k->p...", row, box).real
+            yield np.ascontiguousarray(out.transpose(axes)).reshape(shape)
 
     def project(self, values, K):
         """Project grid values onto frequencies with ``|k| <= K``.

@@ -735,6 +735,49 @@ def test_property_slab_pass_stacks_to_the_sample(case):
     assert_slabs_match_the_sample(*case)
 
 
+def sample_in_axis_order(grid, fmap):
+    """Oracle: the map's box scattered as ``(p, k_1, ..., k_m)`` and contracted axis by axis,
+    first axis first, with ``"xk,pk...->p...x"``; the real part, components last."""
+    keys, values = fmap.keys, fmap.values.reshape(len(fmap.keys), fmap.p)
+    lo, hi = np.min(keys, axis=0, initial=0), np.max(keys, axis=0, initial=0)
+    box = np.zeros((fmap.p,) + tuple(hi - lo + 1), dtype=complex)
+    box[(slice(None),) + tuple((keys - lo).T)] = values.T
+    for n, a, b in zip(grid.shape, lo, hi):
+        box = np.einsum("xk,pk...->p...x", fourier._dft(n, a, b), box)
+    return np.ascontiguousarray(np.moveaxis(box.real, 0, -1)).reshape(grid.shape + fmap.value_shape)
+
+
+def assert_sample_matches_the_axis_order(grid, fmap):
+    """``grid.sample`` is the oracle's contraction byte for byte: every per-node sum over a
+    frequency axis runs over the same terms in the same order, whatever the box layout."""
+    got, ref = grid.sample(fmap), sample_in_axis_order(grid, fmap)
+    assert got.shape == ref.shape and got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("value_shape", [(), (3,), (3, 2)], ids=["scalar", "vector", "matrix"])
+@pytest.mark.parametrize("shape", [(64,), (9, 9), (13, 15, 17), (7, 6, 5, 7)],
+                         ids=["m1", "m2", "13x15x17", "m4"])
+def test_sample_matches_the_box_contracted_in_axis_order(shape, value_shape):
+    rng = np.random.default_rng(len(shape) * 10 + len(value_shape) + 1)
+    grid = TorusGrid(len(shape), shape)
+    assert_sample_matches_the_axis_order(grid, dense_map(rng, shape, value_shape))
+    m = len(shape)
+    for fmap in (FourierMap.constant(m, np.full(value_shape, 1.5 + 0j)),
+                 FourierMap.zero(m, value_shape, 2.0)):
+        assert_sample_matches_the_axis_order(grid, fmap)
+
+
+@pytest.mark.parametrize("K", [8.0, 12.0])
+def test_sample_of_the_chain_torus_matches_the_axis_order(K):
+    from torusred.models import ChainConfig, chain_bundle
+
+    e0 = chain_bundle(ChainConfig(alpha=1.0, beta=1.0, gamma=-1.0, delta=1.0,
+                                  a=1.0, b=2.0, c=-1.0, d=-1.0), K=K).e0
+    grid = spectral_grid(3, K)
+    for fmap in (e0, e0.jacobian()):
+        assert_sample_matches_the_axis_order(grid, fmap)
+
+
 # ----------------------------------------------------------------------
 # one integer per key
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from test_bundle import exponents, vdp_field, vdp_start
-from test_fourier import assert_slabs_match_the_sample
+from test_fourier import assert_sample_matches_the_axis_order, assert_slabs_match_the_sample
 from torusred.bundle import cycle_bundle, product_bundle
 from torusred.cli import check_normal_form, check_residual_scaling
 from torusred.fourier import SmoothMap, TorusGrid, spectral_grid
@@ -108,6 +108,13 @@ def test_slab_pass_stacks_to_the_sample_of_the_embedding(pair):
     e = orders[-1].embedding(EPS)
     for fmap in (e, e.jacobian()):
         assert_slabs_match_the_sample(spectral_grid(2, K), fmap)
+
+
+def test_sample_of_the_embedding_matches_the_axis_order(pair):
+    _, _, _, orders = pair
+    e = orders[-1].embedding(EPS)
+    for fmap in (e, e.jacobian()):
+        assert_sample_matches_the_axis_order(spectral_grid(2, K), fmap)
 
 
 def test_reduced_field_is_in_normal_form(pair):
