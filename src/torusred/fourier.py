@@ -415,7 +415,8 @@ def spectral_grid(m, K, support=None):
 class TorusGrid:
     """Regular sampling grid ``phi_i = 2 pi i / n`` on the m-torus.
 
-    Sampling is an inverse DFT pruned to the map's frequency box, and
+    Sampling is an inverse DFT pruned to half the map's frequency box
+    (every map is real, so the other half is its conjugate), and
     projection a dense FFT; both are exact for trigonometric polynomials
     that fit inside the grid's Nyquist box.
     """
@@ -444,15 +445,19 @@ class TorusGrid:
         return math.sqrt(float(np.sum(np.abs(fmap.values[edge]) ** 2)))
 
     def _box(self, fmap):
-        """The map's frequency box with every grid axis but the last contracted, and its DFT.
+        """The map's half frequency box with every grid axis but the last contracted, and its DFT.
 
-        The box is scattered with its frequency axes in reverse order,
+        The box holds the zero key and, weighted 2, the keys whose last
+        nonzero entry is positive: the real part of its inverse DFT is the
+        sample, and it spans the last axis' frequencies from 0 only.  It is
+        scattered with its frequency axes in reverse order,
         ``(p, k_m, ..., k_1)``, and the inverse DFT runs one axis at a time
-        over the box only, each stage an ``einsum`` over the last,
+        over the box only, each stage a complex ``einsum`` over the last,
         contiguous axis (which stays off multithreaded BLAS) that puts its
         nodes first.  The box comes back as ``(p, x_{m-1}, ..., x_1, k)``
-        over the last axis' frequencies ``k``, with that axis'
-        ``(shape[-1], k)`` DFT matrix.
+        over the last axis' frequencies ``0 <= k <= max k_m``, with that
+        axis' ``(shape[-1], k)`` DFT matrix.  Every key, in either half,
+        must fit the grid.
         """
         if fmap.m != self.m:
             raise ValueError("torus dimensions differ")
@@ -460,10 +465,14 @@ class TorusGrid:
         if over.any():
             k = tuple(fmap.keys[over][0].tolist())
             raise ValueError(f"frequency {k} does not fit on grid {self.shape}")
-        lo = np.min(fmap.keys, axis=0, initial=0)
-        hi = np.max(fmap.keys, axis=0, initial=0)
+        # c_{-k} = conj(c_k): keep k = 0 and, weighted 2, the keys whose last nonzero entry is
+        # positive (the sign of sum_i sign(k_i) 2^i is that entry's sign).
+        side = np.sign(fmap.keys) @ (2 ** np.arange(self.m))
+        keys, values = fmap.keys[side >= 0], fmap.values.reshape(-1, fmap.p)[side >= 0]
+        values = np.where(side[side >= 0, None] > 0, 2, 1) * values
+        lo, hi = np.min(keys, axis=0, initial=0), np.max(keys, axis=0, initial=0)
         box = np.zeros((fmap.p,) + tuple(hi - lo + 1)[::-1], dtype=complex)
-        box[(slice(None),) + tuple((fmap.keys - lo).T[::-1])] = fmap.values.reshape(-1, fmap.p).T
+        box[(slice(None),) + tuple((keys - lo).T[::-1])] = values.T
         for n, a, b in zip(self.shape[:-1], lo, hi):
             box = np.einsum("xk,p...k->px...", _dft(n, a, b), box)
         return box, _dft(self.shape[-1], lo[-1], hi[-1])
@@ -471,7 +480,8 @@ class TorusGrid:
     def sample(self, fmap):
         """Evaluate ``fmap`` on the grid; returns a real ``(*shape, *value_shape)`` array.
 
-        One contiguous copy takes the real part and puts the nodes in grid
+        The last axis is contracted whole, in complex arithmetic; one
+        contiguous copy then takes the real part and puts the nodes in grid
         order, components last, so no complex buffer stays alive.
         """
         box, dft = self._box(fmap)
@@ -481,7 +491,8 @@ class TorusGrid:
 
     def _slabs(self, fmap):
         """``sample(fmap)`` at the nodes whose last index is ``x``, for each ``x`` in turn, bit
-        for bit, without holding a grid-sized array."""
+        for bit, without holding a grid-sized array: the half box contracted with one row
+        of the last axis' DFT, then its real part copied into node order."""
         box, dft = self._box(fmap)
         axes, shape = (*range(self.m - 1, 0, -1), 0), self.shape[:-1] + fmap.value_shape
         for row in dft:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -55,6 +56,18 @@ def test_the_benchmark_tracer_binds_the_arguments_its_hooks_read():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["fourier.sample_calls"] > 0 and metrics["sim.integrate_full_steps"] > 0
     assert 0 < metrics["sim.useful_step_frac"] <= 1
+
+
+def test_the_footprint_prints_the_versions_its_digests_rest_on(tmp_path, monkeypatch, capsys):
+    # Samples are sums in numpy's einsum loop order, so a digest moves with numpy.
+    footprint = load(ROOT / "tools" / "footprint.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(footprint, "OUT", tmp_path / "out")
+    monkeypatch.setattr(footprint, "artifact_digests", lambda work: ([], []))
+    assert footprint.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"python {platform.python_version()}, numpy {np.__version__}"
+    assert lines[1].startswith("src lines: ")
 
 
 BUNDLE = {"omega": [2.0, 1.0],

@@ -3,6 +3,10 @@
 Usage: ``python3 tools/footprint.py`` from anywhere; it runs the package in
 the ``src/`` next to it.
 
+It first prints the Python and numpy versions: samples are sums in numpy's
+``einsum`` loop order, so digests from two machines compare only under the
+same numpy.
+
 Size: the line count of ``src/torusred/*.py``, the number of defaulted
 parameters, counted as ``len(args.defaults)`` plus the non-None
 ``kw_defaults`` of every ``def`` found by ``ast.walk``, the number of
@@ -34,6 +38,7 @@ import copy
 import hashlib
 import io
 import json
+import platform
 import re
 import shutil
 import sys
@@ -140,6 +145,9 @@ def artifact_digests(work):
 
 def main():
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy
+
+    print(f"python {platform.python_version()}, numpy {numpy.__version__}")
     print(f"src lines: {src_lines()}")
     print(f"defaulted parameters: {defaulted_parameters()}")
     print(f"defaulted fields: {defaulted_fields()}")
