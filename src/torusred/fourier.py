@@ -81,7 +81,8 @@ def _sum_on_keys(keys, values):
     """
     first, inv = _unique_rows(keys)
     out = values[first]
-    rest = np.setdiff1d(np.arange(len(keys)), first)  # every other row, in row order
+    rest = np.ones(len(keys), dtype=bool)
+    rest[first] = False  # every other row, selected in row order
     np.add.at(out, inv[rest], values[rest])
     order = np.argsort(first)
     return keys[first[order]], out[order]
