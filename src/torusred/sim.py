@@ -148,20 +148,49 @@ def _phase_rates(omega, series):
     coefficients and frequencies are names, bound in the namespace, as NaN,
     +-inf and -0.0 have no exact literal.  An infinite angle, where
     ``math.cos`` raises and numpy's exp gives NaN, makes the stage's rates NaN.
+
+    Two kinds of key skip their ``cos`` and ``sin``, bit for bit.  The zero
+    key's terms ``cos(0.0) Re c - sin(0.0) Im c``, that is ``1.0 Re c - 0.0
+    Im c``, are computed once, here, and bound as names ``z{n}_{a}``.  Of a
+    pair ``k, -k``, the key first in row order sets ``c{n} = cos(t)`` and
+    ``s{n} = sin(t)``; its mirror, row ``n'``, takes ``c{n}`` and ``s{n'} =
+    0.0 - s{n}``.  The mirror's angle is ``-t`` exactly, as each product is
+    negated and an angle summed from ``0.0`` is never -0.0, or +0.0 along
+    with ``t``, whose sine ``0.0 - s{n}`` is.  The libm ``cos`` is even and
+    ``sin`` odd, and an infinite ``t`` raises for both keys.  A rate's first
+    term is written ``0.0 + term``, absorbing a zero term's sign as the
+    looped sum from ``0.0`` does.
     """
     m, keys, z = omega.size, series.keys.astype(float).tolist(), series.values
     ns = dict(cos=math.cos, sin=math.sin, nan=math.nan)
     ns.update((f"o{a}", v) for a, v in enumerate(omega.tolist()))
     for name, rows in (("k", keys), ("r", z.real.tolist()), ("i", z.imag.tolist())):
         ns.update((f"{name}{n}_{a}", v) for n, row in enumerate(rows) for a, v in enumerate(row))
+    own, cs = {}, []  # a nonzero key's cos and sin names and the line setting them; by row
+    for n, row in enumerate(keys):
+        mirror = own.get(tuple(-k for k in row))
+        if not any(row):  # cos(0.0) = 1.0 and sin(0.0) = 0.0
+            cs.append(None)
+            ns.update((f"z{n}_{a}", 1.0 * ns[f"r{n}_{a}"] - 0.0 * ns[f"i{n}_{a}"])
+                      for a in range(m))
+        elif mirror is None:
+            theta = "".join(f" + k{n}_{a} * {{{a}}}" for a, k in enumerate(row) if k)
+            cs.append(own.setdefault(tuple(row), (f"c{n}", f"s{n}",
+                                                  f"t = 0.0{theta}; c{n} = cos(t); s{n} = sin(t)")))
+        else:
+            cs.append(own.setdefault(tuple(row), (mirror[0], f"s{n}", f"s{n} = 0.0 - {mirror[1]}")))
 
     def rates(x, f):
-        lines = [f"{f}{a} = 0.0" for a in range(m)]
-        for n, row in enumerate(keys):
-            theta = "".join(f" + k{n}_{a} * {x[a]}" for a, k in enumerate(row) if k)
-            lines.append(f"t = 0.0{theta}; c = cos(t); s = sin(t)")
-            lines += [f"{f}{a} = {f}{a} + (c * r{n}_{a} - s * i{n}_{a})" for a in range(m)]
-        lines += [f"{f}{a} = o{a} + {f}{a}" for a in range(m)]
+        lines, acc = [], ["0.0"] * m
+        for n, names in enumerate(cs):
+            if names is None:
+                terms = [f"z{n}_{a}" for a in range(m)]
+            else:
+                lines.append(names[2].format(*x))
+                terms = [f"({names[0]} * r{n}_{a} - {names[1]} * i{n}_{a})" for a in range(m)]
+            lines += [f"{f}{a} = {acc[a]} + {term}" for a, term in enumerate(terms)]
+            acc = [f"{f}{a}" for a in range(m)]
+        lines += [f"{f}{a} = o{a} + {acc[a]}" for a in range(m)]
         nan = " = ".join(f"{f}{a}" for a in range(m))
         return ["try:", *["    " + ln for ln in lines], "except ValueError:", f"    {nan} = nan"]
 
@@ -184,11 +213,12 @@ def _lane(spec, state, stages, ns, observe, stop):
     the records and the stop rule.  ``state`` is the start: a tuple of
     scalars, named ``p0, p1, ...`` in the source, or one real array ``p0``
     of complex pairs read through ``p0.view(complex)``; the ``stages``
-    (``_stages``) advance them.  ``ns`` binds the names the stages use; the
-    lane's own are ``start``, ``p0``, ``i``, ``dt``, ``h``, ``w``, ``pi``,
-    ``tau``, ``atan2``, ``isfinite``, ``u``, ``new``, ``raw``,
-    ``unwrapped``, ``value``, ``shift``, ``threshold``, ``streak``, ``seen``
-    and ``states``.
+    (``_stages``) advance them.  ``ns`` binds the names the stages read, and
+    the stages set ``q{a}``, ``f{stage}_{a}`` and, on the reduced flow
+    (``_phase_rates``), ``t``, ``c{n}`` and ``s{n}``.  The lane's own names
+    are ``start``, ``p0``, ``i``, ``dt``, ``h``, ``w``, ``pi``, ``tau``,
+    ``atan2``, ``isfinite``, ``u``, ``new``, ``raw``, ``unwrapped``,
+    ``value``, ``shift``, ``threshold``, ``streak``, ``seen`` and ``states``.
 
     The lane ends before the first state with a non-finite entry.  Every
     ``record_stride`` steps and at the last one, it records the state (with
@@ -336,7 +366,10 @@ def envelope(record):
     Sample ``i`` is the maximum of ``|phi_hat|`` over the recorded samples
     ``[i, i + wn - 1]``, cut at the record's end, where
     ``wn = ceil(beat_period / dt_rec)`` counts recorded samples
-    (``dt_rec`` is the spacing of the first two).
+    (``dt_rec`` is the spacing of the first two).  The windows double in
+    ``ceil(log2 wn)`` passes of ``np.maximum``, each widening every window
+    by at most its width: every maximum is one of its samples, selected
+    exactly, and a NaN in a window makes its maximum NaN.
     """
     if record.phi_hat is None:
         raise ValueError("record carries no synchronisation angle")
@@ -344,9 +377,12 @@ def envelope(record):
     absphi = np.abs(record.phi_hat)
     if len(record.t) < 2:
         return absphi
-    wn = min(_window_samples(window, record.t[1] - record.t[0]), len(absphi))
-    padded = np.concatenate([absphi, np.full(wn - 1, absphi[-1])])
-    return np.lib.stride_tricks.sliding_window_view(padded, wn).max(axis=-1)
+    wn, span = min(_window_samples(window, record.t[1] - record.t[0]), len(absphi)), 1
+    while span < wn:  # absphi[i] holds the maximum over [i, i + span - 1], cut at the end
+        step = min(span, wn - span)
+        np.maximum(absphi[:-step], absphi[step:], out=absphi[:-step])
+        span += step
+    return absphi
 
 
 def measure_T01(record, use_envelope=True):

@@ -321,14 +321,41 @@ def test_integrator_spec_needs_a_whole_record_stride(stride):
     assert IntegratorSpec("euler", 0.05, 1.0, record_stride=2.0).record_stride == 2
 
 
-@pytest.mark.parametrize("n,window", [(50, 0.5), (50, 3.7), (50, 100.0), (1, 3.7)],
-                         ids=["wn=1", "wn=8", "wn=len", "one-sample"])
-def test_envelope_matches_a_running_maximum_oracle(n, window):
-    # Sample i is the maximum over samples [i, i + wn - 1], cut at the end.
+def sliding_window_maximum(a, wn):
+    """Each sample's maximum over its window of the record padded with its last sample."""
+    padded = np.concatenate([a, np.full(wn - 1, a[-1])])
+    return np.lib.stride_tricks.sliding_window_view(padded, wn).max(axis=-1)
+
+
+ENVELOPE_CASES = {  # id: (samples, beat window at a spacing of 0.5, the NaN sample)
+    "wn=1": (50, 0.5, None), "wn=8": (50, 3.7, None), "wn=len": (50, 100.0, None),
+    "one-sample": (1, 3.7, None), "two-samples": (2, 3.7, None),
+    "two-samples-wn=1": (2, 0.5, None), "wn=len-1": (50, 24.5, None),
+    "wn=len-exact": (50, 25.0, None), "one-nan": (50, 3.7, 20), "nan-first": (50, 3.7, 0),
+    "nan-last": (50, 3.7, 49), "nan-wn=126": (400, 63.0, 250),
+    **{f"wn={wn}": (400, 0.5 * wn, None) for wn in (2, 3, 4, 5, 7, 9, 16, 17, 126)},
+}
+
+
+@pytest.mark.parametrize("n,window,nan_at", ENVELOPE_CASES.values(), ids=ENVELOPE_CASES)
+def test_envelope_matches_a_running_maximum_oracle(n, window, nan_at):
+    # Sample i is the maximum over samples [i, i + wn - 1], cut at the end:
+    # the bytes of the sliding-window maximum over the record padded with its
+    # last sample, a NaN in a window making its maximum NaN.  The record's
+    # angles are left as they were.
     phi = np.random.default_rng(3).normal(size=n)
+    if nan_at is not None:
+        phi[nan_at] = math.nan
+    before = phi.copy()
     rec = TrajectoryRecord(0.5 * np.arange(n), None, phi, meta={"beat_period": window})
-    a, wn = np.abs(phi).tolist(), int(np.ceil(window / 0.5))
-    assert envelope(rec).tolist() == [max(a[i:i + wn]) for i in range(n)]
+    a, wn = np.abs(phi), min(math.ceil(window / 0.5), n)
+    got = envelope(rec)
+    assert exact_bytes(got) == exact_bytes(sliding_window_maximum(a, wn))
+    assert exact_bytes(phi) == exact_bytes(before)
+    assert np.isnan(got).tolist() == [nan_at is not None and i <= nan_at < i + wn
+                                      for i in range(n)]
+    if nan_at is None:
+        assert got.tolist() == [max(a[i:i + wn].tolist()) for i in range(n)]
 
 
 def synthetic_lane(signal, stride, stop):
@@ -602,6 +629,67 @@ def test_reduced_step_is_byte_identical_to_the_looped_step(m, scheme):
                 got, want = step(got), oracle(want)
                 if i in (0, 99):
                     assert exact_bytes(got) == exact_bytes(want)
+
+
+# Two conjugate pairs, one led by +k and one by -k in row order, the zero key
+# between them and a key with no mirror.
+MIRROR_KEYS = np.array([[1, -1, 0], [0, -2, 1], [0, 0, 0], [-1, 1, 0], [2, 0, 1], [0, 2, -1]])
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("start", ["equal-phases", "signed-zero-phases", "mixed-zero-phases",
+                                   "generic", "overflow"])
+def test_reduced_step_is_byte_identical_to_the_looped_step_on_mirror_keys(start, scheme):
+    # Mirror keys share the lead's cos and sin; the zero key's terms are
+    # constants.  The step is held byte-equal to the looped one, as in
+    # test_reduced_step_is_byte_identical_to_the_looped_step: where the pair
+    # (1, -1, 0) starts at an angle of exactly zero, from -0.0 phases too, on
+    # coefficient parts and an omega entry of -0.0, and where the key with no
+    # mirror overflows its angle and the stage takes the ValueError path.  At
+    # the -0.0 start every angle is +0.0, and each term of phase 1's rate is
+    # -0.0 - 0.0 Im c = -0.0, which only the sum from 0.0 makes +0.0.
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    values[:, 1] = [complex(-0.0, abs(v.imag)) for v in values[:, 1]]
+    values[2, 0] = values[3, 2] = values[5, 0] = complex(-0.0, -0.0)
+    values[0, 2] = values[2, 2] = complex(0.3, -0.0)
+    series = SimpleNamespace(keys=MIRROR_KEYS, values=values)
+    omega = np.array([0.3, -0.0, 1.1])
+    phi = {"equal-phases": [0.7, 0.7, -1.2], "signed-zero-phases": [-0.0, -0.0, -0.0],
+           "mixed-zero-phases": [-0.0, 0.0, 2.5], "generic": [1.3, -2.9, 0.4],
+           "overflow": [1e308, 0.3, -0.4]}[start]
+    spec = IntegratorSpec(scheme, 0.05, 5.0)
+    step = written_phase_step(omega, series, spec)
+    oracle = looped_phase_step(omega, series, spec)
+    got = want = tuple(phi)
+    for i in range(20):
+        got, want = step(got), oracle(want)
+        assert exact_bytes(got) == exact_bytes(want)
+    assert np.all(np.isnan(got)) == (start == "overflow")
+
+
+@pytest.mark.parametrize("scheme,stages", [("euler", 1), ("rk4", 4)])
+def test_each_stage_calls_cos_and_sin_once_per_conjugate_pair(chain_reductions, monkeypatch,
+                                                              scheme, stages):
+    # The set-1 J = 2 field holds the zero key and one pair +-k: each stage
+    # evaluates one cos and one sin, through the functions _phase_rates binds.
+    result = chain_reductions("set1", 2)
+    rows = sorted(map(tuple, result.phase_field(0.1).keys.tolist()))
+    assert len(rows) == 3 and rows[1] == (0, 0, 0) and rows[0] == tuple(-k for k in rows[2])
+    calls = {"cos": 0, "sin": 0}
+
+    def counted(name):
+        def call(t):
+            calls[name] += 1
+            return getattr(math, name)(t)
+        return call
+
+    monkeypatch.setattr(sim, "math", SimpleNamespace(**{**vars(math), "cos": counted("cos"),
+                                                        "sin": counted("sin")}))
+    spec = IntegratorSpec(scheme, 0.05, 0.5)
+    rec = integrate_reduced(result, 0.1, phases_from_state(START["set1"]), spec, (0, 2))
+    assert rec.meta["steps"] == 10
+    assert calls == {"cos": 10 * stages, "sin": 10 * stages}
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk4"])
