@@ -271,7 +271,12 @@ def chain_model(cfg: ChainConfig) -> OscillatorModel:
 
     def rates(z, f):
         # Oscillator n's rate in scalar complex arithmetic; C feeds it oscillator feed.
-        return [f"{f}{n} = {l} * {x} + {g} * ({x}.real * {x}.real + {x}.imag * {x}.imag) * {x}"
+        # |x|^2 is x * x.conjugate(), bit for bit the float a*a + b*b for x = a + bi
+        # wherever that is finite: the real part a*a - b*(-b) is that sum, and the
+        # imaginary part a*(-b) + b*a, two opposite products, is +0.0.  CPython 3.11
+        # multiplies complex by float as by complex(r, 0.0), so g times either is the
+        # same.  Where the sum is not finite, both forms make the rate non-finite.
+        return [f"{f}{n} = {l} * {x} + {g} * ({x} * {x}.conjugate()) * {x}"
                 f" + eps * {z[feed]}" for n, (x, l, g, feed)
                 in enumerate(zip(z, ("l1", "l2", "l1"), ("g1", "g2", "g1"), (1, 0, 1)))]
 

@@ -4,6 +4,8 @@ Every record must be byte-identical to the reference's: its times, states,
 pair observable and failure flag.
 """
 
+import cmath
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ from test_vdp_pair import vdp_pair_model
 from torusred.fourier import FourierMap, SmoothMap
 from torusred.models import ChainConfig, OscillatorModel, chain_bundle, chain_model
 from torusred import sim
+from torusred.cli import PRESETS
 from torusred.reduction import phase_reduce
 from torusred.sim import IntegratorSpec, integrate_full, integrate_reduced, phases_from_state
 
@@ -162,3 +165,70 @@ def test_an_array_model_writes_its_stages_as_every_lane(monkeypatch, scheme):
     vdp = vdp_pair_model(np.array([1.0, 1.0]))
     integrate_full(vdp, 0.025, np.array([2.0, 0.0, 0.5, 1.5]), IntegratorSpec(scheme, 0.05, 1.0))
     assert calls == [(scheme, 1)]
+
+
+TINY = 5e-324  # the least subnormal
+# Chain starts that probe each oscillator's squared modulus: a signed zero in
+# each part of the start (every sign of each), every part a signed zero, one
+# oscillator at exactly 0j, and subnormal parts beside normal ones.
+EDGE_STARTS = {
+    "signed-zeros": [np.where(np.arange(6) == k, s, X0) for k in range(6) for s in (0.0, -0.0)]
+    + [np.array([-0.0, 0.0, 0.0, -0.0, -0.0, -0.0]), np.array([0.0, -0.0, -0.0, 0.0, 0.0, 0.0])],
+    "zero-oscillator": [np.where(np.arange(6) // 2 == n, 0.0, X0) for n in range(3)],
+    "subnormal": [np.array([TINY, -0.0, 1.0, 0.4, -1.0, 0.5]),
+                  np.array([1e-310, -2.5e-320, -TINY, 3e-309, 1e-315, 0.5]),
+                  np.array([-1.0, 4e-320, -3e-310, 0.4, -1.0, 1e-315])],
+}
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize("case", sorted(EDGE_STARTS))
+def test_a_chain_lane_from_an_edge_start_is_byte_identical_to_the_reference(chain, case, scheme,
+                                                                            stride):
+    cfg, model, _ = chain
+    spec = IntegratorSpec(scheme, 0.05, 5.0, record_stride=stride)  # 100 steps
+    for x0 in EDGE_STARTS[case]:
+        got, want = integrate_full(model, 0.1, x0, spec), reference_full(model, 0.1, x0, spec, cfg)
+        assert not got.failed and got.meta["steps"] == spec.steps()
+        assert_same_record(got, want, spec.dt)
+
+
+def squared(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_a_squared_modulus_that_overflows_mid_step_stops_as_the_reference(chain, scheme, stride):
+    # From these starts the first oscillator's |z|^2 overflows at a finite
+    # value: RK4's in the second stage of step 4, from a state whose own |z|^2
+    # is finite; Euler's at the state that begins step 13.
+    cfg, model, _ = chain
+    spec = IntegratorSpec(scheme, 0.05, 50.0, record_stride=stride)
+    start = np.array([{"euler": 4.351, "rk4": 5.9937302}[scheme], 0.0, 1.0, 0.4, -1.0, 0.5])
+    got, want = integrate_full(model, 0.1, start, spec), reference_full(model, 0.1, start, spec, cfg)
+    assert got.failed and got.meta["steps"] == {"euler": 12, "rk4": 3}[scheme]
+    assert_same_record(got, want, spec.dt)
+    if stride == 1:
+        _, ns = model.fast_field(0.1)
+        z1, z2, _ = got.states[-1].view(complex).tolist()
+        if scheme == "euler":
+            assert squared(z1) == math.inf
+        else:
+            q1 = z1 + 0.5 * spec.dt * (ns["l1"] * z1 + ns["g1"] * squared(z1) * z1 + 0.1 * z2)
+            assert squared(z1) < math.inf and cmath.isfinite(q1) and squared(q1) == math.inf
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+def test_the_set2_phase_lock_lane_shortened_is_byte_identical_to_the_reference(scheme):
+    # Set 2's chain at its own epsilon, start and phase-lock recording
+    # (cli.check_phase_lock), over 4,000 of its 400,000 steps.
+    chain_cfg = PRESETS["set2"]["model"]["chain"]
+    cfg = ChainConfig(**chain_cfg)
+    x0 = np.asarray(PRESETS["set2"]["numerics"]["x0"], dtype=float).reshape(-1)
+    spec = IntegratorSpec(scheme, 0.01, 40.0, record_stride=5, record_state=False)
+    model, eps = chain_model(cfg), chain_cfg["epsilon"]
+    got, want = integrate_full(model, eps, x0, spec), reference_full(model, eps, x0, spec, cfg)
+    assert not got.failed and got.states is None and len(got.t) == 801
+    assert_same_record(got, want, spec.dt)

@@ -1,3 +1,7 @@
+import cmath
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -203,6 +207,57 @@ def test_fast_step_is_bit_identical_to_stepping_the_scalar_field(params, x0, sch
         want.append(x)
     assert not rec.failed and rec.states.shape == (10_001, 6)
     assert np.array_equal(rec.states, np.asarray(want))
+
+
+def complex_bits(w):
+    return struct.pack("<dd", w.real, w.imag)
+
+
+# Parts of z at the edges of the float range: signed zeros, the least and a
+# larger subnormal, the least normal, square roots near the overflow of a
+# square, the largest finite, infinities and NaN.
+EDGE_PARTS = [0.0, 5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308, 1.0, 0.3,
+              1.3407807929942596e154, 9.5e153, 1.7976931348623157e308, math.inf, math.nan]
+EDGE_PARTS += [-v for v in EDGE_PARTS]
+
+
+def chain_cubic_coefficients():
+    """The ``g`` of the chain's rates on both presets: each oscillator's cubic coefficient."""
+    gs = set()
+    for params in (SET1, SET2):
+        _, ns = chain_model(ChainConfig(**params)).fast_field(0.1)
+        gs.update((ns["g1"], ns["g2"]))
+    return sorted(gs, key=complex_bits)
+
+
+@pytest.mark.parametrize("g", chain_cubic_coefficients(), ids=str)
+def test_the_squared_modulus_as_one_complex_product_keeps_every_bit(g):
+    # The chain's rates write |z|^2 z as (z * z.conjugate()) * z; the lanes'
+    # oracle writes (z.real * z.real + z.imag * z.imag) * z.  Wherever one is
+    # finite the two are the same bits, and they are non-finite together.
+    rng = np.random.default_rng(32)
+    raw = rng.integers(0, 2**64, size=(4000, 2), dtype=np.uint64).view(float)  # every exponent
+    near = rng.normal(size=(4000, 2)) * 10.0 ** rng.uniform(-160, 160, size=(4000, 1))
+    edges = [(a, b) for a in EDGE_PARTS for b in EDGE_PARTS]
+    finite = 0
+    for a, b in [*edges, *raw.tolist(), *near.tolist()]:
+        z = complex(a, b)
+        got = g * (z * z.conjugate()) * z
+        want = g * (z.real * z.real + z.imag * z.imag) * z
+        assert cmath.isfinite(got) == cmath.isfinite(want)
+        if cmath.isfinite(got):
+            assert complex_bits(got) == complex_bits(want)
+            finite += 1
+        # The imaginary part of z * conj(z), a * (-b) + b * a, adds two opposite
+        # products: +0.0 for finite z unless a * b overflows (inf - inf is NaN,
+        # and then |z|^2 overflows too).  With |z|^2 finite, z * conj(z) is
+        # exactly complex(|z|^2, +0.0).
+        square = z * z.conjugate()
+        if cmath.isfinite(z) and math.isfinite(z.real * z.imag):
+            assert square.imag == 0.0 and math.copysign(1.0, square.imag) == 1.0
+        if math.isfinite(z.real * z.real + z.imag * z.imag):
+            assert complex_bits(square) == complex_bits(complex(z.real * z.real + z.imag * z.imag))
+    assert finite > 5000
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
